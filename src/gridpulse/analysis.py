@@ -44,29 +44,14 @@ UNSTABILIZED = math.inf
 
 
 class TraceView:
-    """Dense array view of a run: times[layer, pulse, vertex] with NaN gaps."""
+    """The configured pulses of a run: times[layer, pulse, vertex] with NaN
+    gaps, and the mask of correct nodes, correct[layer, vertex]."""
 
-    def __init__(self, result: RunResult, pulses: int | None = None):
+    def __init__(self, result: RunResult):
         cfg = result.config
-        self.result = result
         self.base = cfg.base
-        self.layers = cfg.layers
-        self.pulses = cfg.pulses if pulses is None else pulses
-        nv = self.base.num_vertices
-        times = np.full((self.layers, self.pulses, nv), np.nan)
-        locals_ = np.full((self.layers, self.pulses, nv), np.nan)
-        for (v, layer), records in result.trace.items():
-            for rec in records:
-                if 1 <= rec.index <= self.pulses:
-                    times[layer, rec.index - 1, v] = rec.time
-                    locals_[layer, rec.index - 1, v] = rec.local_time
-        self.times = times
-        self.local_times = locals_
-        correct = np.ones((self.layers, nv), dtype=bool)
-        for v, layer in cfg.placement.members:
-            if 0 <= layer < self.layers:
-                correct[layer, v] = False
-        self.correct = correct
+        self.times = result.times[:, : cfg.pulses]
+        self.correct = _correct_mask(result)
         self.edges = [
             (a, b)
             for a in self.base.vertices
@@ -76,6 +61,14 @@ class TraceView:
 
     def dist_matrix(self) -> np.ndarray:
         return np.asarray(self.base.distance_table, dtype=float)
+
+
+def _correct_mask(result: RunResult) -> np.ndarray:
+    correct = np.ones(result.counts.shape, dtype=bool)
+    for v, layer in result.config.placement.members:
+        if 0 <= layer < correct.shape[0]:
+            correct[layer, v] = False
+    return correct
 
 
 @dataclass
@@ -278,21 +271,6 @@ def _neighbor_extrema_layer(view: TraceView, layer: int):
     return nmin, nmax
 
 
-def _neighbor_extrema(view: TraceView, layer: int, k: int):
-    nmin, nmax = _neighbor_extrema_layer(view, layer)
-    return nmin[k], nmax[k]
-
-
-def _correction_array(result: RunResult, view: TraceView) -> np.ndarray:
-    """corrections[layer, pulse, vertex]; NaN where no corrected exit exists."""
-    L, K, nv = view.times.shape
-    corr = np.full((L, K, nv), np.nan)
-    for (v, layer, index), snap in result.snapshots.items():
-        if 1 <= index <= K and snap.correction is not None:
-            corr[layer, index - 1, v] = snap.correction
-    return corr
-
-
 def check_conditions(result: RunResult, view: TraceView, s_max: int,
                      failures_only: bool = True) -> list[ConditionVerdict]:
     """Evaluate the slow/fast/jump conditions at every applicable node/pulse.
@@ -305,7 +283,7 @@ def check_conditions(result: RunResult, view: TraceView, s_max: int,
     params = result.config.params
     kappa, theta = params.kappa, params.theta
     L, K, nv = view.times.shape
-    corr = _correction_array(result, view)
+    corr = result.correction[:, :K]
     out: list[ConditionVerdict] = []
     layer_correct = view.correct.all(axis=1)
 
@@ -399,34 +377,32 @@ def check_fault_envelope(result: RunResult, view: TraceView) -> list:
     return out
 
 
+def _layer_vertex_pulse(bad: np.ndarray):
+    """Indices (layer, vertex, pulse) of a [layer, pulse, vertex] mask, in that order."""
+    layer, v, k = np.nonzero(bad.transpose(0, 2, 1))
+    return zip(layer.tolist(), v.tolist(), k.tolist())
+
+
 def check_drift(result: RunResult, view: TraceView) -> list:
     """Per-pulse drift window between a node and its self-copy predecessor."""
     params = result.config.params
     eps = _guard(params)
-    out = []
-    L, K, nv = view.times.shape
-    for layer in range(1, L):
-        for v in range(nv):
-            if not (view.correct[layer, v] and view.correct[layer - 1, v]):
-                continue
-            for k in range(K):
-                snap = result.snapshots.get((v, layer, k + 1))
-                if snap is None or snap.correction is None:
-                    continue
-                tv = view.times[layer, k, v]
-                tp = view.times[layer - 1, k, v]
-                if math.isnan(tv) or math.isnan(tp):
-                    continue
-                c = snap.correction
-                lo = params.d - params.u + (params.lam - params.d - c) / params.theta
-                hi = params.lam - c
-                gap = tv - tp
-                if not (lo - eps <= gap <= hi + eps):
-                    out.append({
-                        "vertex": v, "layer": layer, "pulse": k + 1,
-                        "gap": gap, "window": [lo, hi], "correction": c,
-                    })
-    return out
+    K = view.times.shape[1]
+    c = result.correction[1:, :K]
+    gap = view.times[1:] - view.times[:-1]
+    lo = params.d - params.u + (params.lam - params.d - c) / params.theta
+    hi = params.lam - c
+    both = (view.correct[1:] & view.correct[:-1])[:, None, :]
+    with np.errstate(invalid="ignore"):
+        bad = both & ~((lo - eps <= gap) & (gap <= hi + eps))
+    bad &= ~np.isnan(c) & ~np.isnan(gap)
+    return [
+        {"vertex": v, "layer": layer + 1, "pulse": k + 1,
+         "gap": float(gap[layer, k, v]),
+         "window": [float(lo[layer, k, v]), float(hi[layer, k, v])],
+         "correction": float(c[layer, k, v])}
+        for layer, v, k in _layer_vertex_pulse(bad)
+    ]
 
 
 def check_estimates(result: RunResult, view: TraceView) -> list:
@@ -440,32 +416,24 @@ def check_estimates(result: RunResult, view: TraceView) -> list:
     for layer in range(1, L):
         if not view.correct[layer - 1].all():
             continue
-        nmin_all, nmax_all = _neighbor_extrema_layer(view, layer - 1)
-        for k in range(K):
-            t_prev = view.times[layer - 1, k]
-            nmin, nmax = nmin_all[k], nmax_all[k]
-            for v in range(nv):
-                if not view.correct[layer, v]:
-                    continue
-                snap = result.snapshots.get((v, layer, k + 1))
-                if snap is None or snap.h_own is None:
-                    continue
-                ts = t_prev[v]
-                if math.isnan(ts):
-                    continue
-                pairs = []
-                if snap.h_max is not None and not math.isnan(nmax[v]):
-                    pairs.append(("max", snap.h_own - snap.h_max, ts - nmax[v]))
-                if snap.h_min is not None and not math.isnan(nmin[v]):
-                    pairs.append(("min", snap.h_own - snap.h_min, ts - nmin[v]))
-                for name, measured, true in pairs:
-                    centered = measured - kappa / 2
-                    if not (true - kappa - eps <= centered <= true + eps):
-                        out.append({
-                            "vertex": v, "layer": layer, "pulse": k + 1,
-                            "extreme": name, "measured_minus_half": centered,
-                            "true": true,
-                        })
+        nmin, nmax = _neighbor_extrema_layer(view, layer - 1)  # [K, nv]
+        ts = view.times[layer - 1]
+        h_own = result.h_own[layer, :K]
+        # [K, nv, extreme]: the last-neighbor ('max') pair first, as reported
+        measured = h_own[..., None] - np.stack(
+            (result.h_max[layer, :K], result.h_min[layer, :K]), axis=-1)
+        centered = measured - kappa / 2
+        true = ts[..., None] - np.stack((nmax, nmin), axis=-1)
+        with np.errstate(invalid="ignore"):
+            bad = ~((true - kappa - eps <= centered) & (centered <= true + eps))
+        bad &= ~np.isnan(centered) & ~np.isnan(true) & view.correct[layer][None, :, None]
+        for k, v, e in zip(*(i.tolist() for i in np.nonzero(bad))):
+            out.append({
+                "vertex": v, "layer": layer, "pulse": k + 1,
+                "extreme": ("max", "min")[e],
+                "measured_minus_half": float(centered[k, v, e]),
+                "true": float(true[k, v, e]),
+            })
     return out
 
 
@@ -474,23 +442,13 @@ def period_consistency(result: RunResult, view: TraceView,
     """In a static run every correct node repeats with exactly the period."""
     params = result.config.params
     tol = 1e-9 * params.lam if tolerance is None else tolerance
-    out = []
-    L, K, nv = view.times.shape
-    for layer in range(L):
-        for v in range(nv):
-            if not view.correct[layer, v]:
-                continue
-            t = view.times[layer, :, v]
-            for k in range(K - 1):
-                if math.isnan(t[k]) or math.isnan(t[k + 1]):
-                    continue
-                dev = abs(t[k + 1] - t[k] - params.lam)
-                if dev > tol:
-                    out.append({
-                        "vertex": v, "layer": layer, "pulse": k + 1,
-                        "deviation": float(dev),
-                    })
-    return out
+    dev = np.abs(view.times[:, 1:] - view.times[:, :-1] - params.lam)
+    with np.errstate(invalid="ignore"):
+        bad = view.correct[:, None, :] & (dev > tol)
+    return [
+        {"vertex": v, "layer": layer, "pulse": k + 1, "deviation": float(dev[layer, k, v])}
+        for layer, v, k in _layer_vertex_pulse(bad)
+    ]
 
 
 def stabilization_pulse(result: RunResult, reference: RunResult,
@@ -501,24 +459,23 @@ def stabilization_pulse(result: RunResult, reference: RunResult,
     Both runs must share delays and clocks. Returns 1 for a clean start and
     the UNSTABILIZED sentinel (inf) when some node never locks on.
     """
-    params = result.config.params
-    lam = params.lam
+    lam = result.config.params.lam
     tol = 1e-9 * lam if tolerance is None else tolerance
-    faulty = result.config.placement.members
-    worst = 1.0
-    for node, ref_records in reference.trace.items():
-        if node in faulty or not ref_records:
-            continue
-        anchor = ref_records[-1].time
-        records = result.trace.get(node, [])
-        if not records:
-            return UNSTABILIZED
-        aligned = [abs(math.remainder(rec.time - anchor, lam)) <= tol for rec in records]
-        if not aligned[-1]:
-            return UNSTABILIZED
-        last_bad = -1
-        for i, ok in enumerate(aligned):
-            if not ok:
-                last_bad = i
-        worst = max(worst, float(last_bad + 2))
-    return worst
+    counts = result.counts
+    # nodes that pulsed in the reference run and are correct in this one
+    nodes = (reference.counts > 0) & _correct_mask(result)
+    if np.any(nodes & (counts == 0)):
+        return UNSTABILIZED
+    last = np.maximum(reference.counts - 1, 0)[:, None, :]
+    anchor = np.take_along_axis(reference.times, last, axis=1)
+    # |IEEE remainder| of the offset by lam: fmod is exact, and so is
+    # lam - r for r >= lam/2 (Sterbenz)
+    r = np.abs(np.fmod(result.times - anchor, lam))
+    aligned = np.minimum(r, lam - r) <= tol
+    k = np.arange(result.times.shape[1])[None, :, None]
+    emitted = k < counts[:, None, :]
+    last_aligned = np.take_along_axis(aligned, np.maximum(counts - 1, 0)[:, None, :], axis=1)
+    if not last_aligned[:, 0][nodes].all():
+        return UNSTABILIZED
+    last_bad = np.where(emitted & ~aligned, k, -1).max(axis=1)
+    return max(1.0, float(last_bad[nodes].max(initial=-1) + 2))

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, report as report_mod
-from .config import build_run_config, load_config, load_experiment
+from .config import MC_BEHAVIORS, build_run_config, load_config, load_experiment
 from .engine import run
 from .errors import AlignmentError, ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
@@ -80,9 +80,8 @@ def cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg = dataclasses.replace(cfg, force=bool(args.force))
     violations = validate_params(cfg.params, cfg.base.diameter)
-    if violations and not cfg.force:
+    if violations and not args.force:
         for msg in violations:
             print(f"config error: {msg}", file=sys.stderr)
         print("(use --force to run outside the validated regime)", file=sys.stderr)
@@ -278,14 +277,6 @@ def cmd_stabilize(args) -> int:
     return 1 if bad else 0
 
 
-_MC_BEHAVIORS = {
-    "silent": lambda lam: FaultBehavior(kind="silent"),
-    "fixed_offset_plus": lambda lam: FaultBehavior(kind="fixed_offset", offset=lam / 4),
-    "fixed_offset_minus": lambda lam: FaultBehavior(kind="fixed_offset", offset=-lam / 4),
-    "burst": lambda lam: FaultBehavior(kind="burst", count=3, spacing=lam / 20),
-}
-
-
 def _mc_trial(payload) -> dict:
     doc, seed, p, mix, changes = payload
     import random as _random
@@ -322,7 +313,8 @@ def _mc_trial(payload) -> dict:
             )
             changing += 1
         else:
-            behaviors[node] = _MC_BEHAVIORS.get(name, _MC_BEHAVIORS["silent"])(cfg.params.lam)
+            # past the cap a per_pulse_offset draw falls back to silent
+            behaviors[node] = MC_BEHAVIORS.get(name, MC_BEHAVIORS["silent"])(cfg.params.lam)
     cfg = dataclasses.replace(cfg, placement=FaultPlacement(behaviors=behaviors, strict=True))
     result = run(cfg)
     view = analysis.TraceView(result)

@@ -20,9 +20,18 @@ from .protocol import SourceMode
 from .timing import DELAY_STRATEGIES, Params
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, parse_edge_list
 
-__all__ = ["ExperimentSpec", "load_config", "load_experiment", "build_run_config"]
+__all__ = ["ExperimentSpec", "MC_BEHAVIORS", "load_config", "load_experiment", "build_run_config"]
 
 SCHEMA_VERSION = 1
+
+# faults-mc behavior_mix names with a static behavior, built from the period;
+# "per_pulse_offset" is also accepted and drawn per trial.
+MC_BEHAVIORS = {
+    "silent": lambda lam: FaultBehavior(kind="silent"),
+    "fixed_offset_plus": lambda lam: FaultBehavior(kind="fixed_offset", offset=lam / 4),
+    "fixed_offset_minus": lambda lam: FaultBehavior(kind="fixed_offset", offset=-lam / 4),
+    "burst": lambda lam: FaultBehavior(kind="burst", count=3, spacing=lam / 20),
+}
 
 
 @dataclass(frozen=True)
@@ -32,7 +41,6 @@ class ExperimentSpec:
     run: dict
     seeds: tuple[int, ...]
     axes: dict = field(default_factory=dict)
-    repeat: int = 1
     trials: int = 0
     fault_probability: float = 0.0
     behavior_mix: tuple[str, ...] = ("silent",)
@@ -227,15 +235,20 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     axes = doc.get("sweep", {}) or {}
     if not isinstance(axes, dict):
         raise ConfigurationError("'sweep' must map axis names to value lists")
-    mix = doc.get("behavior_mix", ["silent"])
+    mix = tuple(str(b) for b in doc.get("behavior_mix", ["silent"]))
+    for i, name in enumerate(mix):
+        if name not in MC_BEHAVIORS and name != "per_pulse_offset":
+            raise ConfigurationError(
+                f"behavior_mix[{i}]: unknown behavior {name!r}; valid: "
+                f"{sorted([*MC_BEHAVIORS, 'per_pulse_offset'])}"
+            )
     return ExperimentSpec(
         run=run_doc,
         seeds=seeds,
         axes={str(k): list(v) for k, v in axes.items()},
-        repeat=int(doc.get("repeat", 1)),
         trials=int(doc.get("trials", 0)),
         fault_probability=float(doc.get("fault_probability", 0.0)),
-        behavior_mix=tuple(str(b) for b in mix),
+        behavior_mix=mix,
         behavior_changes_per_pulse=int(doc.get("behavior_changes_per_pulse", 1)),
         corruption=doc.get("corruption", {}) or {},
     )

@@ -15,8 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import AlignmentError, ConfigurationError, ProtocolError
-from .faults import FaultPlacement, faulty_emissions, perturbation_caps
+from .faults import FaultPlacement, faulty_emissions, perturb_between_pulses, perturbation_caps
 from .protocol import (
     QUIET_DIVISOR,
     Broadcast,
@@ -40,26 +42,18 @@ __all__ = [
     "CorruptionSpec",
     "Diagnostics",
     "PerturbationSpec",
-    "PulseRecord",
     "RunConfig",
     "RunResult",
+    "SNAPSHOT_FIELDS",
     "corrupt_initial_state",
     "run",
+    "run_arrays",
     "run_paired",
 ]
 
 _KIND_MESSAGE = 0
 _KIND_TIMER = 1
 _KIND_FAULT_EMISSION = 2
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    vertex: int
-    layer: int
-    index: int
-    time: float
-    local_time: float
 
 
 @dataclass(frozen=True)
@@ -114,6 +108,10 @@ class PerturbationSpec:
     rate_magnitude: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.delay_magnitude < 0.0 or self.rate_magnitude < 0.0:
+            raise ConfigurationError("perturbation magnitudes must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -133,7 +131,6 @@ class RunConfig:
     corruption_seed: int = 0
     perturbation: PerturbationSpec | None = None
     enforce_alignment: bool | None = None  # None: auto-enable on clean ideal validated runs
-    force: bool = False
 
     def __post_init__(self) -> None:
         if self.pulses < 1:
@@ -164,19 +161,72 @@ class Diagnostics:
     alignment_enforced: bool = False
 
 
-@dataclass
+# Per-iteration values frozen when a node commits to a pulse time
+# (IterationSnapshot), one [layer, pulse, vertex] array each in a RunResult.
+SNAPSHOT_FIELDS = ("h_own", "h_min", "h_max", "correction", "exit_local")
+
+
+def run_arrays(layers: int, vertices: int, pulses: int,
+               pulse_rows: list, snapshot_rows: list) -> dict:
+    """The dense arrays of a run, keyed by RunResult field name.
+
+    ``pulse_rows`` hold (layer, vertex, pulse, time, local_time) and
+    ``snapshot_rows`` hold (layer, vertex, pulse, arm, *SNAPSHOT_FIELDS),
+    None marking an absent value; pulse indices are 1-based. ``counts`` is
+    the highest pulse index per node. The pulse axis has max(pulses, highest
+    index) entries; entries without a record are NaN, or "" for ``arm``.
+    """
+    rows = np.array(pulse_rows, dtype=float).reshape(-1, 5)
+    layer, vertex, index = rows[:, :3].astype(np.intp).T
+    counts = np.zeros((layers, vertices), dtype=np.int64)
+    np.maximum.at(counts, (layer, vertex), index)
+    snap_layer, snap_vertex, snap_index = np.array(
+        [r[:3] for r in snapshot_rows], dtype=np.intp).reshape(-1, 3).T
+    K = max(pulses, int(counts.max(initial=0)), int(snap_index.max(initial=0)))
+    shape = (layers, K, vertices)
+    out = {"counts": counts}
+    for col, name in enumerate(("times", "local_times"), start=3):
+        out[name] = np.full(shape, np.nan)
+        out[name][layer, index - 1, vertex] = rows[:, col]
+
+    at = (snap_layer, snap_index - 1, snap_vertex)
+    values = np.array([r[4:] for r in snapshot_rows], dtype=float)
+    values = values.reshape(-1, len(SNAPSHOT_FIELDS))
+    for col, name in enumerate(SNAPSHOT_FIELDS):
+        out[name] = np.full(shape, np.nan)
+        out[name][at] = values[:, col]
+    out["arm"] = np.full(shape, "", dtype=object)
+    out["arm"][at] = [r[3] for r in snapshot_rows]
+    return out
+
+
+@dataclass(eq=False)
 class RunResult:
+    """A finished run as dense [layer, pulse, vertex] arrays (see run_arrays).
+
+    Pulse k of node (v, layer) is at [layer, k - 1, v] for k <= counts[layer, v];
+    the snapshot arrays hold the values behind that pulse where one was
+    computed (layers >= 1, correct nodes).
+    """
+
     config: RunConfig
     graph: LayeredGraph
-    trace: dict  # (vertex, layer) -> list[PulseRecord]
-    snapshots: dict  # (vertex, layer, index) -> IterationSnapshot
+    counts: np.ndarray  # [layer, vertex] pulses emitted
+    times: np.ndarray  # real pulse times
+    local_times: np.ndarray  # hardware-clock pulse times
+    h_own: np.ndarray
+    h_min: np.ndarray
+    h_max: np.ndarray
+    correction: np.ndarray
+    exit_local: np.ndarray
+    arm: np.ndarray  # 'corrected' | 'timeout' | 'corrupted'; "" without a snapshot
     diagnostics: Diagnostics
     validation: list[str]
     completed: bool
     incomplete_nodes: list
 
     def pulse_times(self, vertex: int, layer: int) -> list[float]:
-        return [rec.time for rec in self.trace.get((vertex, layer), [])]
+        return self.times[layer, : self.counts[layer, vertex], vertex].tolist()
 
 
 def _needs_twin(placement: FaultPlacement) -> bool:
@@ -186,7 +236,7 @@ def _needs_twin(placement: FaultPlacement) -> bool:
 def run(config: RunConfig) -> RunResult:
     """Execute a run; behaviors anchored to correct pulse times get them
     from a fault-free twin execution over the same delays and clocks."""
-    nominal: dict | None = None
+    nominal: RunResult | None = None
     if config.placement and _needs_twin(config.placement):
         twin_cfg = replace(
             config,
@@ -194,10 +244,7 @@ def run(config: RunConfig) -> RunResult:
             corruption=None,
             perturbation=None,
         )
-        twin = _Engine(twin_cfg, nominal=None).execute()
-        nominal = {
-            node: [rec.time for rec in recs] for node, recs in twin.trace.items()
-        }
+        nominal = _Engine(twin_cfg, nominal=None).execute()
     return _Engine(config, nominal=nominal).execute()
 
 
@@ -273,7 +320,7 @@ def corrupt_initial_state(
 
 
 class _Engine:
-    def __init__(self, config: RunConfig, nominal: dict | None):
+    def __init__(self, config: RunConfig, nominal: RunResult | None):
         self.cfg = config
         self.graph = build_layered(config.base, config.layers)
         self.params = config.params
@@ -288,7 +335,7 @@ class _Engine:
             self.graph, config.params, config.delay_strategy,
             seed=config.delay_seed, custom=config.custom_delays,
         )
-        self.delays = dict(delays.delays)  # engine-private, perturbations mutate it
+        self.delays = delays.delays  # perturbations replace it, never mutate it
 
         clocks = sample_clocks(self.graph, config.params, config.clock_strategy,
                                seed=config.clock_seed)
@@ -311,8 +358,8 @@ class _Engine:
         self.seq = 0
         self.machines: dict = {}
         self.timer_version: dict = {}
-        self.trace: dict = {}
-        self.snapshots: dict = {}
+        self.pulse_rows: list = []  # run_arrays rows, in emission order
+        self.snapshot_rows: list = []
         self.emitted: dict = {}
         self.wave_next = 1
         if config.perturbation is not None:
@@ -341,7 +388,6 @@ class _Engine:
         for layer in range(cfg.layers):
             for v in base.vertices:
                 node = (v, layer)
-                self.trace[node] = []
                 self.emitted[node] = 0
                 self.timer_version[node] = [0, 0]  # threshold, pulse
                 if node in self.faulty:
@@ -381,9 +427,7 @@ class _Engine:
                     continue
                 clock_offset, clock_rate = self.offset[node], self.rate[node]
                 for k, t in enumerate(times[v], start=1):
-                    self.trace[node].append(
-                        PulseRecord(v, 0, k, t, clock_offset + clock_rate * t)
-                    )
+                    self.pulse_rows.append((0, v, k, t, clock_offset + clock_rate * t))
                     self._deliver_broadcast(node, t, k)
                 self.emitted[node] = cfg.pulses
         else:
@@ -405,7 +449,7 @@ class _Engine:
                     raise ProtocolError(
                         "offset-anchored behavior without a twin execution"
                     )
-                nominal_times = self.nominal.get(node, [])
+                nominal_times = self.nominal.pulse_times(*node)
             for k in range(1, cfg.pulses + 1):
                 for t_emit, recipients in faulty_emissions(behavior, nominal_times, k):
                     v, layer = node
@@ -504,10 +548,14 @@ class _Engine:
         v, layer = node
         self.emitted[node] += 1
         index = self.emitted[node]
-        self.trace[node].append(PulseRecord(v, layer, index, t, local_time))
+        self.pulse_rows.append((layer, v, index, t, local_time))
         st = self.machines[node]
         if isinstance(st, GcsState) and st.pending_snapshot is not None:
-            self.snapshots[(v, layer, index)] = st.pending_snapshot
+            snap = st.pending_snapshot
+            self.snapshot_rows.append((
+                layer, v, index, snap.arm,
+                snap.h_own, snap.h_min, snap.h_max, snap.correction, snap.exit_local,
+            ))
             st.pending_snapshot = None
         self._check_wave_completion()
 
@@ -525,20 +573,17 @@ class _Engine:
 
     def _apply_perturbation(self, pulse_index: int) -> None:
         spec = self.cfg.perturbation
-        rng = random.Random(spec.seed * 1_000_003 + pulse_index)
-        lo, hi = self.params.d - self.params.u, self.params.d
-        for key in sorted(self.delays):
-            val = self.delays[key] + rng.uniform(-spec.delay_magnitude, spec.delay_magnitude)
-            self.delays[key] = min(max(val, lo), hi)
+        self.delays, rates = perturb_between_pulses(
+            self.delays, self.rate, (spec.delay_magnitude, spec.rate_magnitude),
+            pulse_index, spec.seed, self.params, self.caps,
+        )
         if spec.rate_magnitude > 0.0:
             t_now = self.now
-            for node in sorted(self.rate):
-                new_rate = self.rate[node] + rng.uniform(-spec.rate_magnitude, spec.rate_magnitude)
-                new_rate = min(max(new_rate, 1.0), self.params.theta)
+            for node, new_rate in rates.items():
                 # continuous local time across the rate switch
                 h_now = self.offset[node] + self.rate[node] * t_now
                 self.offset[node] = h_now - new_rate * t_now
-                self.rate[node] = new_rate
+            self.rate = rates
 
     # -- main loop ----------------------------------------------------------
 
@@ -610,8 +655,7 @@ class _Engine:
         return RunResult(
             config=cfg,
             graph=self.graph,
-            trace=self.trace,
-            snapshots=self.snapshots,
+            **run_arrays(cfg.layers, self.nv, cfg.pulses, self.pulse_rows, self.snapshot_rows),
             diagnostics=self.diag,
             validation=self.validation,
             completed=not incomplete,

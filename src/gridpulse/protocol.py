@@ -40,7 +40,6 @@ __all__ = [
     "compute_correction",
     "correction_scan_oracle",
     "gcs_step",
-    "gcs_step_simplified",
     "ideal_source_times",
     "inner_loop_threshold",
     "layer0_step",
@@ -371,18 +370,6 @@ def gcs_step(state: GcsState, event, h: float, params: Params):
         raise ProtocolError(f"unknown timer kind {event.kind!r}")
 
     raise ProtocolError(f"unknown event {event!r}")
-
-
-def gcs_step_simplified(state: GcsState, event, h: float, params: Params):
-    """Reference machine: waits for all inputs, then applies the correction.
-
-    Valid only when every predecessor of the node is correct; the caller
-    guarantees this. Shares all recording and phase logic with the full
-    machine, differing only in the exit rule.
-    """
-    if state.machine != "simplified":
-        raise ProtocolError("state was not built for the simplified machine")
-    return gcs_step(state, event, h, params)
 
 
 class ChainState:

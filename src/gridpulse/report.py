@@ -35,34 +35,39 @@ RUN_SCHEMA = "gridpulse-run/1"
 ALL_CHECKS = ("skew", "conditions", "envelope", "drift", "estimates", "period", "potentials")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(x, ".17g")
+TRACE_COLUMNS = ["layer", "vertex", "pulse", "time_real", "time_local"]
+SNAPSHOT_COLUMNS = ["layer", "vertex", "pulse", "H_own", "H_min", "H_max", "correction",
+                    "threshold_arm"]
+_SNAPSHOT_VALUES = ("h_own", "h_min", "h_max", "correction")  # the CSV's value columns
+
+
+def _fmt(x: float) -> str:
+    return "" if math.isnan(x) else format(x, ".17g")
+
+
+def _write_rows(path: Path, header: list, present: np.ndarray, arrays: list) -> None:
+    """One row per True entry of present[layer, pulse, vertex], in (layer,
+    vertex, pulse) order: the indices, then each array's value there."""
+    layer, v, k = np.nonzero(present.transpose(0, 2, 1))
+    at = (layer, k, v)
+    columns = [layer.tolist(), v.tolist(), (k + 1).tolist()]
+    columns += [a[at].tolist() if a.dtype == object else map(_fmt, a[at].tolist())
+                for a in arrays]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def write_trace_csv(result: RunResult, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["layer", "vertex", "pulse", "time_real", "time_local"])
-        for (v, layer) in sorted(result.trace, key=lambda n: (n[1], n[0])):
-            for rec in result.trace[(v, layer)]:
-                writer.writerow([layer, v, rec.index, _fmt(rec.time), _fmt(rec.local_time)])
+    K = result.times.shape[1]
+    emitted = np.arange(K)[None, :, None] < result.counts[:, None, :]
+    _write_rows(path, TRACE_COLUMNS, emitted, [result.times, result.local_times])
 
 
 def write_snapshot_csv(result: RunResult, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["layer", "vertex", "pulse", "H_own", "H_min", "H_max", "correction", "threshold_arm"]
-        )
-        for (v, layer, index) in sorted(result.snapshots, key=lambda n: (n[1], n[0], n[2])):
-            snap = result.snapshots[(v, layer, index)]
-            writer.writerow([
-                layer, v, index,
-                _fmt(snap.h_own), _fmt(snap.h_min), _fmt(snap.h_max),
-                _fmt(snap.correction), snap.arm,
-            ])
+    _write_rows(path, SNAPSHOT_COLUMNS, result.arm != "",
+                [getattr(result, name) for name in _SNAPSHOT_VALUES] + [result.arm])
 
 
 def _config_echo(result: RunResult) -> dict:
@@ -207,15 +212,10 @@ def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
             },
             "skew_vs_potential_violations": len(obs),
         }
-        if fault_free:
-            recursion = analysis.psi_bound_violations(table, params.kappa)
-            entry["recursion_violations"] = len(recursion)
-            entry["passed"] = not obs and not recursion
-        else:
-            # informational on faulty traces: the recursion is a fault-free statement
-            recursion = analysis.psi_bound_violations(table, params.kappa)
-            entry["recursion_violations"] = len(recursion)
-            entry["passed"] = not obs
+        recursion = analysis.psi_bound_violations(table, params.kappa)
+        entry["recursion_violations"] = len(recursion)
+        # informational on faulty traces: the recursion is a fault-free statement
+        entry["passed"] = not obs and (not recursion or not fault_free)
         report["checks"]["potentials"] = entry
 
     report["passed"] = all(c.get("passed", True) for c in report["checks"].values())
@@ -261,40 +261,47 @@ def write_outputs(result: RunResult, report: dict, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text(render_text(report))
 
 
-def read_trace_dir(out_dir: Path) -> tuple[dict, dict, dict]:
-    """Load trace.csv, snapshots.csv and run.json back from an output dir."""
+def _float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
+    """Load trace.csv, snapshots.csv and run.json back from an output dir, as
+    the pulse rows, snapshot rows (see engine.run_arrays) and run metadata."""
     trace_path = out_dir / "trace.csv"
     run_path = out_dir / "run.json"
     if not trace_path.exists() or not run_path.exists():
         raise ConfigurationError(f"{out_dir} does not hold a run (trace.csv/run.json missing)")
-    trace: dict = {}
     with trace_path.open() as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["layer", "vertex", "pulse", "time_real", "time_local"]:
-            raise ConfigurationError(f"{trace_path}: unexpected trace schema {reader.fieldnames}")
-        for row in reader:
-            node = (int(row["vertex"]), int(row["layer"]))
-            trace.setdefault(node, []).append(
-                (int(row["pulse"]), float(row["time_real"]), float(row["time_local"]))
-            )
-    snapshots: dict = {}
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRACE_COLUMNS:
+            raise ConfigurationError(f"{trace_path}: unexpected trace schema {header}")
+        try:
+            pulse_rows = [
+                (int(layer), int(v), int(k), float(t), float(local))
+                for layer, v, k, t, local in reader
+            ]
+        except ValueError as exc:
+            raise ConfigurationError(f"{trace_path}:{reader.line_num}: {exc}") from exc
+    snapshot_rows: list = []
     snap_path = out_dir / "snapshots.csv"
     if snap_path.exists():
         with snap_path.open() as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                key = (int(row["vertex"]), int(row["layer"]), int(row["pulse"]))
-                snapshots[key] = {
-                    "h_own": float(row["H_own"]) if row["H_own"] else None,
-                    "h_min": float(row["H_min"]) if row["H_min"] else None,
-                    "h_max": float(row["H_max"]) if row["H_max"] else None,
-                    "correction": float(row["correction"]) if row["correction"] else None,
-                    "arm": row["threshold_arm"],
-                }
+            reader = csv.reader(fh)
+            next(reader, None)
+            try:
+                snapshot_rows = [
+                    # exit_local is not stored
+                    (int(layer), int(v), int(k), arm, *map(_float, (h_own, h_min, h_max, c)), None)
+                    for layer, v, k, h_own, h_min, h_max, c, arm in reader
+                ]
+            except ValueError as exc:
+                raise ConfigurationError(f"{snap_path}:{reader.line_num}: {exc}") from exc
     meta = json.loads(run_path.read_text())
-    if not trace:
+    if not pulse_rows:
         raise ConfigurationError(f"{trace_path}: trace is empty")
-    return trace, snapshots, meta
+    return pulse_rows, snapshot_rows, meta
 
 
 def result_from_files(out_dir: Path) -> RunResult:
@@ -305,12 +312,17 @@ def result_from_files(out_dir: Path) -> RunResult:
     from .timing import Params
     from .topology import build_layered, from_edges
 
-    trace_rows, snapshot_rows, meta = read_trace_dir(out_dir)
+    pulse_rows, snapshot_rows, meta = read_trace_dir(out_dir)
     echo = meta["config"]
     base = from_edges([tuple(e) for e in echo["topology"]["edges"]])
     p = echo["params"]
     params = Params.derive(d=p["d"], u=p["u"], theta=p["theta"], lam=p["Lambda"],
                            validation_constant=p["C"])
+    for row in (*pulse_rows, *snapshot_rows):
+        if not (0 <= row[0] < echo["layers"] and 0 <= row[1] < base.num_vertices and row[2] >= 1):
+            raise ConfigurationError(f"{out_dir}: (layer, vertex, pulse) {row[:3]} is outside "
+                                     f"the run's {echo['layers']} layers and "
+                                     f"{base.num_vertices} vertices")
     behaviors = {tuple(node): FaultBehavior(kind="silent") for node in echo["faults"]}
     cfg = _engine.RunConfig(
         base=base,
@@ -328,24 +340,11 @@ def result_from_files(out_dir: Path) -> RunResult:
         placement=FaultPlacement(behaviors=behaviors, strict=False),
         machine=echo["machine"],
     )
-    trace = {}
-    for node, rows in trace_rows.items():
-        v, layer = node
-        trace[node] = [
-            _engine.PulseRecord(v, layer, idx, t, local)
-            for idx, t, local in sorted(rows)
-        ]
-    snapshots = {}
-    for key, row in snapshot_rows.items():
-        snapshots[key] = _protocol.IterationSnapshot(
-            h_own=row["h_own"], h_min=row["h_min"], h_max=row["h_max"],
-            correction=row["correction"], arm=row["arm"], exit_local=math.nan,
-        )
     return _engine.RunResult(
         config=cfg,
         graph=build_layered(base, cfg.layers),
-        trace=trace,
-        snapshots=snapshots,
+        **_engine.run_arrays(cfg.layers, base.num_vertices, cfg.pulses,
+                             pulse_rows, snapshot_rows),
         diagnostics=_engine.Diagnostics(),
         validation=list(meta.get("validation_violations", [])),
         completed=bool(meta.get("completed", True)),

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from gridpulse import analysis
-from gridpulse.engine import PulseRecord, RunConfig, RunResult, run
+from gridpulse.engine import (
+    CorruptionSpec, PerturbationSpec, RunConfig, RunResult, run, run_arrays,
+)
 from gridpulse.faults import FaultBehavior, FaultPlacement
-from gridpulse.protocol import IterationSnapshot, SourceMode
+from gridpulse.protocol import SourceMode
 from gridpulse.timing import Params, local_skew_budget
 from gridpulse.topology import build_layered, build_line_with_replicated_ends
 
@@ -20,8 +22,9 @@ KAPPA = PARAMS.kappa
 
 
 def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None,
-                     snapshots=None) -> RunResult:
-    """Result with hand-written pulse times: layer_times[layer][vertex] -> list."""
+                     snapshot_rows=()) -> RunResult:
+    """Result with hand-written pulse times: layer_times[layer][vertex] -> list
+    (local times equal real times); snapshot rows as in run_arrays."""
     base = build_line_with_replicated_ends(m)
     layers = max(layer_times) + 1
     cfg = RunConfig(
@@ -29,17 +32,16 @@ def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None,
         source=SourceMode(kind="ideal", jitter=0.0), pulses=pulses,
         placement=placement or FaultPlacement.empty(),
     )
-    trace = {}
-    for layer in range(layers):
-        for v in base.vertices:
-            times = layer_times.get(layer, {}).get(v, [])
-            trace[(v, layer)] = [
-                PulseRecord(v, layer, k + 1, t, t) for k, t in enumerate(times)
-            ]
+    pulse_rows = [
+        (layer, v, k + 1, t, t)
+        for layer, by_vertex in layer_times.items()
+        for v, times in by_vertex.items()
+        for k, t in enumerate(times)
+    ]
     return RunResult(
-        config=cfg, graph=build_layered(base, layers), trace=trace,
-        snapshots=snapshots or {}, diagnostics=None, validation=[],
-        completed=True, incomplete_nodes=[],
+        config=cfg, graph=build_layered(base, layers),
+        **run_arrays(layers, base.num_vertices, pulses, pulse_rows, list(snapshot_rows)),
+        diagnostics=None, validation=[], completed=True, incomplete_nodes=[],
     )
 
 
@@ -136,14 +138,12 @@ class TestConditions:
             1: {v: [10.0] for v in range(8)},
             2: {v: [12.0] for v in range(8)},
         }
-        snapshots = {
-            (v, 2, 1): IterationSnapshot(
-                h_own=11.0, h_min=11.0, h_max=11.0,
-                correction=corrections.get(v, 0.0), arm="corrected", exit_local=11.0,
-            )
+        # (layer, vertex, pulse, arm, h_own, h_min, h_max, correction, exit_local)
+        snapshot_rows = [
+            (2, v, 1, "corrected", 11.0, 11.0, 11.0, corrections.get(v, 0.0), 11.0)
             for v in range(8)
-        }
-        return synthetic_result(layer_times, snapshots=snapshots)
+        ]
+        return synthetic_result(layer_times, snapshot_rows=snapshot_rows)
 
     @staticmethod
     def failures(res, s_max=3):
@@ -288,15 +288,138 @@ class TestEndToEndCheckers:
     def test_moved_pulse_detected(self, sim):
         """Hand-moving one pulse by 10*kappa trips the condition checker."""
         res, view = sim
-        node = (5, 6)
-        records = res.trace[node]
-        moved = dict(res.trace)
-        moved[node] = [
-            dataclasses.replace(r, time=r.time + 10 * KAPPA) if r.index == 4 else r
-            for r in records
-        ]
-        tampered = dataclasses.replace(res, trace=moved)
+        moved = res.times.copy()
+        moved[6, 3, 5] += 10 * KAPPA  # pulse 4 of vertex 5 on layer 6
+        tampered = dataclasses.replace(res, times=moved)
         tview = analysis.TraceView(tampered)
         s_max = 2
         fails = analysis.check_conditions(tampered, tview, s_max=s_max)
         assert fails
+
+
+# Per-record loop references for the array checkers: same arithmetic, one
+# (layer, vertex, pulse) at a time.
+
+def drift_by_loop(res, view):
+    p = res.config.params
+    eps = 1e-9 * p.lam
+    out = []
+    L, K, nv = view.times.shape
+    for layer in range(1, L):
+        for v in range(nv):
+            if not (view.correct[layer, v] and view.correct[layer - 1, v]):
+                continue
+            for k in range(K):
+                c = float(res.correction[layer, k, v])
+                gap = float(view.times[layer, k, v]) - float(view.times[layer - 1, k, v])
+                if math.isnan(c) or math.isnan(gap):
+                    continue
+                lo = p.d - p.u + (p.lam - p.d - c) / p.theta
+                hi = p.lam - c
+                if not (lo - eps <= gap <= hi + eps):
+                    out.append({"vertex": v, "layer": layer, "pulse": k + 1,
+                                "gap": gap, "window": [lo, hi], "correction": c})
+    return out
+
+
+def estimates_by_loop(res, view):
+    kappa = res.config.params.kappa
+    eps = 1e-9 * res.config.params.lam
+    out = []
+    L, K, nv = view.times.shape
+    for layer in range(1, L):
+        if not view.correct[layer - 1].all():
+            continue
+        for k in range(K):
+            t = view.times[layer - 1, k].tolist()
+            for v in range(nv):
+                h_own = float(res.h_own[layer, k, v])
+                if not view.correct[layer, v] or math.isnan(h_own) or math.isnan(t[v]):
+                    continue
+                others = [t[w] for w in res.config.base.adjacency[v] if not math.isnan(t[w])]
+                if not others:
+                    continue
+                for name, h, t_w in (("max", res.h_max[layer, k, v], max(others)),
+                                     ("min", res.h_min[layer, k, v], min(others))):
+                    if math.isnan(h):
+                        continue
+                    centered = (h_own - float(h)) - kappa / 2
+                    true = t[v] - t_w
+                    if not (true - kappa - eps <= centered <= true + eps):
+                        out.append({"vertex": v, "layer": layer, "pulse": k + 1, "extreme": name,
+                                    "measured_minus_half": centered, "true": true})
+    return out
+
+
+def period_by_loop(res, view):
+    out = []
+    L, K, nv = view.times.shape
+    for layer in range(L):
+        for v in range(nv):
+            t = view.times[layer, :, v].tolist()
+            for k in range(K - 1):
+                dev = abs(t[k + 1] - t[k] - res.config.params.lam)
+                if view.correct[layer, v] and dev > 1e-9 * res.config.params.lam:
+                    out.append({"vertex": v, "layer": layer, "pulse": k + 1, "deviation": dev})
+    return out
+
+
+def stabilization_by_loop(res, ref):
+    lam = res.config.params.lam
+    worst = 1.0
+    L, nv = ref.counts.shape
+    for layer in range(L):
+        for v in range(nv):
+            anchor_times = ref.pulse_times(v, layer)
+            if (v, layer) in res.config.placement.members or not anchor_times:
+                continue
+            times = res.pulse_times(v, layer)
+            if not times:
+                return math.inf
+            aligned = [abs(math.remainder(t - anchor_times[-1], lam)) <= 1e-9 * lam
+                       for t in times]
+            if not aligned[-1]:
+                return math.inf
+            bad = [i for i, ok in enumerate(aligned) if not ok]
+            worst = max(worst, float(bad[-1] + 2) if bad else 1.0)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def scrambled():
+    """A fully corrupted start, its clean reference, and a perturbed faulty run:
+    every checker reports violations on them."""
+    cfg = RunConfig(
+        base=build_line_with_replicated_ends(6), layers=8, params=PARAMS,
+        source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=4), pulses=10,
+        delay_seed=8, clock_seed=9,
+    )
+    corrupted = dataclasses.replace(
+        cfg, corruption=CorruptionSpec(node_fraction=1.0, max_spurious_messages=8),
+        corruption_seed=11,
+    )
+    faulty = dataclasses.replace(
+        cfg,
+        placement=FaultPlacement(behaviors={(4, 3): FaultBehavior(kind="silent")}),
+        perturbation=PerturbationSpec(delay_magnitude=1e-4, rate_magnitude=1e-6, seed=2),
+    )
+    return run(corrupted), run(cfg), run(faulty)
+
+
+class TestArrayCheckersMatchLoops:
+    def test_drift_estimates_period(self, scrambled):
+        for res in scrambled:
+            view = analysis.TraceView(res)
+            for checker, reference in ((analysis.check_drift, drift_by_loop),
+                                       (analysis.check_estimates, estimates_by_loop),
+                                       (analysis.period_consistency, period_by_loop)):
+                assert checker(res, view) == reference(res, view)
+        corrupted_view = analysis.TraceView(scrambled[0])
+        assert analysis.check_drift(scrambled[0], corrupted_view)
+        assert analysis.check_estimates(scrambled[0], corrupted_view)
+
+    def test_stabilization(self, scrambled):
+        corrupted, clean, _ = scrambled
+        for res, ref in ((corrupted, clean), (clean, clean), (clean, corrupted)):
+            assert analysis.stabilization_pulse(res, ref) == stabilization_by_loop(res, ref)
+        assert analysis.stabilization_pulse(corrupted, clean) > 1.0

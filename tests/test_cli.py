@@ -105,6 +105,21 @@ class TestVerify:
         (out / "trace.csv").write_text("\n".join(trace) + "\n")
         assert main(["verify", str(out)]) == 1
 
+    @pytest.mark.parametrize("name,row", [
+        ("trace.csv", "3,99,1,6.0,6.0"),  # vertex outside the graph
+        ("trace.csv", "3,4,1,6.0"),  # a field missing
+        ("snapshots.csv", "1,0,1,1.0,1.0,1.0,0"),  # a field missing
+        ("snapshots.csv", "1,0,0,1.0,1.0,1.0,0,corrected"),  # pulse index below 1
+    ])
+    def test_malformed_row_exit_two(self, tmp_path, capsys, name, row):
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        with (out / name).open("a") as fh:
+            fh.write(row + "\n")
+        assert main(["verify", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_empty_dir_exit_two(self, tmp_path):
         assert main(["verify", str(tmp_path / "nothing")]) == 2
 
@@ -177,6 +192,18 @@ class TestFaultsMc:
         for row in rows:
             if not row["rejected"]:
                 assert row["envelope_violations"] == 0
+
+    def test_unknown_behavior_exit_two(self, tmp_path, capsys):
+        doc = {
+            "run": dict(BASE_DOC, layers=6, pulses=5),
+            "seeds": [0],
+            "fault_probability": 0.02,
+            "behavior_mix": ["silent", "fixed_ofset_plus"],
+        }
+        cfg = write_config(tmp_path, doc, "mc.yaml")
+        code = main(["faults-mc", "--config", str(cfg), "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert "behavior_mix[1]" in capsys.readouterr().err
 
     def test_probability_zero_reduces_to_fault_free(self, tmp_path):
         doc = {

@@ -21,7 +21,6 @@ from gridpulse.protocol import (
     compute_correction,
     correction_scan_oracle,
     gcs_step,
-    gcs_step_simplified,
     ideal_source_times,
     inner_loop_threshold,
     layer0_step,
@@ -120,7 +119,7 @@ class TestInnerLoopThreshold:
             inner_loop_threshold(10, None, 12, 1, 1.2)
 
 
-def feed(state, params, arrivals, step=gcs_step, packed=True):
+def feed(state, params, arrivals, packed=True):
     """Drive a node with (sender, local time) message arrivals; collects actions.
 
     With ``packed`` the quiet clock is kept fresh between arrivals so the
@@ -133,7 +132,7 @@ def feed(state, params, arrivals, step=gcs_step, packed=True):
     for sender, h in arrivals:
         if packed and not first and h - state.last_accept >= quiet:
             state.last_accept = h - quiet / 2
-        _, a = step(state, MessageArrival(sender, state.layer - 1, state.iteration), h, params)
+        _, a = gcs_step(state, MessageArrival(sender, state.layer - 1, state.iteration), h, params)
         acts.extend(a)
         first = False
     return acts
@@ -242,15 +241,13 @@ class TestSimplifiedMachine:
     def test_symmetric_matches_full(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)],
-                    step=gcs_step_simplified)
+        acts = feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
         assert pulse_target(acts) == pytest.approx(101.0)
 
     def test_exits_at_last_arrival(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(st_, params, [(1, 8.0), (0, 10.0), (2, 12.0)],
-                    step=gcs_step_simplified)
+        acts = feed(st_, params, [(1, 8.0), (0, 10.0), (2, 12.0)])
         # correction for (10, 8, 12) with kappa=1, theta=1.2 is the clamp 1.2;
         # the nominal target 9.8 predates the exit at 12, so the pulse fires
         # at exit under these out-of-regime toy constants
@@ -258,12 +255,6 @@ class TestSimplifiedMachine:
         nominal = 10.0 + 2.0 - 1.0 - st_.correction
         assert nominal == pytest.approx(9.8)
         assert pulse_target(acts) == pytest.approx(max(nominal, 12.0))
-
-    def test_wrong_state_kind_rejected(self):
-        params = PARAMS_TOY
-        st_ = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="full")
-        with pytest.raises(ProtocolError):
-            gcs_step_simplified(st_, MessageArrival(1, 0, 1), 1.0, params)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -285,7 +276,7 @@ class TestSimplifiedMachine:
             )
             gcs_step(full, TimerExpiry("threshold"), threshold, params)
         simp = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(simp, params, arrivals, step=gcs_step_simplified)
+        acts = feed(simp, params, arrivals)
         if full.h_max is not None and full.h_own is not None:
             assert full.pending_pulse_local == pulse_target(acts)
 
