@@ -1,14 +1,17 @@
-"""Config file loading: one YAML document is the sole input of a run.
+"""Config documents: one YAML document is the sole input of a run.
 
 Sections mirror the run configuration; numbers parse to IEEE doubles. All
 outputs are deterministic functions of the config file bytes, so seeds and
-every knob live here. Semantic errors carry the offending key path; YAML
-syntax errors keep PyYAML's line/column marks.
+every knob live here. ``build_run_config`` reads a document into a
+RunConfig and ``run_document`` writes one back as plain JSON; run.json
+stores that document so that ``verify`` rebuilds the run through the same
+reader. Semantic errors and unknown keys carry the offending key path;
+YAML syntax errors keep PyYAML's line/column marks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -18,9 +21,17 @@ from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
 from .protocol import SourceMode
 from .timing import DELAY_STRATEGIES, Params
-from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, parse_edge_list
+from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
-__all__ = ["ExperimentSpec", "MC_BEHAVIORS", "load_config", "load_experiment", "build_run_config"]
+__all__ = [
+    "ExperimentSpec",
+    "MC_BEHAVIORS",
+    "build_run_config",
+    "load_config",
+    "load_document",
+    "load_experiment",
+    "run_document",
+]
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +43,26 @@ MC_BEHAVIORS = {
     "fixed_offset_minus": lambda lam: FaultBehavior(kind="fixed_offset", offset=-lam / 4),
     "burst": lambda lam: FaultBehavior(kind="burst", count=3, spacing=lam / 20),
 }
+
+# The keys a run document accepts, per section.
+RUN_KEYS = ("schema", "topology", "layers", "pulses", "params", "source", "delays", "clocks",
+            "machine", "faults", "corruption", "perturbation", "enforce_alignment")
+TOPOLOGY_KEYS = {"line_replicated": ("kind", "m"), "edge_list": ("kind", "edges")}
+SECTION_KEYS = {
+    "params": ("d", "u", "theta", "Lambda", "C"),
+    "source": ("kind", "jitter", "seed"),
+    "delays": ("strategy", "seed", "map"),
+    "clocks": ("strategy", "seed"),
+    "faults": ("strict", "placement", "p", "seed"),
+    "corruption": ("enabled", "node_fraction", "max_spurious_messages", "seed"),
+    "perturbation": ("delay_magnitude", "rate_magnitude", "seed"),
+}
+PLACEMENT_KEYS = ("vertex", "layer", "behavior")
+BEHAVIOR_KEYS = tuple(f.name for f in fields(FaultBehavior))
+EXPERIMENT_KEYS = ("run", "seeds", "sweep", "trials", "fault_probability", "behavior_mix",
+                   "behavior_changes_per_pulse", "corruption")
+
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -52,87 +83,122 @@ class ExperimentSpec:
             raise ConfigurationError("seed list must be non-empty")
 
 
-def _get(mapping: dict, path: str, default=None, required: bool = False):
-    node = mapping
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigurationError(f"config key {path!r} is required")
-            return default
-        node = node[part]
+def _mapping(node, path: str, keys) -> dict:
+    """``node`` as a mapping, {} when absent; any key outside ``keys`` is an error."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"{path}: must be a mapping, got {node!r}")
+    for key in node:
+        if key not in keys:
+            raise ConfigurationError(f"{path + '.' if path else ''}{key}: unknown key; "
+                                     f"valid keys: {', '.join(keys)}")
     return node
 
 
+def _list(node, path: str) -> list:
+    if not isinstance(node, list):
+        raise ConfigurationError(f"{path}: must be a list, got {node!r}")
+    return node
+
+
+def _value(section: dict, path: str, kind, default=_REQUIRED):
+    """The entry of ``section`` named by the last part of ``path``, as ``kind``."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{path}: required")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
 def _base_graph(doc: dict) -> BaseGraph:
-    kind = _get(doc, "topology.kind", default="line_replicated")
+    section = _mapping(doc.get("topology"), "topology", ("kind", "m", "edges"))
+    kind = section.get("kind", "line_replicated")
+    if kind not in TOPOLOGY_KEYS:
+        raise ConfigurationError(f"topology.kind: unknown kind {kind!r}")
+    _mapping(section, "topology", TOPOLOGY_KEYS[kind])
     if kind == "line_replicated":
-        m = _get(doc, "topology.m", required=True)
+        m = section.get("m")
         if not isinstance(m, int) or m < 2:
             raise ConfigurationError("topology.m: need an integer >= 2")
         return build_line_with_replicated_ends(m)
-    if kind == "edge_list":
-        path = _get(doc, "topology.path", required=True)
-        return parse_edge_list(Path(path).read_text())
-    raise ConfigurationError(f"topology.kind: unknown kind {kind!r}")
+    edges = _list(section.get("edges"), "topology.edges")
+    for i, edge in enumerate(edges):
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(v, int) for v in edge)):
+            raise ConfigurationError(f"topology.edges[{i}]: expected [u, v] with integer "
+                                     f"vertices, got {edge!r}")
+    return from_edges([tuple(edge) for edge in edges])
 
 
 def _params(doc: dict) -> Params:
-    section = _get(doc, "params", required=True)
-    try:
-        return Params.derive(
-            d=float(section["d"]),
-            u=float(section["u"]),
-            theta=float(section["theta"]),
-            lam=float(section["Lambda"]),
-            validation_constant=float(section.get("C", 2.0)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"params.{exc.args[0]}: missing") from exc
-
-
-def _source(doc: dict) -> SourceMode:
-    kind = _get(doc, "source.kind", default="ideal")
-    return SourceMode(
-        kind=kind,
-        jitter=float(_get(doc, "source.jitter", default=0.0)),
-        seed=int(_get(doc, "source.seed", default=0)),
+    section = _mapping(doc.get("params"), "params", SECTION_KEYS["params"])
+    return Params.derive(
+        d=_value(section, "params.d", float),
+        u=_value(section, "params.u", float),
+        theta=_value(section, "params.theta", float),
+        lam=_value(section, "params.Lambda", float),
+        validation_constant=_value(section, "params.C", float, 2.0),
     )
 
 
-def _behavior(spec: dict) -> FaultBehavior:
-    kind = spec.get("kind")
+def _delay_map(rows) -> dict | None:
+    """``delays.map`` rows [*edge key, delay], e.g. [dag, v, layer, w, delay]."""
+    if rows is None:
+        return None
+    delays = {}
+    for i, row in enumerate(_list(rows, "delays.map")):
+        if not (isinstance(row, list) and len(row) in (4, 5) and row[0] in ("dag", "chain")
+                and all(isinstance(x, int) for x in row[1:-1])
+                and isinstance(row[-1], (int, float))):
+            raise ConfigurationError(f"delays.map[{i}]: expected [dag, v, layer, w, delay] or "
+                                     f"[chain, hop, w, delay], got {row!r}")
+        delays[tuple(row[:-1])] = float(row[-1])
+    return delays
+
+
+def _behavior(node, path: str) -> FaultBehavior:
+    spec = _mapping(node, path, BEHAVIOR_KEYS)
     recipients = spec.get("recipients")
-    return FaultBehavior(
-        kind=kind,
-        offset=float(spec.get("offset", 0.0)),
-        times=tuple(float(x) for x in spec.get("times", ())),
-        offsets=tuple(float(x) for x in spec.get("offsets", ())),
-        count=int(spec.get("count", 0)),
-        spacing=float(spec.get("spacing", 0.0)),
-        recipients=tuple(int(x) for x in recipients) if recipients is not None else None,
-    )
+    try:
+        return FaultBehavior(
+            kind=spec.get("kind"),
+            offset=float(spec.get("offset", 0.0)),
+            times=tuple(float(x) for x in spec.get("times", ())),
+            offsets=tuple(float(x) for x in spec.get("offsets", ())),
+            count=int(spec.get("count", 0)),
+            spacing=float(spec.get("spacing", 0.0)),
+            recipients=tuple(int(x) for x in recipients) if recipients is not None else None,
+        )
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
-    section = _get(doc, "faults")
+    section = _mapping(doc.get("faults"), "faults", SECTION_KEYS["faults"])
     if not section:
         return FaultPlacement.empty()
+    if "p" in section and "placement" in section:
+        raise ConfigurationError("faults: give either p or placement, not both")
     strict = bool(section.get("strict", True))
+    graph = build_layered(base, layers)
     if "p" in section:
-        graph = build_layered(base, layers)
-        placement = sample_placement(graph, float(section["p"]), int(section.get("seed", 0)))
+        placement = sample_placement(graph, _value(section, "faults.p", float),
+                                     _value(section, "faults.seed", int, 0))
         placement = FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
     else:
         behaviors = {}
-        for i, entry in enumerate(section.get("placement", ())):
-            try:
-                node = (int(entry["vertex"]), int(entry["layer"]))
-                behaviors[node] = _behavior(entry["behavior"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigurationError(f"faults.placement[{i}]: {exc}") from exc
+        for i, entry in enumerate(_list(section.get("placement", []), "faults.placement")):
+            path = f"faults.placement[{i}]"
+            entry = _mapping(entry, path, PLACEMENT_KEYS)
+            node = (_value(entry, f"{path}.vertex", int), _value(entry, f"{path}.layer", int))
+            behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
         placement = FaultPlacement(behaviors=behaviors, strict=strict)
     if strict and placement:
-        graph = build_layered(base, layers)
         bad = validate_placement(graph, placement)
         if bad:
             raise ConfigurationError(
@@ -143,61 +209,102 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
 
 
 def build_run_config(doc: dict) -> RunConfig:
-    """Assemble and validate a RunConfig from a parsed config document."""
+    """Assemble and validate a RunConfig from a config document.
+
+    This is the one reader of the run schema: ``run``, the batch rows and
+    ``verify`` (through run.json) all build their RunConfig here.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a mapping")
+    _mapping(doc, "", RUN_KEYS)
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigurationError(f"schema: unsupported version {schema!r}")
     base = _base_graph(doc)
-    layers = _get(doc, "layers", required=True)
-    pulses = _get(doc, "pulses", required=True)
-    params = _params(doc)
+    layers = _value(doc, "layers", int)
+    source = _mapping(doc.get("source"), "source", SECTION_KEYS["source"])
+    delays = _mapping(doc.get("delays"), "delays", SECTION_KEYS["delays"])
+    strategy = delays.get("strategy", "uniform-random")
+    if strategy not in DELAY_STRATEGIES:
+        raise ConfigurationError(f"delays.strategy: {strategy!r} not one of {DELAY_STRATEGIES}")
+    clocks = _mapping(doc.get("clocks"), "clocks", SECTION_KEYS["clocks"])
 
+    corr = _mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"])
     corruption = None
-    corr = _get(doc, "corruption")
     if corr and corr.get("enabled", True):
         corruption = CorruptionSpec(
-            node_fraction=float(corr.get("node_fraction", 0.0)),
-            max_spurious_messages=int(corr.get("max_spurious_messages", 0)),
+            node_fraction=_value(corr, "corruption.node_fraction", float, 0.0),
+            max_spurious_messages=_value(corr, "corruption.max_spurious_messages", int, 0),
         )
 
+    pert = _mapping(doc.get("perturbation"), "perturbation", SECTION_KEYS["perturbation"])
     perturbation = None
-    pert = _get(doc, "perturbation")
     if pert:
         perturbation = PerturbationSpec(
-            delay_magnitude=float(pert.get("delay_magnitude", 0.0)),
-            rate_magnitude=float(pert.get("rate_magnitude", 0.0)),
-            seed=int(pert.get("seed", 0)),
+            delay_magnitude=_value(pert, "perturbation.delay_magnitude", float, 0.0),
+            rate_magnitude=_value(pert, "perturbation.rate_magnitude", float, 0.0),
+            seed=_value(pert, "perturbation.seed", int, 0),
         )
 
-    enforce = _get(doc, "enforce_alignment")
+    enforce = doc.get("enforce_alignment")
     return RunConfig(
         base=base,
-        layers=int(layers),
-        params=params,
-        source=_source(doc),
-        pulses=int(pulses),
-        delay_strategy=_get(doc, "delays.strategy", default="uniform-random"),
-        delay_seed=int(_get(doc, "delays.seed", default=0)),
-        custom_delays=_get(doc, "delays.map"),
-        clock_strategy=_get(doc, "clocks.strategy", default="uniform"),
-        clock_seed=int(_get(doc, "clocks.seed", default=0)),
-        placement=_placement(doc, base, int(layers)),
-        machine=_get(doc, "machine", default="full"),
+        layers=layers,
+        params=_params(doc),
+        source=SourceMode(
+            kind=source.get("kind", "ideal"),
+            jitter=_value(source, "source.jitter", float, 0.0),
+            seed=_value(source, "source.seed", int, 0),
+        ),
+        pulses=_value(doc, "pulses", int),
+        delay_strategy=strategy,
+        delay_seed=_value(delays, "delays.seed", int, 0),
+        custom_delays=_delay_map(delays.get("map")),
+        clock_strategy=clocks.get("strategy", "uniform"),
+        clock_seed=_value(clocks, "clocks.seed", int, 0),
+        placement=_placement(doc, base, layers),
+        machine=doc.get("machine", "full"),
         corruption=corruption,
-        corruption_seed=int(corr.get("seed", 0)) if corr else 0,
+        corruption_seed=_value(corr, "corruption.seed", int, 0),
         perturbation=perturbation,
         enforce_alignment=enforce if enforce is None else bool(enforce),
     )
 
 
-def _check_delay_strategy(doc: dict) -> None:
-    strategy = _get(doc, "delays.strategy", default="uniform-random")
-    if strategy not in DELAY_STRATEGIES:
-        raise ConfigurationError(
-            f"delays.strategy: {strategy!r} not one of {DELAY_STRATEGIES}"
-        )
+def run_document(cfg: RunConfig) -> dict:
+    """The normalized config document of ``cfg``: plain JSON, every key
+    explicit, that ``build_run_config`` reads back to an equal RunConfig.
+    Sampled fault placements appear as the list they expanded to."""
+    base, params = cfg.base, cfg.params
+    if base.line_info is not None:
+        topology = {"kind": "line_replicated", "m": len(base.line_info.line)}
+    else:
+        topology = {"kind": "edge_list",
+                    "edges": [[a, b] for a in base.vertices for b in base.adjacency[a] if a < b]}
+    delay_map = None
+    if cfg.custom_delays is not None:
+        delay_map = [[*key, delay] for key, delay in sorted(cfg.custom_delays.items())]
+    return {
+        "schema": SCHEMA_VERSION,
+        "topology": topology,
+        "layers": cfg.layers,
+        "pulses": cfg.pulses,
+        "params": {"d": params.d, "u": params.u, "theta": params.theta, "Lambda": params.lam,
+                   "C": params.validation_constant},
+        "source": asdict(cfg.source),
+        "delays": {"strategy": cfg.delay_strategy, "seed": cfg.delay_seed, "map": delay_map},
+        "clocks": {"strategy": cfg.clock_strategy, "seed": cfg.clock_seed},
+        "machine": cfg.machine,
+        "faults": {
+            "strict": cfg.placement.strict,
+            "placement": [{"vertex": v, "layer": layer, "behavior": asdict(behavior)}
+                          for (v, layer), behavior in sorted(cfg.placement.behaviors.items())],
+        },
+        "corruption": {"enabled": cfg.corruption is not None,
+                       **asdict(cfg.corruption or CorruptionSpec()), "seed": cfg.corruption_seed},
+        "perturbation": asdict(cfg.perturbation) if cfg.perturbation else None,
+        "enforce_alignment": cfg.enforce_alignment,
+    }
 
 
 def load_document(path: str | Path) -> dict:
@@ -215,21 +322,19 @@ def load_document(path: str | Path) -> dict:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    doc = load_document(path)
-    _check_delay_strategy(doc)
-    return build_run_config(doc)
+    return build_run_config(load_document(path))
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
-    doc = load_document(path)
+    doc = _mapping(load_document(path), "", EXPERIMENT_KEYS)
     run_doc = doc.get("run")
     if not isinstance(run_doc, dict):
         raise ConfigurationError("experiment config needs a 'run' section")
     seeds_spec = doc.get("seeds", [0])
     if isinstance(seeds_spec, dict):
-        start = int(seeds_spec.get("start", 0))
-        count = int(seeds_spec.get("count", 1))
-        seeds = tuple(range(start, start + count))
+        seeds_spec = _mapping(seeds_spec, "seeds", ("start", "count"))
+        start = _value(seeds_spec, "seeds.start", int, 0)
+        seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", int, 1)))
     else:
         seeds = tuple(int(s) for s in seeds_spec)
     axes = doc.get("sweep", {}) or {}

@@ -210,7 +210,6 @@ class RunResult:
     """
 
     config: RunConfig
-    graph: LayeredGraph
     counts: np.ndarray  # [layer, vertex] pulses emitted
     times: np.ndarray  # real pulse times
     local_times: np.ndarray  # hardware-clock pulse times
@@ -654,7 +653,6 @@ class _Engine:
         )
         return RunResult(
             config=cfg,
-            graph=self.graph,
             **run_arrays(cfg.layers, self.nv, cfg.pulses, self.pulse_rows, self.snapshot_rows),
             diagnostics=self.diag,
             validation=self.validation,

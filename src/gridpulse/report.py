@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .engine import RunResult
+from .config import build_run_config, run_document
+from .engine import Diagnostics, RunResult, run_arrays
 from .errors import ConfigurationError
 from .timing import local_skew_budget
 
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "gridpulse-report/1"
-RUN_SCHEMA = "gridpulse-run/1"
+RUN_SCHEMA = "gridpulse-run/2"
 
 ALL_CHECKS = ("skew", "conditions", "envelope", "drift", "estimates", "period", "potentials")
 
@@ -70,41 +71,10 @@ def write_snapshot_csv(result: RunResult, path: Path) -> None:
                 [getattr(result, name) for name in _SNAPSHOT_VALUES] + [result.arm])
 
 
-def _config_echo(result: RunResult) -> dict:
-    cfg = result.config
-    info = cfg.base.line_info
-    edges = sorted(
-        (a, b)
-        for a in cfg.base.vertices
-        for b in cfg.base.adjacency[a]
-        if a < b
-    )
-    return {
-        "topology": {
-            "vertices": cfg.base.num_vertices,
-            "diameter": cfg.base.diameter,
-            "line": list(info.line) if info else None,
-            "edges": [list(e) for e in edges],
-        },
-        "layers": cfg.layers,
-        "pulses": cfg.pulses,
-        "params": {
-            "d": cfg.params.d, "u": cfg.params.u, "theta": cfg.params.theta,
-            "Lambda": cfg.params.lam, "kappa": cfg.params.kappa,
-            "C": cfg.params.validation_constant,
-        },
-        "source": {"kind": cfg.source.kind, "jitter": cfg.source.jitter, "seed": cfg.source.seed},
-        "delays": {"strategy": cfg.delay_strategy, "seed": cfg.delay_seed},
-        "clocks": {"strategy": cfg.clock_strategy, "seed": cfg.clock_seed},
-        "machine": cfg.machine,
-        "faults": sorted([list(node) for node in cfg.placement.members]),
-    }
-
-
 def write_run_json(result: RunResult, path: Path) -> None:
     payload = {
         "schema": RUN_SCHEMA,
-        "config": _config_echo(result),
+        "config": run_document(result.config),
         "validation_violations": result.validation,
         "completed": result.completed,
         "incomplete_nodes": [list(n) for n in result.incomplete_nodes],
@@ -272,6 +242,14 @@ def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
     run_path = out_dir / "run.json"
     if not trace_path.exists() or not run_path.exists():
         raise ConfigurationError(f"{out_dir} does not hold a run (trace.csv/run.json missing)")
+    try:
+        meta = json.loads(run_path.read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"{run_path}: {exc}") from exc
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    if schema != RUN_SCHEMA:
+        raise ConfigurationError(f"{run_path}: schema {schema!r} is not {RUN_SCHEMA!r}; "
+                                 f"re-run `gridpulse run` to write this run in the current schema")
     with trace_path.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -298,7 +276,6 @@ def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
                 ]
             except ValueError as exc:
                 raise ConfigurationError(f"{snap_path}:{reader.line_num}: {exc}") from exc
-    meta = json.loads(run_path.read_text())
     if not pulse_rows:
         raise ConfigurationError(f"{trace_path}: trace is empty")
     return pulse_rows, snapshot_rows, meta
@@ -306,46 +283,17 @@ def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
 
 def result_from_files(out_dir: Path) -> RunResult:
     """Rebuild an analyzable run from stored trace/snapshot/metadata files."""
-    from . import engine as _engine
-    from . import protocol as _protocol
-    from .faults import FaultBehavior, FaultPlacement
-    from .timing import Params
-    from .topology import build_layered, from_edges
-
     pulse_rows, snapshot_rows, meta = read_trace_dir(out_dir)
-    echo = meta["config"]
-    base = from_edges([tuple(e) for e in echo["topology"]["edges"]])
-    p = echo["params"]
-    params = Params.derive(d=p["d"], u=p["u"], theta=p["theta"], lam=p["Lambda"],
-                           validation_constant=p["C"])
+    cfg = build_run_config(meta.get("config"))
+    vertices = cfg.base.num_vertices
     for row in (*pulse_rows, *snapshot_rows):
-        if not (0 <= row[0] < echo["layers"] and 0 <= row[1] < base.num_vertices and row[2] >= 1):
+        if not (0 <= row[0] < cfg.layers and 0 <= row[1] < vertices and row[2] >= 1):
             raise ConfigurationError(f"{out_dir}: (layer, vertex, pulse) {row[:3]} is outside "
-                                     f"the run's {echo['layers']} layers and "
-                                     f"{base.num_vertices} vertices")
-    behaviors = {tuple(node): FaultBehavior(kind="silent") for node in echo["faults"]}
-    cfg = _engine.RunConfig(
-        base=base,
-        layers=int(echo["layers"]),
-        params=params,
-        source=_protocol.SourceMode(
-            kind=echo["source"]["kind"], jitter=echo["source"]["jitter"],
-            seed=echo["source"]["seed"],
-        ),
-        pulses=int(echo["pulses"]),
-        delay_strategy=echo["delays"]["strategy"],
-        delay_seed=echo["delays"]["seed"],
-        clock_strategy=echo["clocks"]["strategy"],
-        clock_seed=echo["clocks"]["seed"],
-        placement=FaultPlacement(behaviors=behaviors, strict=False),
-        machine=echo["machine"],
-    )
-    return _engine.RunResult(
+                                     f"the run's {cfg.layers} layers and {vertices} vertices")
+    return RunResult(
         config=cfg,
-        graph=build_layered(base, cfg.layers),
-        **_engine.run_arrays(cfg.layers, base.num_vertices, cfg.pulses,
-                             pulse_rows, snapshot_rows),
-        diagnostics=_engine.Diagnostics(),
+        **run_arrays(cfg.layers, vertices, cfg.pulses, pulse_rows, snapshot_rows),
+        diagnostics=Diagnostics(),
         validation=list(meta.get("validation_violations", [])),
         completed=bool(meta.get("completed", True)),
         incomplete_nodes=[tuple(n) for n in meta.get("incomplete_nodes", [])],

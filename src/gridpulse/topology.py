@@ -1,4 +1,4 @@
-"""Base graphs, the layered DAG built from them, and ancestry queries.
+"""Base graphs and the layered DAG built from them.
 
 The synchronization network is a layered graph: every layer is a copy of a
 base graph H of minimum degree 2, and each node (v, l) feeds the copies of
@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 
 __all__ = [
-    "AncestrySet",
     "BaseGraph",
     "LayeredGraph",
     "LineInfo",
-    "ancestors",
     "build_layered",
     "build_line_with_replicated_ends",
     "distance",
-    "k_faulty_class",
-    "parse_edge_list",
+    "from_edges",
 ]
 
 
@@ -167,24 +164,6 @@ def from_edges(edges: list[tuple[int, int]]) -> BaseGraph:
     return _finalize(n, seen, None)
 
 
-def parse_edge_list(text: str) -> BaseGraph:
-    """Parse the "u v" per-line edge format ('#' starts a comment)."""
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigurationError(f"edge list line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"edge list line {lineno}: non-integer vertex in {raw!r}") from exc
-        edges.append((a, b))
-    return from_edges(edges)
-
-
 def distance(base: BaseGraph, v: int, w: int) -> int:
     """Hop distance between two vertices of the base graph."""
     base._check_vertex(v)
@@ -241,49 +220,3 @@ class LayeredGraph:
 
 def build_layered(base: BaseGraph, layers: int) -> LayeredGraph:
     return LayeredGraph(base=base, num_layers=layers)
-
-
-@dataclass(frozen=True)
-class AncestrySet:
-    """Nodes that can influence ``root`` within ``radius`` forwarding steps."""
-
-    root: tuple[int, int]
-    radius: int
-    members: frozenset[tuple[int, int]]
-
-
-def ancestors(graph: LayeredGraph, node: tuple[int, int], delta: int) -> AncestrySet:
-    """All nodes with a directed path of length <= delta to ``node`` (node excluded)."""
-    if delta < 0:
-        raise ConfigurationError(f"ancestry radius must be >= 0, got {delta}")
-    graph._check_node(node)
-    members: set[tuple[int, int]] = set()
-    frontier = {node}
-    for _ in range(delta):
-        nxt: set[tuple[int, int]] = set()
-        for x in frontier:
-            for p in graph.predecessors(x):
-                if p not in members:
-                    members.add(p)
-                    nxt.add(p)
-        if not nxt:
-            break
-        frontier = nxt
-    return AncestrySet(root=node, radius=delta, members=frozenset(members))
-
-
-def k_faulty_class(
-    graph: LayeredGraph,
-    node: tuple[int, int],
-    delta: int,
-    fault_set: frozenset[tuple[int, int]] | set[tuple[int, int]],
-) -> int:
-    """Minimal k with at most k faults among the distance-((k+1)*delta) ancestors."""
-    if delta < 1:
-        raise ConfigurationError(f"ancestry step must be >= 1, got {delta}")
-    k = 0
-    while True:
-        within = ancestors(graph, node, (k + 1) * delta).members
-        if len(within & set(fault_set)) <= k:
-            return k
-        k += 1

@@ -15,7 +15,7 @@ from gridpulse.engine import (
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
 from gridpulse.timing import Params, local_skew_budget
-from gridpulse.topology import build_layered, build_line_with_replicated_ends
+from gridpulse.topology import build_line_with_replicated_ends
 
 PARAMS = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
 KAPPA = PARAMS.kappa
@@ -39,7 +39,7 @@ def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None,
         for k, t in enumerate(times)
     ]
     return RunResult(
-        config=cfg, graph=build_layered(base, layers),
+        config=cfg,
         **run_arrays(layers, base.num_vertices, pulses, pulse_rows, list(snapshot_rows)),
         diagnostics=None, validation=[], completed=True, incomplete_nodes=[],
     )

@@ -9,6 +9,9 @@ import pytest
 import yaml
 
 from gridpulse.cli import main
+from gridpulse.config import load_config, run_document
+from gridpulse.timing import sample_delays
+from gridpulse.topology import build_layered
 
 BASE_DOC = {
     "schema": 1,
@@ -74,6 +77,13 @@ class TestRun:
         path.write_text("params: {d: 1.0\n  u: }")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        doc = dict(BASE_DOC, perturbaton={"delay_magnitude": 1e-4})
+        code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "perturbaton: unknown key" in capsys.readouterr().err
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_DOC)
         out = tmp_path / "env-out"
@@ -120,6 +130,48 @@ class TestVerify:
         assert main(["verify", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"perturbation": {"delay_magnitude": 1e-4, "rate_magnitude": 1e-6, "seed": 5}},
+        {"faults": {"placement": [{"vertex": 3, "layer": 2, "behavior": {
+            "kind": "per_pulse_offset", "offsets": [0.2, -0.3, 0.1]}}]}},
+        {"faults": {"placement": [{"vertex": 3, "layer": 2, "behavior": {
+            "kind": "fixed_offset", "offset": -0.4, "recipients": [2, 3]}}]}},
+        {"corruption": {"node_fraction": 1.0, "max_spurious_messages": 4, "seed": 7}},
+        {"source": {"kind": "chain"}},
+    ], ids=["perturbed", "per_pulse_offset", "fixed_offset", "corrupted", "chain"])
+    def test_verify_reproduces_run(self, tmp_path, edit):
+        cfg = write_config(tmp_path, dict(BASE_DOC, **edit))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert main(["verify", str(out)]) == code
+        assert (out / "verify.json").read_bytes() == (out / "report.json").read_bytes()
+
+    def test_custom_map_rows_reproduce_the_drawn_delays(self, tmp_path):
+        """A delays.map holding a uniform-random draw gives that draw's run."""
+        drawn = tmp_path / "drawn"
+        assert main(["run", "--config", str(write_config(tmp_path, BASE_DOC)),
+                     "--out", str(drawn)]) == 0
+        cfg = load_config(tmp_path / "run.yaml")
+        delays = sample_delays(build_layered(cfg.base, cfg.layers), cfg.params,
+                               "uniform-random", seed=cfg.delay_seed).delays
+        rows = [[*key, value] for key, value in delays.items()]
+        doc = dict(BASE_DOC, delays={"strategy": "custom-map", "map": rows})
+        mapped = tmp_path / "mapped"
+        assert main(["run", "--config", str(write_config(tmp_path, doc, "map.yaml")),
+                     "--out", str(mapped)]) == 0
+        assert main(["verify", str(mapped)]) == 0
+        for name in ("trace.csv", "snapshots.csv", "report.json"):
+            assert (mapped / name).read_bytes() == (drawn / name).read_bytes()
+
+    def test_old_run_schema_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "out"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        meta = json.loads((out / "run.json").read_text())
+        (out / "run.json").write_text(json.dumps(dict(meta, schema="gridpulse-run/1")))
+        assert main(["verify", str(out)]) == 2
+        assert "re-run" in capsys.readouterr().err
+
     def test_empty_dir_exit_two(self, tmp_path):
         assert main(["verify", str(tmp_path / "nothing")]) == 2
 
@@ -154,6 +206,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = json.loads((out / "sweep.json").read_text())["rows"]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"run": dict(BASE_DOC, clocks={"strategy": "uniform", "sed": 1}), "seeds": [1]},
+         "clocks.sed"),
+        ({"run": dict(BASE_DOC), "seeds": [1], "sweeps": {"topology.m": [2, 3]}}, "sweeps"),
+    ])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, doc, path):
+        cfg = write_config(tmp_path, doc, "sweep.yaml")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert f"{path}: unknown key" in capsys.readouterr().err
 
 
 class TestStabilize:
@@ -245,8 +307,9 @@ class TestReportSchema:
                     "validation_violations", "completed"):
             assert key in report
         meta = json.loads((out / "run.json").read_text())
-        assert meta["schema"] == "gridpulse-run/1"
-        assert meta["config"]["topology"]["edges"]
+        assert meta["schema"] == "gridpulse-run/2"
+        assert meta["config"]["topology"] == {"kind": "line_replicated", "m": 4}
+        assert meta["config"] == run_document(load_config(cfg))
 
     def test_sweep_aggregates_present(self, tmp_path):
         doc = {"run": dict(BASE_DOC), "sweep": {"topology.m": [2, 3]}, "seeds": [1, 2]}

@@ -1,4 +1,5 @@
-"""Stored runs: write_outputs then result_from_files reproduces the run arrays."""
+"""Stored runs: write_outputs then result_from_files reproduces the run arrays,
+its config and its report."""
 
 from __future__ import annotations
 
@@ -77,8 +78,8 @@ def test_stored_run_reloads_bit_for_bit(m, layers, pulses, seed, fault, corrupt,
     result = run(config(m, layers, pulses, seed, fault, corrupt, perturb))
     report, reloaded, reloaded_report = round_trip(result)
     assert_same_arrays(result, reloaded)
-    if fault is None and not corrupt and not perturb:
-        assert json.dumps(reloaded_report, sort_keys=True) == json.dumps(report, sort_keys=True)
+    assert reloaded.config == result.config
+    assert json.dumps(reloaded_report, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_overflow_pulses_round_trip():

@@ -1,4 +1,4 @@
-"""Topology construction, distances, and ancestry queries."""
+"""Topology construction and distances."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridpulse.config import build_run_config
 from gridpulse.errors import ConfigurationError
-from gridpulse.topology import (
-    ancestors,
-    build_layered,
-    build_line_with_replicated_ends,
-    distance,
-    from_edges,
-    k_faulty_class,
-    parse_edge_list,
-)
+from gridpulse.topology import build_layered, build_line_with_replicated_ends, distance, from_edges
 
 
 def bfs_oracle(adjacency, source):
@@ -141,105 +134,26 @@ class TestDistanceMetric:
             distance(g, 0, 99)
 
 
-class TestAncestry:
-    def setup_method(self):
-        self.g = build_line_with_replicated_ends(6)
-        self.lg = build_layered(self.g, 6)
-
-    def test_zero_radius_empty(self):
-        assert ancestors(self.lg, (4, 3), 0).members == frozenset()
-
-    def test_radius_one_is_predecessors(self):
-        a = ancestors(self.lg, (4, 3), 1)
-        assert a.members == frozenset(self.lg.predecessors((4, 3)))
-
-    def test_interior_radius_two(self):
-        # interior line vertex: 3 predecessors plus 5 distinct grand-predecessors
-        assert len(ancestors(self.lg, (4, 3), 2).members) == 8
-
-    def test_monotone_in_radius(self):
-        for delta in range(4):
-            small = ancestors(self.lg, (5, 4), delta).members
-            big = ancestors(self.lg, (5, 4), delta + 1).members
-            assert small <= big
-
-    def test_reverse_bfs_oracle(self):
-        def oracle(node, delta):
-            seen = set()
-            frontier = {node}
-            for _ in range(delta):
-                frontier = {
-                    p for x in frontier for p in self.lg.predecessors(x)
-                }
-                seen |= frontier
-            return seen - {node}
-
-        for node in [(2, 2), (7, 5), (0, 1)]:
-            for delta in range(4):
-                assert ancestors(self.lg, node, delta).members == frozenset(
-                    oracle(node, delta)
-                )
-
-
-class TestKFaultyClass:
-    def setup_method(self):
-        self.g = build_line_with_replicated_ends(6)
-        self.lg = build_layered(self.g, 8)
-
-    def test_empty_faults(self):
-        assert k_faulty_class(self.lg, (4, 6), 1, frozenset()) == 0
-
-    def test_single_close_fault(self):
-        node = (4, 6)
-        fault = next(iter(ancestors(self.lg, node, 1).members))
-        assert k_faulty_class(self.lg, node, 1, {fault}) == 1
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**30))
-    def test_matches_definition_scan(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        faults = {
-            (v, layer)
-            for layer in range(self.lg.num_layers)
-            for v in self.g.vertices
-            if rng.random() < 0.08
-        }
-        node = (rng.choice(self.g.vertices), rng.randrange(1, self.lg.num_layers))
-        delta = rng.randint(1, 3)
-
-        def oracle():
-            for k in range(len(faults) + 1):
-                within = ancestors(self.lg, node, (k + 1) * delta).members
-                if len(within & faults) <= k:
-                    return k
-            raise AssertionError("unreachable")
-
-        assert k_faulty_class(self.lg, node, delta, faults) == oracle()
-
-
 class TestEdgeList:
     def test_round_trip(self):
-        text = """
-        # a square
-        0 1
-        1 2
-        2 3
-        3 0
-        """
-        g = parse_edge_list(text)
+        square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        g = from_edges(square)
         assert g.num_vertices == 4
         assert g.diameter == 2
+        assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
 
     def test_degree_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_edge_list("0 1\n1 2\n")
+        with pytest.raises(ConfigurationError, match="degree 1"):
+            from_edges([(0, 1), (1, 2)])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_edge_list("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+        with pytest.raises(ConfigurationError, match="not connected"):
+            from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
     def test_bad_line(self):
-        with pytest.raises(ConfigurationError):
-            parse_edge_list("0 1 2\n")
+        """An edge-list row that is not a [u, v] pair names its key path."""
+        doc = {"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [0, 1, 2]]},
+               "layers": 2, "pulses": 1,
+               "params": {"d": 1.0, "u": 0.002, "theta": 1.0002, "Lambda": 2.0}}
+        with pytest.raises(ConfigurationError, match=r"topology\.edges\[2\]"):
+            build_run_config(doc)
