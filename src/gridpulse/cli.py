@@ -91,6 +91,9 @@ def cmd_run(args) -> int:
     except AlignmentError as exc:
         print(f"iteration alignment violated: {exc}", file=sys.stderr)
         return 1
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     rep = build_report(result, checks=checks)
     out = _out_dir(args)
     write_outputs(result, rep, out)

@@ -5,7 +5,8 @@ timers, popped in (time, receiver layer, receiver vertex, sender vertex,
 kind, sequence) order. Hardware-clock deadlines are converted to real time
 when armed (clocks are affine), and the requested local time is carried on
 the timer so targets are hit bit-exactly. Identical configurations, seeds
-included, yield bit-identical traces.
+included, yield bit-identical traces. The event queue runs the full machine;
+``machine: simplified`` runs are computed in closed form, layer by layer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .protocol import (
     SetTimer,
     SourceMode,
     TimerExpiry,
+    compute_correction,
     gcs_step,
     ideal_source_times,
     layer0_step,
@@ -146,6 +148,16 @@ class RunConfig:
             )
         if self.source.kind == "chain" and self.base.line_info is None:
             raise ConfigurationError("chain source needs the replicated-ends line topology")
+        if self.machine == "simplified" and not _clean_ideal(self):
+            raise ConfigurationError(
+                "machine 'simplified' needs an ideal source and no faults, corruption "
+                "or perturbation")
+
+
+def _clean_ideal(config: RunConfig) -> bool:
+    """Ideal source, no faults, no corrupted start, no perturbation."""
+    return (config.source.kind == "ideal" and not config.placement
+            and config.corruption is None and config.perturbation is None)
 
 
 @dataclass
@@ -232,9 +244,108 @@ def _needs_twin(placement: FaultPlacement) -> bool:
     return any(b.needs_nominal for b in placement.behaviors.values())
 
 
+def _auto_alignment(config: RunConfig, validation: list[str]) -> bool:
+    """Alignment is enforced on clean ideal validated runs unless the config says."""
+    if config.enforce_alignment is not None:
+        return bool(config.enforce_alignment)
+    return _clean_ideal(config) and not validation
+
+
+def _first_bad(bad: np.ndarray, layer: int) -> str:
+    k, v = np.argwhere(bad)[0]
+    return f"node (v={v}, layer={layer}) pulse {k + 1}"
+
+
+def _simplified_run(config: RunConfig) -> RunResult:
+    """The simplified machine in closed form, one layer at a time.
+
+    A simplified node waits for its self copy and every neighbor, then
+    pulses at max(h_own + lam - d - correction, last arrival). With static
+    delays and clocks, an ideal source and no faults, pulse k of layer l is
+    therefore a function of pulse k of layer l-1 alone. That holds while each
+    wave is one listening phase of the node: its arrivals less than lam/10
+    apart, at least lam/10 after the previous wave and strictly after the
+    node's previous pulse. A run outside that regime raises ConfigurationError.
+    """
+    base, params = config.base, config.params
+    graph = build_layered(base, config.layers)
+    validation = validate_params(params, base.diameter)
+    delays = sample_delays(graph, params, config.delay_strategy,
+                           seed=config.delay_seed, custom=config.custom_delays).delays
+    clocks = sample_clocks(graph, params, config.clock_strategy, seed=config.clock_seed)
+    L, K, n = config.layers, config.pulses, base.num_vertices
+    rate = np.array([[clocks[(v, layer)].rate for v in base.vertices] for layer in range(L)])
+    offset = np.array([[clocks[(v, layer)].offset for v in base.vertices]
+                       for layer in range(L)])
+    # inputs[v] = (v, neighbors...), padded by repeating the first neighbor,
+    # which changes no minimum, maximum or gap between sorted arrivals
+    width = 1 + max(map(len, base.adjacency))
+    inputs = np.array([(v, *nbrs) + nbrs[:1] * (width - 1 - len(nbrs))
+                       for v, nbrs in enumerate(base.adjacency)])
+    quiet = params.lam / QUIET_DIVISOR
+
+    shape = (L, K, n)
+    times = np.full(shape, np.nan)
+    local_times = np.full(shape, np.nan)
+    snap = {name: np.full(shape, np.nan) for name in SNAPSHOT_FIELDS}
+    source = ideal_source_times(base, params.lam, config.source.jitter,
+                                config.source.seed, K)
+    times[0] = np.array([source[v] for v in base.vertices]).T
+    local_times[0] = offset[0] + rate[0] * times[0]
+    for layer in range(1, L):
+        delay = np.array([[delays[("dag", w, layer - 1, v)] for w in inputs[v]]
+                          for v in base.vertices])
+        arrival = times[layer - 1][:, inputs] + delay  # [pulse, vertex, input]
+        h = offset[layer][:, None] + rate[layer][:, None] * arrival
+        h_sorted = np.sort(h, axis=-1)
+        bad = (np.diff(h_sorted, axis=-1) >= quiet).any(axis=-1)
+        bad[1:] |= h_sorted[1:, :, 0] - h_sorted[:-1, :, -1] < quiet
+        if bad.any():
+            raise ConfigurationError(
+                f"machine 'simplified': the wave of {_first_bad(bad, layer)} is not one "
+                f"listening phase (two arrivals lam/10 or more apart, or less than "
+                f"lam/10 after the previous wave)")
+        h_own, h_max = h[..., 0], h[..., 1:].max(axis=-1)
+        h_min, exit_local = h[..., 1:].min(axis=-1), h_sorted[..., -1]
+        correction = np.array([
+            compute_correction(own, lo, hi, params.kappa, params.theta)
+            for own, lo, hi in zip(h_own.ravel().tolist(), h_min.ravel().tolist(),
+                                   h_max.ravel().tolist())
+        ]).reshape(K, n)
+        target = np.maximum(h_own + params.lam - params.d - correction, exit_local)
+        times[layer] = (target - offset[layer]) / rate[layer]
+        local_times[layer] = target
+        early = np.zeros((K, n), dtype=bool)
+        early[1:] = arrival.min(axis=-1)[1:] <= times[layer][:-1]
+        if early.any():
+            raise ConfigurationError(
+                f"machine 'simplified': {_first_bad(early, layer)} receives an input "
+                f"no later than its previous pulse")
+        for name, value in zip(SNAPSHOT_FIELDS, (h_own, h_min, h_max, correction, exit_local)):
+            snap[name][layer] = value
+    arm = np.full(shape, "", dtype=object)
+    arm[1:] = "corrected"
+
+    wave_nodes = (L - 1) * n * K
+    messages = (L - 1) * K * sum(len(nbrs) + 1 for nbrs in base.adjacency)
+    diagnostics = Diagnostics(
+        events=messages + wave_nodes, messages=messages,
+        stragglers_dropped=wave_nodes, reopens=wave_nodes,
+        alignment_enforced=_auto_alignment(config, validation),
+    )
+    return RunResult(
+        config=config, counts=np.full((L, n), K, dtype=np.int64),
+        times=times, local_times=local_times, **snap, arm=arm,
+        diagnostics=diagnostics, validation=validation,
+        completed=True, incomplete_nodes=[],
+    )
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute a run; behaviors anchored to correct pulse times get them
     from a fault-free twin execution over the same delays and clocks."""
+    if config.machine == "simplified":
+        return _simplified_run(config)
     nominal: RunResult | None = None
     if config.placement and _needs_twin(config.placement):
         twin_cfg = replace(
@@ -341,16 +452,7 @@ class _Engine:
         self.rate = {node: c.rate for node, c in clocks.items()}
         self.offset = {node: c.offset for node, c in clocks.items()}
 
-        if config.enforce_alignment is None:
-            self.enforce_alignment = (
-                config.source.kind == "ideal"
-                and not config.placement
-                and config.corruption is None
-                and config.perturbation is None
-                and not self.validation
-            )
-        else:
-            self.enforce_alignment = bool(config.enforce_alignment)
+        self.enforce_alignment = _auto_alignment(config, self.validation)
 
         self.diag = Diagnostics(alignment_enforced=self.enforce_alignment)
         self.heap: list = []
@@ -398,8 +500,7 @@ class _Engine:
                         self.machines[node] = None  # ideal emitters are pre-scripted
                 else:
                     self.machines[node] = GcsState(
-                        vertex=v, layer=layer,
-                        neighbors=base.adjacency[v], machine=cfg.machine,
+                        vertex=v, layer=layer, neighbors=base.adjacency[v],
                     )
 
     def _push(self, time: float, rvertex: int, rlayer: int, kind: int,

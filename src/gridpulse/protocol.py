@@ -1,18 +1,22 @@
 """Per-node state machines and the shared correction kernel.
 
-Three machines drive the network:
+Two machines drive the event engine:
 
 * the layer-0 chain forwarder relays the source pulse along the line,
   re-broadcasting a fixed local-time interval after each reception;
 * the full synchronization node listens for its three kinds of inputs
   (the copy of itself plus first/last neighbor pulses), survives missing
-  inputs via timeout arms, and schedules its pulse from a correction value;
-* the simplified node waits for every input and applies the same correction
-  formula; it is the reference for the fault-free equivalence checks.
+  inputs via timeout arms, and schedules its pulse from a correction value.
 
 Machines are transition functions over engine-owned state objects: each step
 returns the state plus a list of actions (timers to arm, pulses to emit).
 Only the owning engine may touch a state concurrently.
+
+The paper's simplified node waits for every input and then applies the same
+``compute_correction``. It is not a state machine here: ``engine.run``
+computes it in closed form, layer by layer, as the reference for fault-free,
+static, ideal-source runs (``machine: simplified``); any other combination
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -200,24 +204,20 @@ def inner_loop_threshold(
 
 
 class GcsState:
-    """Mutable per-node state for the synchronization machines."""
+    """Mutable per-node state of the full synchronization machine."""
 
     __slots__ = (
-        "vertex", "layer", "machine", "iteration", "phase",
+        "vertex", "layer", "iteration", "phase",
         "h_own", "h_min", "h_max", "rmask", "full_mask", "bit_of",
         "last_accept", "last_from", "pending_pulse_local", "pending_snapshot",
         "correction", "exit_arm",
     )
 
-    def __init__(self, vertex: int, layer: int, neighbors: tuple[int, ...],
-                 machine: str = "full"):
-        if machine not in ("full", "simplified"):
-            raise ConfigurationError(f"unknown machine {machine!r}")
+    def __init__(self, vertex: int, layer: int, neighbors: tuple[int, ...]):
         if layer < 1:
             raise ProtocolError("synchronization nodes live on layers >= 1")
         self.vertex = vertex
         self.layer = layer
-        self.machine = machine
         self.iteration = 1
         self.phase = Phase.GAP
         self.h_own: float | None = None
@@ -303,10 +303,6 @@ def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> No
 
 def _evaluate_exit(state: GcsState, h: float, params: Params, actions: list) -> None:
     if state.h_min is None:
-        return
-    if state.machine == "simplified":
-        if state.h_own is not None and state.rmask == state.full_mask:
-            _commit(state, h, params, actions)
         return
     threshold, _arm = inner_loop_threshold(
         state.h_own, state.h_min, state.h_max, params.kappa, params.theta

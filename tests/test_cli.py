@@ -84,6 +84,17 @@ class TestRun:
         assert code == 2
         assert "perturbaton: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,force", [
+        ({"faults": {"placement": [{"vertex": 4, "layer": 3, "behavior": {"kind": "silent"}}]}},
+         False),
+        ({"params": {"d": 1.0, "u": 0.5, "theta": 1.0002, "Lambda": 2.0}}, True),
+    ], ids=["silent_fault", "split_wave"])
+    def test_simplified_outside_its_regime_exit_two(self, tmp_path, capsys, edit, force):
+        doc = dict(BASE_DOC, machine="simplified", **edit)
+        args = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]
+        assert main(args + ["--force"] * force) == 2
+        assert "machine 'simplified'" in capsys.readouterr().err
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_DOC)
         out = tmp_path / "env-out"
@@ -138,7 +149,8 @@ class TestVerify:
             "kind": "fixed_offset", "offset": -0.4, "recipients": [2, 3]}}]}},
         {"corruption": {"node_fraction": 1.0, "max_spurious_messages": 4, "seed": 7}},
         {"source": {"kind": "chain"}},
-    ], ids=["perturbed", "per_pulse_offset", "fixed_offset", "corrupted", "chain"])
+        {"machine": "simplified"},
+    ], ids=["perturbed", "per_pulse_offset", "fixed_offset", "corrupted", "chain", "simplified"])
     def test_verify_reproduces_run(self, tmp_path, edit):
         cfg = write_config(tmp_path, dict(BASE_DOC, **edit))
         out = tmp_path / "out"

@@ -71,7 +71,9 @@ def run_configs(draw):
         d=d, u=draw(st.floats(1e-4, 1.0)) * d, theta=draw(st.floats(1.00001, 1.01)),
         lam=d * draw(st.floats(1.01, 3.0)), validation_constant=draw(st.floats(0.0, 4.0)),
     )
-    chain = base.line_info is not None and draw(st.booleans())
+    # the simplified machine runs only clean static ideal-source configs
+    simplified = draw(st.booleans())
+    chain = not simplified and base.line_info is not None and draw(st.booleans())
     source = SourceMode(
         kind="chain" if chain else "ideal",
         jitter=draw(st.floats(0.0, 1.0)) * params.kappa / 4,
@@ -83,16 +85,18 @@ def run_configs(draw):
         keys = sample_delays(build_layered(base, layers), params, "all-min").delays  # dag and chain
         custom = {key: draw(st.floats(params.d - params.u, params.d)) for key in keys}
     vertices = base.num_vertices
-    nodes = draw(st.lists(st.tuples(st.integers(0, vertices - 1), st.integers(1, layers - 1)),
-                          max_size=3, unique=True))
+    nodes = [] if simplified else draw(st.lists(
+        st.tuples(st.integers(0, vertices - 1), st.integers(1, layers - 1)),
+        max_size=3, unique=True))
     placement = FaultPlacement(behaviors={node: draw(behaviors(vertices)) for node in nodes},
                                strict=draw(st.booleans()))
     if placement.strict:
         assume(not validate_placement(build_layered(base, layers), placement))
-    corruption = draw(st.none() | st.builds(CorruptionSpec, st.floats(0.0, 1.0),
-                                            st.integers(0, 8)))
-    perturbation = draw(st.none() | st.builds(PerturbationSpec, st.floats(0.0, 1e-3),
-                                              st.floats(0.0, 1e-5), st.integers(0, 2**31)))
+    corruption = None if simplified else draw(
+        st.none() | st.builds(CorruptionSpec, st.floats(0.0, 1.0), st.integers(0, 8)))
+    perturbation = None if simplified else draw(
+        st.none() | st.builds(PerturbationSpec, st.floats(0.0, 1e-3), st.floats(0.0, 1e-5),
+                              st.integers(0, 2**31)))
     return RunConfig(
         base=base, layers=layers, params=params, source=source,
         pulses=draw(st.integers(1, 6)),
@@ -100,7 +104,7 @@ def run_configs(draw):
         clock_strategy=draw(st.sampled_from(["uniform", "all-one", "all-max"])),
         clock_seed=draw(st.integers(0, 2**31)),
         placement=placement,
-        machine=draw(st.sampled_from(["full", "simplified"])),
+        machine="simplified" if simplified else "full",
         corruption=corruption, corruption_seed=draw(st.integers(0, 2**31)),
         perturbation=perturbation,
         enforce_alignment=draw(st.sampled_from([None, True, False])),

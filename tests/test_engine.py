@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gridpulse.engine import (
     CorruptionSpec,
@@ -19,8 +20,9 @@ from gridpulse.engine import (
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
-from gridpulse.timing import Params
-from gridpulse.topology import build_layered, build_line_with_replicated_ends
+from gridpulse.timing import (DELAY_STRATEGIES, Params, sample_clocks, sample_delays,
+                              validate_params)
+from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 from gridpulse import analysis
 
 PARAMS = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
@@ -356,3 +358,127 @@ class TestAlignmentEnforcement:
         assert not run(base_config(placement=placement)).diagnostics.alignment_enforced
         chain = base_config(m=8, layers=2, source=SourceMode(kind="chain"))
         assert not run(chain).diagnostics.alignment_enforced
+
+
+@st.composite
+def simplified_configs(draw):
+    """Validated fault-free static ideal-source configs for machine 'simplified'."""
+    kind = draw(st.sampled_from(["line", "ring", "grid"]))
+    if kind == "line":
+        base = build_line_with_replicated_ends(draw(st.integers(2, 10)))
+    elif kind == "ring":
+        n = draw(st.integers(3, 10))
+        base = from_edges([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    else:
+        rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+        at = lambda i, j: i * cols + j  # noqa: E731
+        base = from_edges([(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+                          + [(at(i, j), at(i + 1, j)) for i in range(rows - 1)
+                             for j in range(cols)])
+    layers = draw(st.integers(2, 5))
+    d = draw(st.floats(0.5, 2.0))
+    params = Params.derive(d=d, u=d * draw(st.floats(1e-4, 3e-3)),
+                           theta=1.0 + draw(st.floats(1e-6, 1e-3)), lam=d * draw(st.floats(1.5, 3.0)))
+    assume(validate_params(params, base.diameter) == [])
+    strategy = draw(st.sampled_from(DELAY_STRATEGIES))
+    custom = None
+    if strategy == "custom-map":
+        keys = sample_delays(build_layered(base, layers), params, "all-min").delays
+        custom = {key: draw(st.floats(params.d - params.u, params.d)) for key in keys}
+    return RunConfig(
+        base=base, layers=layers, params=params,
+        source=SourceMode(kind="ideal", jitter=draw(st.floats(0.0, 1.0)) * params.kappa / 4,
+                          seed=draw(st.integers(0, 2**31))),
+        pulses=draw(st.integers(1, 5)),
+        delay_strategy=strategy, delay_seed=draw(st.integers(0, 2**31)), custom_delays=custom,
+        clock_strategy=draw(st.sampled_from(["uniform", "all-one", "all-max"])),
+        clock_seed=draw(st.integers(0, 2**31)),
+        machine="simplified",
+    )
+
+
+class TestSimplifiedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(simplified_configs())
+    def test_equals_full_machine(self, cfg):
+        """On validated fault-free static runs the closed-form simplified
+        machine and the event-driven full machine agree bit for bit (the
+        full machine exits at its threshold, so exit_local differs)."""
+        simp = run(cfg)
+        full = run(dataclasses.replace(cfg, machine="full"))
+        assert full.completed and simp.completed
+        assert np.array_equal(simp.counts, full.counts)
+        for name in ("times", "local_times", "h_own", "h_min", "h_max", "correction"):
+            assert np.array_equal(getattr(simp, name), getattr(full, name), equal_nan=True), name
+        assert np.array_equal(simp.arm, full.arm)
+
+    def test_exits_at_last_arrival(self):
+        """exit_local is the last of the node's arrivals, recomputed here from
+        the run's delays and clocks, and the pulse fires at the corrected
+        target or at that exit, whichever is later. These out-of-regime
+        constants (lam - d below the delay spread) make both arms occur."""
+        params = Params.derive(d=1.0, u=0.1, theta=1.0002, lam=1.02)
+        cfg = base_config(m=3, layers=4, pulses=3, params=params, delay_seed=1, clock_seed=1,
+                          source=SourceMode(kind="ideal"), machine="simplified")
+        res = run(cfg)
+        graph = build_layered(cfg.base, cfg.layers)
+        delays = sample_delays(graph, params, "uniform-random", seed=1)
+        clocks = sample_clocks(graph, params, "uniform", seed=1)
+        clamped = 0
+        for layer in range(1, cfg.layers):
+            for v in cfg.base.vertices:
+                for k in range(cfg.pulses):
+                    last = max(
+                        clocks[(v, layer)].local(
+                            res.times[layer - 1, k, w] + delays[("dag", w, layer - 1, v)])
+                        for w in (v, *cfg.base.adjacency[v])
+                    )
+                    assert res.exit_local[layer, k, v] == last
+                    nominal = (res.h_own[layer, k, v] + params.lam - params.d
+                               - res.correction[layer, k, v])
+                    assert res.local_times[layer, k, v] == max(nominal, last)
+                    clamped += nominal < last
+        assert 0 < clamped < (cfg.layers - 1) * cfg.base.num_vertices * cfg.pulses
+
+    def test_wave_outside_one_listening_phase_rejected(self):
+        """Delays spread by u = d/2 >= lam/10 split a wave into two listening
+        phases; an event-driven node would wait forever for its inputs."""
+        params = Params.derive(d=1.0, u=0.5, theta=1.0002, lam=2.0)
+        cfg = base_config(m=3, layers=3, pulses=2, params=params, delay_seed=1,
+                          source=SourceMode(kind="ideal"), machine="simplified")
+        with pytest.raises(ConfigurationError, match=r"node \(v=3, layer=1\) pulse 1 is not one"):
+            run(cfg)
+
+    def test_input_before_previous_pulse_rejected(self):
+        """With d small against lam, a catch-down correction delays a pulse
+        past the next wave's first arrival."""
+        params = Params.derive(d=0.15, u=0.15, theta=1.01, lam=2.76)
+        cfg = base_config(m=3, layers=3, pulses=3, params=params, delay_seed=1,
+                          clock_strategy="all-one", source=SourceMode(kind="ideal"),
+                          machine="simplified")
+        with pytest.raises(ConfigurationError,
+                           match=r"node \(v=6, layer=2\) pulse 2 receives an input"):
+            run(cfg)
+
+    @pytest.mark.parametrize("edit", [
+        {"placement": FaultPlacement(behaviors={(4, 5): FaultBehavior(kind="silent")})},
+        {"source": SourceMode(kind="chain")},
+        {"corruption": CorruptionSpec(node_fraction=0.5)},
+        {"perturbation": PerturbationSpec(delay_magnitude=1e-4)},
+    ], ids=["silent_fault", "chain", "corrupted", "perturbed"])
+    def test_needs_clean_ideal_static_run(self, edit):
+        with pytest.raises(ConfigurationError, match="machine 'simplified' needs"):
+            base_config(m=8, layers=12, pulses=8, machine="simplified", **edit)
+
+    def test_diagnostics_count_the_event_engine_work(self):
+        """messages = (L-1) K sum(deg+1), one pulse timer per node-pulse, and
+        one reopen and one committing straggler per wave of every node."""
+        cfg = base_config(m=8, layers=6, pulses=4, machine="simplified")
+        diag = run(cfg).diagnostics
+        waves = 5 * 12 * 4
+        inputs = sum(len(cfg.base.adjacency[v]) + 1 for v in cfg.base.vertices)
+        assert diag.messages == 5 * 4 * inputs
+        assert diag.events == diag.messages + waves
+        assert diag.reopens == diag.stragglers_dropped == waves
+        assert diag.stale_timers == diag.rate_filtered == diag.timeouts_first_arm == 0
+        assert diag.alignment_enforced

@@ -146,8 +146,8 @@ def pulse_target(actions):
 class TestFullMachine:
     """Worked examples for the full node: neighbors are vertices 1 and 2, self 0."""
 
-    def make(self, machine="full"):
-        return GcsState(vertex=0, layer=1, neighbors=(1, 2), machine=machine)
+    def make(self):
+        return GcsState(vertex=0, layer=1, neighbors=(1, 2))
 
     def test_symmetric_pulse_schedule(self):
         # all three at local 100 with kappa=1, theta=1.2, lam=2, d=1:
@@ -235,50 +235,6 @@ class TestFullMachine:
         st_ = self.make()
         with pytest.raises(ProtocolError):
             gcs_step(st_, MessageArrival(7, 0, 1), 5.0, params)
-
-
-class TestSimplifiedMachine:
-    def test_symmetric_matches_full(self):
-        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        st_ = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
-        assert pulse_target(acts) == pytest.approx(101.0)
-
-    def test_exits_at_last_arrival(self):
-        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        st_ = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(st_, params, [(1, 8.0), (0, 10.0), (2, 12.0)])
-        # correction for (10, 8, 12) with kappa=1, theta=1.2 is the clamp 1.2;
-        # the nominal target 9.8 predates the exit at 12, so the pulse fires
-        # at exit under these out-of-regime toy constants
-        assert st_.correction == pytest.approx(1.2)
-        nominal = 10.0 + 2.0 - 1.0 - st_.correction
-        assert nominal == pytest.approx(9.8)
-        assert pulse_target(acts) == pytest.approx(max(nominal, 12.0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(min_value=0, max_value=5),
-        st.floats(min_value=0, max_value=5),
-        st.floats(min_value=0, max_value=5),
-    )
-    def test_agrees_with_full_when_all_inputs_arrive_tightly(self, a, b, c):
-        """Bit-identical schedules whenever the full machine records all three
-        values, mirroring the fault-free equivalence statement."""
-        params = Params.derive(d=1.0, u=0.35, theta=1.2, lam=20.0)
-        offs = sorted([a, b, c])
-        arrivals = [(0, 100.0 + offs[0]), (1, 100.0 + offs[1]), (2, 100.0 + offs[2])]
-        full = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="full")
-        feed(full, params, arrivals)
-        if full.phase is Phase.LISTENING:
-            threshold, _ = inner_loop_threshold(
-                full.h_own, full.h_min, full.h_max, params.kappa, params.theta
-            )
-            gcs_step(full, TimerExpiry("threshold"), threshold, params)
-        simp = GcsState(vertex=0, layer=1, neighbors=(1, 2), machine="simplified")
-        acts = feed(simp, params, arrivals)
-        if full.h_max is not None and full.h_own is not None:
-            assert full.pending_pulse_local == pulse_target(acts)
 
 
 class TestChainMachine:
