@@ -1,7 +1,7 @@
 """Deterministic simulator and verification harness for fault-tolerant
 pulse synchronization on layered grid graphs."""
 
-from .engine import RunConfig, RunResult, run, run_paired
+from .engine import RunConfig, RunResult, run, run_events
 from .errors import AlignmentError, ConfigurationError, ProtocolError
 from .faults import FaultBehavior, FaultPlacement
 from .protocol import SourceMode
@@ -23,7 +23,7 @@ __all__ = [
     "build_layered",
     "build_line_with_replicated_ends",
     "run",
-    "run_paired",
+    "run_events",
 ]
 
 __version__ = "0.1.0"

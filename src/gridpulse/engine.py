@@ -5,8 +5,11 @@ timers, popped in (time, receiver layer, receiver vertex, sender vertex,
 kind, sequence) order. Hardware-clock deadlines are converted to real time
 when armed (clocks are affine), and the requested local time is carried on
 the timer so targets are hit bit-exactly. Identical configurations, seeds
-included, yield bit-identical traces. The event queue runs the full machine;
-``machine: simplified`` runs are computed in closed form, layer by layer.
+included, yield bit-identical traces. ``run_events`` runs the full machine
+on this queue and is the reference semantics. ``run`` computes clean static
+ideal-source runs in closed form instead, one layer at a time, for both
+machines, and falls back to the event queue on the first wave the closed
+form cannot reproduce.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "corrupt_initial_state",
     "run",
     "run_arrays",
-    "run_paired",
+    "run_events",
 ]
 
 _KIND_MESSAGE = 0
@@ -256,17 +259,32 @@ def _first_bad(bad: np.ndarray, layer: int) -> str:
     return f"node (v={v}, layer={layer}) pulse {k + 1}"
 
 
-def _simplified_run(config: RunConfig) -> RunResult:
-    """The simplified machine in closed form, one layer at a time.
+def _layer_kernel(config: RunConfig) -> RunResult | None:
+    """A clean static ideal-source run in closed form, one layer at a time.
 
-    A simplified node waits for its self copy and every neighbor, then
-    pulses at max(h_own + lam - d - correction, last arrival). With static
-    delays and clocks, an ideal source and no faults, pulse k of layer l is
-    therefore a function of pulse k of layer l-1 alone. That holds while each
+    With static delays and clocks, an ideal source and no faults, pulse k of
+    layer l is a function of pulse k of layer l-1 alone. That holds while each
     wave is one listening phase of the node: its arrivals less than lam/10
     apart, at least lam/10 after the previous wave and strictly after the
-    node's previous pulse. A run outside that regime raises ConfigurationError.
+    node's previous pulse. Each wave's arrivals are sorted as the event queue
+    pops them (real time, then sender) and the listening phase is replayed
+    over them, tracking h_own, h_min, h_max and the inner-loop threshold.
+
+    The full machine commits on the first arrival at or past the threshold,
+    else at a threshold timer due strictly before the next arrival, else at
+    the last threshold; later arrivals are stragglers. On the first wave the
+    replay cannot reproduce (an exact tie between arrivals or between a timer
+    and an arrival, a timeout commit without h_own, an arrival not strictly
+    between the node's previous pulse and this one, or a wave outside one
+    listening phase) it returns None: the run belongs to the event engine.
+    The simplified machine commits at the last arrival and raises
+    ConfigurationError outside the regime.
+
+    Diagnostics are the event engine's counts for the same run: one reopen
+    and one pulse timer per wave, one event per threshold push, and every
+    push but the last of a wave going stale.
     """
+    full = config.machine == "full"
     base, params = config.base, config.params
     graph = build_layered(base, config.layers)
     validation = validate_params(params, base.diameter)
@@ -277,12 +295,14 @@ def _simplified_run(config: RunConfig) -> RunResult:
     rate = np.array([[clocks[(v, layer)].rate for v in base.vertices] for layer in range(L)])
     offset = np.array([[clocks[(v, layer)].offset for v in base.vertices]
                        for layer in range(L)])
-    # inputs[v] = (v, neighbors...), padded by repeating the first neighbor,
-    # which changes no minimum, maximum or gap between sorted arrivals
-    width = 1 + max(map(len, base.adjacency))
-    inputs = np.array([(v, *nbrs) + nbrs[:1] * (width - 1 - len(nbrs))
+    # inputs[v] = (v, neighbors...); the padding slots j >= deg + 1 are not real
+    degree = np.array([len(nbrs) for nbrs in base.adjacency])
+    width = 1 + degree.max()
+    inputs = np.array([(v, *nbrs) + (v,) * (width - 1 - len(nbrs))
                        for v, nbrs in enumerate(base.adjacency)])
-    quiet = params.lam / QUIET_DIVISOR
+    real = np.arange(width) < degree[:, None] + 1
+    last_slot = np.broadcast_to(degree[:, None], (K, n, 1))
+    quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
 
     shape = (L, K, n)
     times = np.full(shape, np.nan)
@@ -292,32 +312,85 @@ def _simplified_run(config: RunConfig) -> RunResult:
                                 config.source.seed, K)
     times[0] = np.array([source[v] for v in base.vertices]).T
     local_times[0] = offset[0] + rate[0] * times[0]
+    pushes = pushed_waves = stragglers = early_exits = 0
     for layer in range(1, L):
+        off, rt = offset[layer], rate[layer]
         delay = np.array([[delays[("dag", w, layer - 1, v)] for w in inputs[v]]
                           for v in base.vertices])
-        arrival = times[layer - 1][:, inputs] + delay  # [pulse, vertex, input]
-        h = offset[layer][:, None] + rate[layer][:, None] * arrival
-        h_sorted = np.sort(h, axis=-1)
-        bad = (np.diff(h_sorted, axis=-1) >= quiet).any(axis=-1)
-        bad[1:] |= h_sorted[1:, :, 0] - h_sorted[:-1, :, -1] < quiet
-        if bad.any():
+        arrival = np.where(real, times[layer - 1][:, inputs] + delay, np.inf)
+        order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, slot]
+        a = np.take_along_axis(arrival, order, axis=-1)
+        # padding repeats the last arrival: no gap, minimum or maximum moves
+        a = np.where(real, a, np.take_along_axis(a, last_slot, axis=-1))
+        h = off[:, None] + rt[:, None] * a
+        split = (np.diff(h, axis=-1) >= quiet).any(axis=-1)
+        split[1:] |= h[1:, :, 0] - h[:-1, :, -1] < quiet
+        if split.any():
+            if full:
+                return None
             raise ConfigurationError(
-                f"machine 'simplified': the wave of {_first_bad(bad, layer)} is not one "
+                f"machine 'simplified': the wave of {_first_bad(split, layer)} is not one "
                 f"listening phase (two arrivals lam/10 or more apart, or less than "
                 f"lam/10 after the previous wave)")
-        h_own, h_max = h[..., 0], h[..., 1:].max(axis=-1)
-        h_min, exit_local = h[..., 1:].min(axis=-1), h_sorted[..., -1]
+        tie = ((np.diff(a, axis=-1) == 0) & real[:, 1:]).any(axis=-1)
+
+        h_own, h_min, h_max = (np.full((K, n), np.nan) for _ in range(3))
+        exit_local = np.full((K, n), np.nan)  # NaN until the node commits
+        timer = np.full((K, n), np.inf)  # armed threshold timer, local time
+        seen = np.zeros((K, n), dtype=np.int64)
+        for j in range(width):
+            aj, hj = a[..., j], h[..., j]
+            listening = real[:, j] & np.isnan(exit_local)
+            if full:
+                due = (timer - off) / rt
+                tie |= listening & (due == aj)
+                fired = listening & (due < aj)
+                exit_local[fired] = timer[fired]
+                listening &= ~fired
+                stragglers += int((real[:, j] & ~listening).sum())
+            own = listening & (order[..., j] == 0)
+            neighbor = listening & ~own
+            seen += neighbor
+            h_own[own] = hj[own]
+            h_min = np.where(neighbor & (seen == 1), hj, h_min)
+            h_max = np.where(neighbor & (seen == degree), hj, h_max)
+            if full:
+                first = np.where(np.isnan(h_max), np.inf, h_max + kappa / 2 + theta * kappa)
+                second = np.where(np.isnan(h_own) | np.isnan(h_min), np.inf,
+                                  2 * h_own - h_min + 2 * kappa)
+                threshold = np.minimum(first, second)
+                commit = listening & (hj >= threshold)
+                push = listening & ~commit & (threshold < np.inf)
+                exit_local[commit] = hj[commit]
+                # only rounding puts an arrival past a threshold whose timer is not due
+                tie |= commit & (timer < np.inf)
+                timer[push] = threshold[push]
+                pushes += int(push.sum())
+                stragglers += int(commit.sum())
+        if full:
+            pushed_waves += int((timer < np.inf).sum())
+            exit_local = np.where(np.isnan(exit_local), timer, exit_local)
+            if (tie | np.isinf(exit_local) | np.isnan(h_own)).any():
+                return None
+            early_exits += int(np.isnan(h_max).sum())
+        else:
+            exit_local = h[..., -1]
+            stragglers += K * n  # the engine counts the arrival it commits on
         correction = np.array([
-            compute_correction(own, lo, hi, params.kappa, params.theta)
+            compute_correction(own, lo, None if math.isnan(hi) else hi,
+                               params.kappa, params.theta)
             for own, lo, hi in zip(h_own.ravel().tolist(), h_min.ravel().tolist(),
                                    h_max.ravel().tolist())
         ]).reshape(K, n)
         target = np.maximum(h_own + params.lam - params.d - correction, exit_local)
-        times[layer] = (target - offset[layer]) / rate[layer]
+        times[layer] = (target - off) / rt
         local_times[layer] = target
         early = np.zeros((K, n), dtype=bool)
-        early[1:] = arrival.min(axis=-1)[1:] <= times[layer][:-1]
-        if early.any():
+        early[1:] = a[1:, :, 0] <= times[layer][:-1]
+        if full:
+            if (early | (a[..., -1] >= times[layer])).any():
+                return None
+        elif early.any():
             raise ConfigurationError(
                 f"machine 'simplified': {_first_bad(early, layer)} receives an input "
                 f"no later than its previous pulse")
@@ -326,11 +399,12 @@ def _simplified_run(config: RunConfig) -> RunResult:
     arm = np.full(shape, "", dtype=object)
     arm[1:] = "corrected"
 
-    wave_nodes = (L - 1) * n * K
-    messages = (L - 1) * K * sum(len(nbrs) + 1 for nbrs in base.adjacency)
+    waves = (L - 1) * n * K
+    messages = (L - 1) * K * int(degree.sum() + n)
     diagnostics = Diagnostics(
-        events=messages + wave_nodes, messages=messages,
-        stragglers_dropped=wave_nodes, reopens=wave_nodes,
+        events=messages + pushes + waves, messages=messages,
+        stale_timers=pushes - pushed_waves, stragglers_dropped=stragglers,
+        reopens=waves, early_second_arm_exits=early_exits,
         alignment_enforced=_auto_alignment(config, validation),
     )
     return RunResult(
@@ -342,33 +416,27 @@ def _simplified_run(config: RunConfig) -> RunResult:
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute a run; behaviors anchored to correct pulse times get them
-    from a fault-free twin execution over the same delays and clocks."""
-    if config.machine == "simplified":
-        return _simplified_run(config)
+    """Execute a run. Clean static ideal-source runs are computed in closed
+    form (``_layer_kernel``); every other run, and any clean full-machine run
+    the kernel cannot reproduce, goes to the event engine (``run_events``)."""
+    result = _layer_kernel(config) if _clean_ideal(config) else None
+    return run_events(config) if result is None else result
+
+
+def run_events(config: RunConfig) -> RunResult:
+    """Execute a full-machine run on the event engine, the reference
+    semantics. Behaviors anchored to correct pulse times get them from a
+    fault-free twin execution over the same delays and clocks."""
+    if config.machine != "full":
+        raise ConfigurationError("the event engine runs only machine 'full'")
     nominal: RunResult | None = None
     if config.placement and _needs_twin(config.placement):
-        twin_cfg = replace(
-            config,
-            placement=FaultPlacement.empty(),
-            corruption=None,
-            perturbation=None,
-        )
-        nominal = _Engine(twin_cfg, nominal=None).execute()
+        twin = replace(config, placement=FaultPlacement.empty(), corruption=None,
+                       perturbation=None)
+        nominal = _layer_kernel(twin) if _clean_ideal(twin) else None
+        if nominal is None:
+            nominal = _Engine(twin, nominal=None).execute()
     return _Engine(config, nominal=nominal).execute()
-
-
-def run_paired(config: RunConfig, node_to_heal: tuple[int, int]) -> tuple[RunResult, RunResult]:
-    """(faulty run, run with node_to_heal correct) over identical delays/clocks."""
-    if node_to_heal not in config.placement.members:
-        raise ConfigurationError(f"{node_to_heal} is not in the fault set")
-    healed_behaviors = dict(config.placement.behaviors)
-    del healed_behaviors[node_to_heal]
-    healed = replace(
-        config,
-        placement=FaultPlacement(behaviors=healed_behaviors, strict=config.placement.strict),
-    )
-    return run(config), run(healed)
 
 
 def corrupt_initial_state(
@@ -462,7 +530,7 @@ class _Engine:
         self.pulse_rows: list = []  # run_arrays rows, in emission order
         self.snapshot_rows: list = []
         self.emitted: dict = {}
-        self.wave_next = 1
+        self.wave_next = 1  # the perturbation wave that waits for every correct node
         if config.perturbation is not None:
             n = self.nv * config.layers
             self.caps = perturbation_caps(n, base.diameter, config.params)
@@ -475,6 +543,7 @@ class _Engine:
         self._build_nodes()
         self._seed_sources()
         self._seed_fault_emissions()
+        self._count_wave_left()
         if config.corruption is not None:
             plan = corrupt_initial_state(
                 self.graph, config.corruption, config.corruption_seed, config.params
@@ -649,6 +718,8 @@ class _Engine:
         self.emitted[node] += 1
         index = self.emitted[node]
         self.pulse_rows.append((layer, v, index, t, local_time))
+        if index == self.wave_next:
+            self.wave_left -= 1
         st = self.machines[node]
         if isinstance(st, GcsState) and st.pending_snapshot is not None:
             snap = st.pending_snapshot
@@ -659,16 +730,19 @@ class _Engine:
             st.pending_snapshot = None
         self._check_wave_completion()
 
+    def _count_wave_left(self) -> None:
+        """Count the correct nodes that have not yet emitted pulse ``wave_next``."""
+        self.wave_left = sum(count < self.wave_next for node, count in self.emitted.items()
+                             if node not in self.faulty)
+
     def _check_wave_completion(self) -> None:
-        if self.cfg.perturbation is None:
+        """Perturb once every correct node has emitted pulse ``wave_next``;
+        at most one wave advances per recorded pulse."""
+        if self.cfg.perturbation is None or self.wave_left:
             return
         k = self.wave_next
-        for node, st in self.machines.items():
-            if node in self.faulty:
-                continue
-            if self.emitted[node] < k:
-                return
         self.wave_next += 1
+        self._count_wave_left()
         self._apply_perturbation(k)
 
     def _apply_perturbation(self, pulse_index: int) -> None:

@@ -12,11 +12,15 @@ Machines are transition functions over engine-owned state objects: each step
 returns the state plus a list of actions (timers to arm, pulses to emit).
 Only the owning engine may touch a state concurrently.
 
-The paper's simplified node waits for every input and then applies the same
-``compute_correction``. It is not a state machine here: ``engine.run``
-computes it in closed form, layer by layer, as the reference for fault-free,
-static, ideal-source runs (``machine: simplified``); any other combination
-is a configuration error.
+The event engine (``engine.run_events``) drives these machines and is the
+reference semantics. Clean static ideal-source runs (no faults, corruption
+or perturbation) are computed in closed form instead: ``engine.run`` replays
+each wave's listening phase over sorted arrays with the same threshold and
+``compute_correction``, and hands any wave it cannot reproduce back to the
+event engine. The paper's simplified node, which waits for every input and
+then applies the same correction, is the other branch of that closed form
+(``machine: simplified``); it exists only for such runs, and any other
+combination is a configuration error.
 """
 
 from __future__ import annotations
@@ -232,17 +236,6 @@ class GcsState:
         self.pending_snapshot: IterationSnapshot | None = None
         self.correction: float | None = None
         self.exit_arm: str | None = None
-
-    def check_invariants(self) -> None:
-        """Structural sanity used by tests; not run in the hot path."""
-        if self.h_min is not None:
-            assert self.rmask != 0
-        if self.h_max is not None:
-            assert self.rmask == self.full_mask
-        if self.h_min is not None and self.h_max is not None:
-            assert self.h_min <= self.h_max
-        if self.phase is Phase.WAITING:
-            assert self.pending_pulse_local is not None
 
 
 def _open_phase(state: GcsState, actions: list) -> None:

@@ -1,4 +1,5 @@
-"""Engine: determinism, closed forms, fault routing, paired runs, corruption."""
+"""Engine: determinism, closed forms, fault routing, paired runs, corruption,
+and the layer kernel against the event engine."""
 
 from __future__ import annotations
 
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gridpulse.engine import (
+    SNAPSHOT_FIELDS,
     CorruptionSpec,
     PerturbationSpec,
     RunConfig,
+    _layer_kernel,
     corrupt_initial_state,
     run,
-    run_paired,
+    run_events,
 )
-from gridpulse.errors import ConfigurationError
+from gridpulse.errors import ConfigurationError, ProtocolError
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
 from gridpulse.timing import (DELAY_STRATEGIES, Params, sample_clocks, sample_delays,
@@ -47,6 +50,15 @@ def base_config(m=8, layers=10, pulses=5, **kw):
 
 def times_of(result, vertex, layer):
     return result.pulse_times(vertex, layer)
+
+
+def faulty_and_healed(cfg, node):
+    """(faulty run, run with ``node`` healed) over identical delays and clocks."""
+    behaviors = dict(cfg.placement.behaviors)
+    del behaviors[node]
+    healed = dataclasses.replace(
+        cfg, placement=FaultPlacement(behaviors=behaviors, strict=cfg.placement.strict))
+    return run(cfg), run(healed)
 
 
 def same_pulses(a, b, keep=None) -> bool:
@@ -142,7 +154,7 @@ class TestFaultRouting:
         """Healing a zero-offset fault leaves the trace bit-identical."""
         placement = FaultPlacement(behaviors={(5, 4): FaultBehavior(kind="fixed_offset", offset=0.0)})
         cfg = base_config(placement=placement)
-        with_fault, healed = run_paired(cfg, (5, 4))
+        with_fault, healed = faulty_and_healed(cfg, (5, 4))
         others = np.ones(healed.counts.shape, dtype=bool)
         others[4, 5] = False
         assert same_pulses(with_fault, healed, keep=others)
@@ -152,7 +164,7 @@ class TestPairedRuns:
     def test_healing_bound_at_successors(self):
         placement = FaultPlacement(behaviors={(5, 4): FaultBehavior(kind="silent")})
         cfg = base_config(placement=placement)
-        with_fault, healed = run_paired(cfg, (5, 4))
+        with_fault, healed = faulty_and_healed(cfg, (5, 4))
         base = cfg.base
         bound_b = 0.0
         for w in base.adjacency[5]:
@@ -170,7 +182,7 @@ class TestPairedRuns:
         plus the correction granularity."""
         placement = FaultPlacement(behaviors={(5, 3): FaultBehavior(kind="silent")})
         cfg = base_config(layers=12, pulses=6, placement=placement)
-        with_fault, healed = run_paired(cfg, (5, 3))
+        with_fault, healed = faulty_and_healed(cfg, (5, 3))
         diffs = []
         for layer in range(4, 12):
             worst = 0.0
@@ -181,10 +193,6 @@ class TestPairedRuns:
             diffs.append(worst)
         ceiling = diffs[0] + 2 * KAPPA
         assert all(d <= ceiling + 1e-12 for d in diffs)
-
-    def test_heal_requires_membership(self):
-        with pytest.raises(ConfigurationError):
-            run_paired(base_config(), (5, 4))
 
 
 class TestCorruption:
@@ -361,8 +369,9 @@ class TestAlignmentEnforcement:
 
 
 @st.composite
-def simplified_configs(draw):
-    """Validated fault-free static ideal-source configs for machine 'simplified'."""
+def clean_configs(draw, machine="simplified", wide=False):
+    """Fault-free static ideal-source configs: validated constants, or with
+    ``wide`` also out-of-regime ones (u up to 0.3 d, lam down to 1.05 d)."""
     kind = draw(st.sampled_from(["line", "ring", "grid"]))
     if kind == "line":
         base = build_line_with_replicated_ends(draw(st.integers(2, 10)))
@@ -377,9 +386,11 @@ def simplified_configs(draw):
                              for j in range(cols)])
     layers = draw(st.integers(2, 5))
     d = draw(st.floats(0.5, 2.0))
-    params = Params.derive(d=d, u=d * draw(st.floats(1e-4, 3e-3)),
-                           theta=1.0 + draw(st.floats(1e-6, 1e-3)), lam=d * draw(st.floats(1.5, 3.0)))
-    assume(validate_params(params, base.diameter) == [])
+    params = Params.derive(d=d, u=d * draw(st.floats(1e-4, 0.3 if wide else 3e-3)),
+                           theta=1.0 + draw(st.floats(1e-6, 1e-3)),
+                           lam=d * draw(st.floats(1.05 if wide else 1.5, 3.0)))
+    if not wide:
+        assume(validate_params(params, base.diameter) == [])
     strategy = draw(st.sampled_from(DELAY_STRATEGIES))
     custom = None
     if strategy == "custom-map":
@@ -393,19 +404,107 @@ def simplified_configs(draw):
         delay_strategy=strategy, delay_seed=draw(st.integers(0, 2**31)), custom_delays=custom,
         clock_strategy=draw(st.sampled_from(["uniform", "all-one", "all-max"])),
         clock_seed=draw(st.integers(0, 2**31)),
-        machine="simplified",
+        machine=machine,
     )
+
+
+RUN_ARRAYS = ("counts", "times", "local_times", *SNAPSHOT_FIELDS, "arm")
+
+
+def assert_same_run(a, b):
+    """Equal in every RunResult array, floats bit for bit (sign bits and NaNs
+    included), in the diagnostics and in the completion record."""
+    for name in RUN_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype == float:
+            x, y = x.view(np.int64), y.view(np.int64)
+        assert np.array_equal(x, y), name
+    assert dataclasses.asdict(a.diagnostics) == dataclasses.asdict(b.diagnostics)
+    assert (a.completed, a.incomplete_nodes, a.validation) == (
+        b.completed, b.incomplete_nodes, b.validation)
+
+
+def a1_shaped(m, seed):
+    """An acceptance-battery config: 40 layers x 20 pulses at the A1 constants."""
+    return base_config(m=m, layers=40, pulses=20,
+                       source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=seed + 20_000_033),
+                       delay_seed=seed, clock_seed=seed + 10_000_019)
+
+
+class TestLayerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(clean_configs(machine="full", wide=True))
+    def test_equals_event_engine(self, cfg):
+        """run() (the kernel, or the event engine where the kernel falls
+        back) equals the event engine, or both raise the same error type."""
+        outcomes = []
+        for execute in (run, run_events):
+            try:
+                outcomes.append(execute(cfg))
+            except (ConfigurationError, ProtocolError) as exc:
+                outcomes.append(type(exc))
+        kernel, engine = outcomes
+        if isinstance(kernel, type) or isinstance(engine, type):
+            assert kernel == engine
+        else:
+            assert_same_run(kernel, engine)
+
+    def test_early_second_arm_exits_at_m64(self):
+        """At m=64 (seed 1) 20 nodes commit on the second arm before their
+        last neighbor arrives, and 40 arrivals come after a commit. The
+        kernel reproduces both without falling back."""
+        cfg = a1_shaped(64, 1)
+        kernel = _layer_kernel(cfg)
+        assert kernel is not None
+        assert kernel.diagnostics.early_second_arm_exits == 20
+        assert kernel.diagnostics.stragglers_dropped == 40
+        assert_same_run(kernel, run_events(cfg))
+
+    def test_threshold_timer_fires_between_arrivals(self):
+        """Node (2, 7) commits at its second-arm timer in all four waves,
+        before its last neighbor arrives; that arrival is a straggler."""
+        cfg = base_config(m=7, layers=8, pulses=4,
+                          source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=24),
+                          delay_seed=42, clock_strategy="all-one", clock_seed=3)
+        kernel = _layer_kernel(cfg)
+        assert kernel is not None
+        early = np.isnan(kernel.h_max) & (kernel.arm == "corrected")
+        assert np.argwhere(early).tolist() == [[7, k, 2] for k in range(4)]
+        h_own, h_min = kernel.h_own[7, :, 2], kernel.h_min[7, :, 2]
+        assert np.array_equal(kernel.exit_local[7, :, 2], 2 * h_own - h_min + 2 * KAPPA)
+        assert kernel.diagnostics.stragglers_dropped == 4
+        assert_same_run(kernel, run_events(cfg))
+
+    @pytest.mark.parametrize("params, strategies", [
+        # all-max delays on all-one clocks: every arrival of a wave at one instant
+        (PARAMS, ("all-max", "all-one")),
+        # u = d/2 >= lam/10 splits a wave into two listening phases
+        (Params.derive(d=1.0, u=0.5, theta=1.0002, lam=2.0), ("uniform-random", "uniform")),
+        # d small against lam: a catch-down correction delays a pulse past
+        # the next wave's first arrival
+        (Params.derive(d=0.15, u=0.15, theta=1.01, lam=2.76), ("uniform-random", "all-one")),
+    ], ids=["tie", "split_wave", "input_before_previous_pulse"])
+    def test_fallback_equals_event_engine(self, params, strategies):
+        cfg = base_config(m=3, layers=3, pulses=3, params=params, delay_seed=1,
+                          source=SourceMode(kind="ideal"),
+                          delay_strategy=strategies[0], clock_strategy=strategies[1])
+        assert _layer_kernel(cfg) is None
+        assert_same_run(run(cfg), run_events(cfg))
+
+    def test_event_engine_runs_only_the_full_machine(self):
+        with pytest.raises(ConfigurationError, match="only machine 'full'"):
+            run_events(base_config(machine="simplified"))
 
 
 class TestSimplifiedKernel:
     @settings(max_examples=150, deadline=None)
-    @given(simplified_configs())
+    @given(clean_configs())
     def test_equals_full_machine(self, cfg):
         """On validated fault-free static runs the closed-form simplified
-        machine and the event-driven full machine agree bit for bit (the
-        full machine exits at its threshold, so exit_local differs)."""
+        machine and the full machine on the event engine agree bit for bit
+        (the full machine exits at its threshold, so exit_local differs)."""
         simp = run(cfg)
-        full = run(dataclasses.replace(cfg, machine="full"))
+        full = run_events(dataclasses.replace(cfg, machine="full"))
         assert full.completed and simp.completed
         assert np.array_equal(simp.counts, full.counts)
         for name in ("times", "local_times", "h_own", "h_min", "h_max", "correction"):

@@ -169,7 +169,11 @@ class TestFullMachine:
         # time already passed the nominal target and the pulse fires at exit;
         # at validated parameters the clamp never binds
         assert pulse_target(acts2) == pytest.approx(max(nominal, t_exit))
-        st_.check_invariants()
+        # structural invariants of a committed node
+        assert st_.rmask != 0
+        assert st_.rmask == st_.full_mask
+        assert st_.h_min <= st_.h_max
+        assert st_.phase is Phase.WAITING and st_.pending_pulse_local is not None
 
     def test_missing_self_times_out_on_last_neighbor(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
