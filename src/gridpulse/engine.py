@@ -9,15 +9,25 @@ included, yield bit-identical traces. ``run_events`` runs the full machine
 on this queue and is the reference semantics. ``run`` computes clean static
 ideal-source runs in closed form instead, one layer at a time, for both
 machines, and falls back to the event queue on the first wave the closed
-form cannot reproduce.
+form cannot reproduce. Graph, delays and clocks are sampled once per call
+and shared by the kernel, the event queue and a fault-free twin.
+
+Inside the event queue, node (v, layer) is the integer id ``layer * n + v``.
+Clock rates and offsets, state machines, timer versions and pulse counts
+are flat lists indexed by it; each node's broadcast receivers are
+precomputed once per run, with their delays in a flat list indexed by edge.
+The main loop calls ``gcs_step`` and ``layer0_step`` with plain arguments
+and dispatches on the class of the actions they return.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +39,9 @@ from .protocol import (
     ChainState,
     GcsState,
     IterationSnapshot,
-    MessageArrival,
     Phase,
     SetTimer,
     SourceMode,
-    TimerExpiry,
     compute_correction,
     gcs_step,
     ideal_source_times,
@@ -87,7 +95,6 @@ class NodePatch:
     extra_rbits: int = 0
     last_accept: float = -math.inf
     pending_pulse_local: float | None = None
-    chain_latch: float | None = None
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,28 @@ def _first_bad(bad: np.ndarray, layer: int) -> str:
     return f"node (v={v}, layer={layer}) pulse {k + 1}"
 
 
-def _layer_kernel(config: RunConfig) -> RunResult | None:
+class _Inputs(NamedTuple):
+    """What a run samples from its config, once: the kernel, the event engine
+    and a fault-free twin all run on the same delays and clocks."""
+
+    graph: LayeredGraph
+    validation: list[str]
+    delays: dict  # edge key -> delay, as sample_delays returns it
+    rate: np.ndarray  # [layer, vertex]
+    offset: np.ndarray  # [layer, vertex]
+
+
+def _sample_inputs(config: RunConfig) -> _Inputs:
+    graph = build_layered(config.base, config.layers)
+    validation = validate_params(config.params, config.base.diameter)
+    delays = sample_delays(graph, config.params, config.delay_strategy,
+                           seed=config.delay_seed, custom=config.custom_delays).delays
+    rate, offset = sample_clocks(graph, config.params, config.clock_strategy,
+                                 seed=config.clock_seed)
+    return _Inputs(graph, validation, delays, rate, offset)
+
+
+def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     """A clean static ideal-source run in closed form, one layer at a time.
 
     With static delays and clocks, an ideal source and no faults, pulse k of
@@ -286,15 +314,8 @@ def _layer_kernel(config: RunConfig) -> RunResult | None:
     """
     full = config.machine == "full"
     base, params = config.base, config.params
-    graph = build_layered(base, config.layers)
-    validation = validate_params(params, base.diameter)
-    delays = sample_delays(graph, params, config.delay_strategy,
-                           seed=config.delay_seed, custom=config.custom_delays).delays
-    clocks = sample_clocks(graph, params, config.clock_strategy, seed=config.clock_seed)
+    validation, delays, rate, offset = inputs.validation, inputs.delays, inputs.rate, inputs.offset
     L, K, n = config.layers, config.pulses, base.num_vertices
-    rate = np.array([[clocks[(v, layer)].rate for v in base.vertices] for layer in range(L)])
-    offset = np.array([[clocks[(v, layer)].offset for v in base.vertices]
-                       for layer in range(L)])
     # inputs[v] = (v, neighbors...); the padding slots j >= deg + 1 are not real
     degree = np.array([len(nbrs) for nbrs in base.adjacency])
     width = 1 + degree.max()
@@ -418,9 +439,11 @@ def _layer_kernel(config: RunConfig) -> RunResult | None:
 def run(config: RunConfig) -> RunResult:
     """Execute a run. Clean static ideal-source runs are computed in closed
     form (``_layer_kernel``); every other run, and any clean full-machine run
-    the kernel cannot reproduce, goes to the event engine (``run_events``)."""
-    result = _layer_kernel(config) if _clean_ideal(config) else None
-    return run_events(config) if result is None else result
+    the kernel cannot reproduce, goes to the event engine (``run_events``).
+    Delays and clocks are sampled once and shared by both."""
+    inputs = _sample_inputs(config)
+    result = _layer_kernel(config, inputs) if _clean_ideal(config) else None
+    return _run_events(config, inputs) if result is None else result
 
 
 def run_events(config: RunConfig) -> RunResult:
@@ -429,14 +452,18 @@ def run_events(config: RunConfig) -> RunResult:
     fault-free twin execution over the same delays and clocks."""
     if config.machine != "full":
         raise ConfigurationError("the event engine runs only machine 'full'")
+    return _run_events(config, _sample_inputs(config))
+
+
+def _run_events(config: RunConfig, inputs: _Inputs) -> RunResult:
     nominal: RunResult | None = None
     if config.placement and _needs_twin(config.placement):
         twin = replace(config, placement=FaultPlacement.empty(), corruption=None,
                        perturbation=None)
-        nominal = _layer_kernel(twin) if _clean_ideal(twin) else None
+        nominal = _layer_kernel(twin, inputs) if _clean_ideal(twin) else None
         if nominal is None:
-            nominal = _Engine(twin, nominal=None).execute()
-    return _Engine(config, nominal=nominal).execute()
+            nominal = _Engine(twin, inputs, nominal=None).execute()
+    return _Engine(config, inputs, nominal=nominal).execute()
 
 
 def corrupt_initial_state(
@@ -498,90 +525,105 @@ def corrupt_initial_state(
 
 
 class _Engine:
-    def __init__(self, config: RunConfig, nominal: RunResult | None):
+    """One run on the event queue, over the flat node ids ``layer * n + v``.
+
+    ``successors[i]`` lists the (receiver layer, receiver vertex, edge index)
+    triples of node i's broadcast. ``delay[e]`` is the delay of edge e, with
+    edges in sorted key order, the order ``perturb_between_pulses`` draws in.
+    """
+
+    def __init__(self, config: RunConfig, inputs: _Inputs, nominal: RunResult | None):
         self.cfg = config
-        self.graph = build_layered(config.base, config.layers)
         self.params = config.params
-        self.validation = validate_params(config.params, config.base.diameter)
+        self.validation = inputs.validation
         self.nominal = nominal
-
-        base = config.base
-        self.nv = base.num_vertices
-        self.faulty = config.placement.members
-
-        delays = sample_delays(
-            self.graph, config.params, config.delay_strategy,
-            seed=config.delay_seed, custom=config.custom_delays,
-        )
-        self.delays = delays.delays  # perturbations replace it, never mutate it
-
-        clocks = sample_clocks(self.graph, config.params, config.clock_strategy,
-                               seed=config.clock_seed)
-        self.rate = {node: c.rate for node, c in clocks.items()}
-        self.offset = {node: c.offset for node, c in clocks.items()}
+        n = self.nv = config.base.num_vertices
+        nodes = n * config.layers
+        members = config.placement.members
+        self.faulty = [(i % n, i // n) in members for i in range(nodes)]
+        self.delay_keys = sorted(inputs.delays)
+        self.delay = [inputs.delays[key] for key in self.delay_keys]
+        self.rate = inputs.rate.ravel().tolist()
+        self.offset = inputs.offset.ravel().tolist()
+        self.successors = self._successors()
 
         self.enforce_alignment = _auto_alignment(config, self.validation)
-
-        self.diag = Diagnostics(alignment_enforced=self.enforce_alignment)
         self.heap: list = []
-        self.seq = 0
-        self.machines: dict = {}
-        self.timer_version: dict = {}
+        self.next_seq = itertools.count(1).__next__
+        self.machines = [self._machine(i) for i in range(nodes)]
+        self.threshold_version = [0] * nodes
+        self.pulse_version = [0] * nodes
+        self.emitted = [0] * nodes
         self.pulse_rows: list = []  # run_arrays rows, in emission order
         self.snapshot_rows: list = []
-        self.emitted: dict = {}
         self.wave_next = 1  # the perturbation wave that waits for every correct node
         if config.perturbation is not None:
-            n = self.nv * config.layers
-            self.caps = perturbation_caps(n, base.diameter, config.params)
+            self.caps = perturbation_caps(nodes, config.base.diameter, config.params)
             if (config.perturbation.delay_magnitude > self.caps[0]
                     or config.perturbation.rate_magnitude > self.caps[1]):
                 raise ConfigurationError(
                     f"perturbation magnitudes exceed caps {self.caps}"
                 )
 
-        self._build_nodes()
         self._seed_sources()
         self._seed_fault_emissions()
         self._count_wave_left()
         if config.corruption is not None:
             plan = corrupt_initial_state(
-                self.graph, config.corruption, config.corruption_seed, config.params
+                inputs.graph, config.corruption, config.corruption_seed, config.params
             )
             self._apply_corruption(plan)
 
     # -- construction -----------------------------------------------------
 
-    def _build_nodes(self) -> None:
+    def _machine(self, i: int):
+        """Node i's state machine; None for faulty nodes and ideal emitters."""
         cfg = self.cfg
-        base = cfg.base
-        for layer in range(cfg.layers):
-            for v in base.vertices:
-                node = (v, layer)
-                self.emitted[node] = 0
-                self.timer_version[node] = [0, 0]  # threshold, pulse
-                if node in self.faulty:
-                    self.machines[node] = None
-                elif layer == 0:
-                    if cfg.source.kind == "chain":
-                        self.machines[node] = ChainState(vertex=v)
-                    else:
-                        self.machines[node] = None  # ideal emitters are pre-scripted
-                else:
-                    self.machines[node] = GcsState(
-                        vertex=v, layer=layer, neighbors=base.adjacency[v],
-                    )
+        layer, v = divmod(i, self.nv)
+        if self.faulty[i]:
+            return None
+        if layer == 0:
+            return ChainState(vertex=v) if cfg.source.kind == "chain" else None
+        return GcsState(vertex=v, layer=layer, neighbors=cfg.base.adjacency[v])
+
+    def _successors(self) -> list:
+        """Receivers of each node's broadcast: the dag receivers in sorted
+        vertex order, then, on a chain source, the chain hops."""
+        cfg = self.cfg
+        base, layers = cfg.base, cfg.layers
+        edge = {key: e for e, key in enumerate(self.delay_keys)}
+        out = [
+            [(layer + 1, w, edge[("dag", v, layer, w)])
+             for w in sorted((v, *base.adjacency[v]))] if layer + 1 < layers else []
+            for layer in range(layers) for v in base.vertices
+        ]
+        if cfg.source.kind == "chain":
+            info = base.line_info
+            line = info.line
+            for pos, v in enumerate(line, start=1):  # chain position of this sender
+                if pos < len(line):
+                    out[v].append((0, line[pos], edge[("chain", pos, line[pos])]))
+                if pos == len(line) - 1:
+                    out[v] += [(0, target, edge[("chain", pos, target)])
+                               for target in sorted(info.end_replicas)]
+        return out
 
     def _push(self, time: float, rvertex: int, rlayer: int, kind: int,
               svertex: int, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time, rlayer, rvertex, svertex, kind, self.seq, payload))
+        heapq.heappush(self.heap,
+                       (time, rlayer, rvertex, svertex, kind, self.next_seq(), payload))
 
-    def _push_message(self, time: float, sender: tuple[int, int],
-                      receiver: tuple[int, int], pulse_index: int) -> None:
-        sv, slayer = sender
-        rv, rlayer = receiver
-        self._push(time, rv, rlayer, _KIND_MESSAGE, sv, (slayer, pulse_index))
+    def _deliver(self, i: int, t: float, pulse_index: int,
+                 recipients: tuple[int, ...] | None = None) -> None:
+        """Send node i's pulse ``pulse_index``, emitted at real time t, to its
+        receivers, or to those among ``recipients``."""
+        layer, v = divmod(i, self.nv)
+        heap, delay, next_seq = self.heap, self.delay, self.next_seq
+        payload = (layer, pulse_index)
+        for rlayer, rvertex, e in self.successors[i]:
+            if recipients is None or rvertex in recipients:
+                heapq.heappush(heap, (t + delay[e], rlayer, rvertex, v, _KIND_MESSAGE,
+                                      next_seq(), payload))
 
     def _seed_sources(self) -> None:
         cfg = self.cfg
@@ -591,26 +633,26 @@ class _Engine:
                 base, self.params.lam, cfg.source.jitter, cfg.source.seed, cfg.pulses
             )
             for v in base.vertices:
-                node = (v, 0)
-                if node in self.faulty:
+                if self.faulty[v]:
                     continue
-                clock_offset, clock_rate = self.offset[node], self.rate[node]
+                clock_offset, clock_rate = self.offset[v], self.rate[v]
                 for k, t in enumerate(times[v], start=1):
                     self.pulse_rows.append((0, v, k, t, clock_offset + clock_rate * t))
-                    self._deliver_broadcast(node, t, k)
-                self.emitted[node] = cfg.pulses
+                    self._deliver(v, t, k)
+                self.emitted[v] = cfg.pulses
         else:
             info = base.line_info
             first = info.line[0]
+            delay = dict(zip(self.delay_keys, self.delay))
             for k in range(1, cfg.pulses + 1):
                 t = (k - 1) * self.params.lam
                 for target in sorted((first, *info.start_replicas)):
-                    delay = self.delays[("chain", 0, target)]
-                    self._push_message(t + delay, (-1, -1), (target, 0), k)
+                    self._push(t + delay[("chain", 0, target)], target, 0, _KIND_MESSAGE,
+                               -1, (-1, k))
 
     def _seed_fault_emissions(self) -> None:
         cfg = self.cfg
-        for node in sorted(self.faulty):
+        for node in sorted(cfg.placement.members):
             behavior = cfg.placement.behaviors[node]
             nominal_times = None
             if behavior.needs_nominal:
@@ -625,16 +667,10 @@ class _Engine:
                     self._push(t_emit, v, layer, _KIND_FAULT_EMISSION, v, (recipients, k))
 
     def _apply_corruption(self, plan: CorruptionPlan) -> None:
-        for patch in plan.node_patches:
-            node = (patch.vertex, patch.layer)
-            st = self.machines.get(node)
+        for patch in plan.node_patches:  # layers >= 1: correct nodes are GcsStates
+            i = patch.layer * self.nv + patch.vertex
+            st = self.machines[i]
             if st is None:
-                continue
-            if isinstance(st, ChainState):
-                if patch.chain_latch is not None:
-                    st.h_latch = patch.chain_latch
-                if patch.pending_pulse_local is not None:
-                    self._arm_timer(node, "pulse", patch.pending_pulse_local)
                 continue
             st.iteration = patch.iteration
             st.last_accept = patch.last_accept
@@ -656,199 +692,155 @@ class _Engine:
                 if target is None:
                     target = 0.0
                 st.pending_pulse_local = target
-                st.pending_snapshot = IterationSnapshot(
-                    h_own=None, h_min=None, h_max=None, correction=None,
-                    arm="corrupted", exit_local=target,
-                )
-                self._arm_timer(node, "pulse", target)
+                st.pending_snapshot = IterationSnapshot("corrupted", None, None, None, None,
+                                                        target)
+                self.pulse_version[i] += 1
+                self._push((target - self.offset[i]) / self.rate[i], patch.vertex, patch.layer,
+                           _KIND_TIMER, patch.vertex, ("pulse", self.pulse_version[i], target))
         for msg in plan.spurious:
-            self._push_message(
-                msg.arrival_time,
-                (msg.sender_vertex, msg.receiver_layer - 1),
-                (msg.receiver_vertex, msg.receiver_layer),
-                msg.pulse_index,
-            )
+            self._push(msg.arrival_time, msg.receiver_vertex, msg.receiver_layer,
+                       _KIND_MESSAGE, msg.sender_vertex, (msg.receiver_layer - 1, msg.pulse_index))
 
-    # -- helpers ------------------------------------------------------------
+    # -- waves and perturbation ---------------------------------------------
 
-    def _local(self, node: tuple[int, int], t: float) -> float:
-        return self.offset[node] + self.rate[node] * t
-
-    def _real(self, node: tuple[int, int], h: float) -> float:
-        return (h - self.offset[node]) / self.rate[node]
-
-    def _arm_timer(self, node: tuple[int, int], kind: str, local_time: float) -> None:
-        slot = 0 if kind == "threshold" else 1
-        self.timer_version[node][slot] += 1
-        if local_time == math.inf:
-            return  # cancellation
-        version = self.timer_version[node][slot]
-        v, layer = node
-        t = self._real(node, local_time)
-        self._push(t, v, layer, _KIND_TIMER, v, (kind, version, local_time))
-
-    def _successor_edges(self, node: tuple[int, int]):
-        """(receiver, delay key) pairs reached by this node's broadcast."""
-        v, layer = node
-        base = self.cfg.base
-        out = []
-        if layer + 1 < self.cfg.layers:
-            for w in sorted((v, *base.adjacency[v])):
-                out.append(((w, layer + 1), ("dag", v, layer, w)))
-        if layer == 0 and self.cfg.source.kind == "chain":
-            info = base.line_info
-            if v in info.line:
-                pos = info.line.index(v) + 1  # chain position of this sender
-                if pos < len(info.line):
-                    out.append(((info.line[pos], 0), ("chain", pos, info.line[pos])))
-                if pos == len(info.line) - 1:
-                    for target in sorted(info.end_replicas):
-                        out.append(((target, 0), ("chain", pos, target)))
-        return out
-
-    def _deliver_broadcast(self, node: tuple[int, int], t: float, pulse_index: int,
-                           recipients: tuple[int, ...] | None = None) -> None:
-        for receiver, key in self._successor_edges(node):
-            if recipients is not None and receiver[0] not in recipients:
-                continue
-            self._push_message(t + self.delays[key], node, receiver, pulse_index)
-
-    def _record_pulse(self, node: tuple[int, int], t: float, local_time: float) -> None:
-        v, layer = node
-        self.emitted[node] += 1
-        index = self.emitted[node]
+    def _record_pulse(self, i: int, t: float, local_time: float) -> None:
+        """Record node i's next pulse. Once every correct node has emitted
+        pulse ``wave_next``, perturb; at most one wave advances per recorded
+        pulse."""
+        layer, v = divmod(i, self.nv)
+        index = self.emitted[i] + 1
+        self.emitted[i] = index
         self.pulse_rows.append((layer, v, index, t, local_time))
         if index == self.wave_next:
             self.wave_left -= 1
-        st = self.machines[node]
-        if isinstance(st, GcsState) and st.pending_snapshot is not None:
-            snap = st.pending_snapshot
-            self.snapshot_rows.append((
-                layer, v, index, snap.arm,
-                snap.h_own, snap.h_min, snap.h_max, snap.correction, snap.exit_local,
-            ))
+        st = self.machines[i]
+        if st.__class__ is GcsState and st.pending_snapshot is not None:
+            self.snapshot_rows.append((layer, v, index, *st.pending_snapshot))
             st.pending_snapshot = None
-        self._check_wave_completion()
+        if self.cfg.perturbation is not None and not self.wave_left:
+            self.wave_next += 1
+            self._count_wave_left()
+            self._apply_perturbation(self.wave_next - 1, t)
 
     def _count_wave_left(self) -> None:
         """Count the correct nodes that have not yet emitted pulse ``wave_next``."""
-        self.wave_left = sum(count < self.wave_next for node, count in self.emitted.items()
-                             if node not in self.faulty)
+        self.wave_left = sum(count < self.wave_next
+                             for count, faulty in zip(self.emitted, self.faulty) if not faulty)
 
-    def _check_wave_completion(self) -> None:
-        """Perturb once every correct node has emitted pulse ``wave_next``;
-        at most one wave advances per recorded pulse."""
-        if self.cfg.perturbation is None or self.wave_left:
-            return
-        k = self.wave_next
-        self.wave_next += 1
-        self._count_wave_left()
-        self._apply_perturbation(k)
-
-    def _apply_perturbation(self, pulse_index: int) -> None:
+    def _apply_perturbation(self, pulse_index: int, t_now: float) -> None:
+        """Redraw delays and rates in place, where the main loop and ``_deliver``
+        read them."""
         spec = self.cfg.perturbation
-        self.delays, rates = perturb_between_pulses(
-            self.delays, self.rate, (spec.delay_magnitude, spec.rate_magnitude),
-            pulse_index, spec.seed, self.params, self.caps,
+        n = self.nv
+        nodes = [(i % n, i // n) for i in range(len(self.rate))]
+        delays, rates = perturb_between_pulses(
+            dict(zip(self.delay_keys, self.delay)), dict(zip(nodes, self.rate)),
+            (spec.delay_magnitude, spec.rate_magnitude), pulse_index, spec.seed,
+            self.params, self.caps,
         )
+        self.delay[:] = [delays[key] for key in self.delay_keys]
         if spec.rate_magnitude > 0.0:
-            t_now = self.now
-            for node, new_rate in rates.items():
+            rate, offset = self.rate, self.offset
+            for i, node in enumerate(nodes):
                 # continuous local time across the rate switch
-                h_now = self.offset[node] + self.rate[node] * t_now
-                self.offset[node] = h_now - new_rate * t_now
-            self.rate = rates
+                h_now = offset[i] + rate[i] * t_now
+                rate[i] = rates[node]
+                offset[i] = h_now - rate[i] * t_now
 
     # -- main loop ----------------------------------------------------------
 
     def execute(self) -> RunResult:
-        cfg = self.cfg
-        params = self.params
-        self.now = -math.inf
-        while self.heap:
-            t, rlayer, rvertex, svertex, kind, _seq, payload = heapq.heappop(self.heap)
-            self.now = t
-            self.diag.events += 1
-            node = (rvertex, rlayer)
-
-            if kind == _KIND_FAULT_EMISSION:
-                recipients, pulse_index = payload
-                self._deliver_broadcast(node, t, pulse_index, recipients)
-                continue
-
-            st = self.machines.get(node)
-            if kind == _KIND_TIMER:
-                timer_kind, version, local_time = payload
-                slot = 0 if timer_kind == "threshold" else 1
-                if version != self.timer_version[node][slot]:
-                    self.diag.stale_timers += 1
-                    continue
-                if st is None:
-                    continue
-                event = TimerExpiry(kind=timer_kind)
-                h = local_time
-            else:
-                self.diag.messages += 1
+        cfg, params, n = self.cfg, self.params, self.nv
+        heap, machines, rate, offset = self.heap, self.machines, self.rate, self.offset
+        threshold_version, pulse_version = self.threshold_version, self.pulse_version
+        next_seq, record_pulse, deliver = self.next_seq, self._record_pulse, self._deliver
+        heappop, heappush = heapq.heappop, heapq.heappush
+        quiet, enforce_alignment = params.lam / QUIET_DIVISOR, self.enforce_alignment
+        listening, waiting, inf = Phase.LISTENING, Phase.WAITING, math.inf
+        events = messages = stale = filtered = stragglers = reopens = 0
+        timeouts = early_exits = 0
+        while heap:
+            t, rlayer, rvertex, svertex, kind, _seq, payload = heappop(heap)
+            events += 1
+            i = rlayer * n + rvertex
+            st = machines[i]
+            if kind == _KIND_MESSAGE:
+                messages += 1
                 if st is None:
                     continue  # faulty or scripted receiver ignores input
-                slayer, pulse_index = payload
-                event = MessageArrival(
-                    sender_vertex=svertex, sender_layer=slayer, pulse_index=pulse_index
-                )
-                h = self._local(node, t)
-
-            if isinstance(st, ChainState):
-                _, actions = layer0_step(st, event, h, params)
+                h = offset[i] + rate[i] * t
+                if st.__class__ is GcsState:
+                    slayer, pulse_index = payload
+                    before_phase, before_accept = st.phase, st.last_accept
+                    actions = gcs_step(st, None, svertex, slayer, h, params)
+                    if st.last_accept != h:
+                        filtered += 1
+                    else:
+                        if h - before_accept >= quiet:
+                            reopens += 1
+                        elif st.phase is not listening:
+                            stragglers += 1
+                        if enforce_alignment and pulse_index != st.iteration:
+                            raise AlignmentError(
+                                vertex=rvertex, layer=rlayer, got_index=pulse_index,
+                                expected_index=st.iteration, time=t,
+                            )
+                else:
+                    actions = layer0_step(st, None, h, params)
+            elif kind == _KIND_TIMER:
+                timer, version, h = payload
+                if version != (threshold_version if timer == "threshold" else pulse_version)[i]:
+                    stale += 1
+                    continue
+                if st is None:
+                    continue
+                if st.__class__ is GcsState:
+                    before_phase = st.phase
+                    actions = gcs_step(st, timer, None, None, h, params)
+                else:
+                    actions = layer0_step(st, timer, h, params)
             else:
-                before_phase = st.phase
-                before_accept = st.last_accept
-                _, actions = gcs_step(st, event, h, params)
-                if kind == _KIND_MESSAGE:
-                    self._track_message_diag(st, event, h, before_phase, before_accept, t)
-                if st.phase is Phase.WAITING and before_phase is not Phase.WAITING:
-                    if st.exit_arm == "timeout":
-                        self.diag.timeouts_first_arm += 1
-                    elif st.h_max is None:
-                        self.diag.early_second_arm_exits += 1
+                recipients, pulse_index = payload
+                deliver(i, t, pulse_index, recipients)
+                continue
+            if (st.__class__ is GcsState and st.phase is waiting
+                    and before_phase is not waiting):
+                if st.exit_arm == "timeout":
+                    timeouts += 1
+                elif st.h_max is None:
+                    early_exits += 1
 
             for act in actions:
-                if isinstance(act, SetTimer):
-                    self._arm_timer(node, act.kind, act.local_time)
-                elif isinstance(act, Broadcast):
-                    self._record_pulse(node, t, act.local_time)
-                    self._deliver_broadcast(node, t, act.pulse_index)
+                if act.__class__ is SetTimer:
+                    timer, local_time = act
+                    versions = threshold_version if timer == "threshold" else pulse_version
+                    version = versions[i] = versions[i] + 1
+                    if local_time != inf:  # inf cancels
+                        heappush(heap, ((local_time - offset[i]) / rate[i], rlayer, rvertex,
+                                        rvertex, _KIND_TIMER, next_seq(),
+                                        (timer, version, local_time)))
+                elif act.__class__ is Broadcast:
+                    record_pulse(i, t, act.local_time)
+                    deliver(i, t, act.pulse_index)
                 else:
                     raise ProtocolError(f"unknown action {act!r}")
 
         incomplete = sorted(
-            node
-            for node, count in self.emitted.items()
-            if node not in self.faulty and count < cfg.pulses
-            and (cfg.source.kind == "ideal" or node[1] == 0)
+            (i % n, i // n)
+            for i, count in enumerate(self.emitted)
+            if not self.faulty[i] and count < cfg.pulses
+            and (cfg.source.kind == "ideal" or i < n)
+        )
+        diagnostics = Diagnostics(
+            events=events, messages=messages, stale_timers=stale, rate_filtered=filtered,
+            stragglers_dropped=stragglers, reopens=reopens, timeouts_first_arm=timeouts,
+            early_second_arm_exits=early_exits, alignment_enforced=self.enforce_alignment,
         )
         return RunResult(
             config=cfg,
-            **run_arrays(cfg.layers, self.nv, cfg.pulses, self.pulse_rows, self.snapshot_rows),
-            diagnostics=self.diag,
+            **run_arrays(cfg.layers, n, cfg.pulses, self.pulse_rows, self.snapshot_rows),
+            diagnostics=diagnostics,
             validation=self.validation,
             completed=not incomplete,
             incomplete_nodes=incomplete,
         )
-
-    def _track_message_diag(self, st: GcsState, event: MessageArrival, h: float,
-                            before_phase, before_accept: float, t: float) -> None:
-        accepted = st.last_accept == h
-        if not accepted:
-            self.diag.rate_filtered += 1
-            return
-        quiet = self.params.lam / QUIET_DIVISOR
-        reopened = h - before_accept >= quiet
-        if reopened:
-            self.diag.reopens += 1
-        elif st.phase is not Phase.LISTENING:
-            self.diag.stragglers_dropped += 1
-        if self.enforce_alignment and event.pulse_index != st.iteration:
-            raise AlignmentError(
-                vertex=st.vertex, layer=st.layer,
-                got_index=event.pulse_index, expected_index=st.iteration, time=t,
-            )

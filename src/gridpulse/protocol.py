@@ -8,9 +8,12 @@ Two machines drive the event engine:
   (the copy of itself plus first/last neighbor pulses), survives missing
   inputs via timeout arms, and schedules its pulse from a correction value.
 
-Machines are transition functions over engine-owned state objects: each step
-returns the state plus a list of actions (timers to arm, pulses to emit).
-Only the owning engine may touch a state concurrently.
+Machines are transition functions over engine-owned state objects. A step
+takes plain arguments: the timer that fired (None for a message, whose
+sender vertex and layer come next) and the node's local time. It mutates
+the state and returns the list of actions (timers to arm, pulses to emit),
+which are named tuples so the engine can dispatch on their class. Only the
+owning engine may touch a state concurrently.
 
 The event engine (``engine.run_events``) drives these machines and is the
 reference semantics. Clean static ideal-source runs (no faults, corruption
@@ -29,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ProtocolError
 from .timing import Params
@@ -39,11 +43,9 @@ __all__ = [
     "ChainState",
     "GcsState",
     "IterationSnapshot",
-    "MessageArrival",
     "Phase",
     "SetTimer",
     "SourceMode",
-    "TimerExpiry",
     "QUIET_DIVISOR",
     "compute_correction",
     "correction_scan_oracle",
@@ -63,39 +65,30 @@ class Phase(Enum):
     GAP = "gap"
 
 
-@dataclass(frozen=True)
-class MessageArrival:
-    sender_vertex: int
-    sender_layer: int
-    pulse_index: int
+# Enum members bound once: a lookup on the class is several times slower
+# than a global, and the steps below run once per simulated event.
+_LISTENING, _WAITING, _GAP = Phase.LISTENING, Phase.WAITING, Phase.GAP
 
 
-@dataclass(frozen=True)
-class TimerExpiry:
+class SetTimer(NamedTuple):
     kind: str  # 'threshold' | 'pulse'
+    local_time: float  # inf cancels
 
 
-@dataclass(frozen=True)
-class SetTimer:
-    kind: str
-    local_time: float
-
-
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     pulse_index: int
     local_time: float
 
 
-@dataclass(frozen=True)
-class IterationSnapshot:
-    """Internal values frozen when a listening phase commits to a pulse time."""
+class IterationSnapshot(NamedTuple):
+    """Internal values frozen when a listening phase commits to a pulse time,
+    in the column order of the engine's snapshot rows."""
 
+    arm: str  # 'corrected' | 'timeout' | 'corrupted'
     h_own: float | None
     h_min: float | None
     h_max: float | None
     correction: float | None
-    arm: str  # 'corrected' | 'timeout'
     exit_local: float
 
 
@@ -239,7 +232,7 @@ class GcsState:
 
 
 def _open_phase(state: GcsState, actions: list) -> None:
-    state.phase = Phase.LISTENING
+    state.phase = _LISTENING
     state.h_own = None
     state.h_min = None
     state.h_max = None
@@ -285,12 +278,9 @@ def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> No
         target = h_exit  # out-of-regime parameters only; never back-date a pulse
     state.correction = correction
     state.exit_arm = arm
-    state.phase = Phase.WAITING
+    state.phase = _WAITING
     state.pending_pulse_local = target
-    state.pending_snapshot = IterationSnapshot(
-        h_own=state.h_own, h_min=h_min, h_max=h_max,
-        correction=correction, arm=arm, exit_local=h_exit,
-    )
+    state.pending_snapshot = IterationSnapshot(arm, state.h_own, h_min, h_max, correction, h_exit)
     actions.append(SetTimer("pulse", target))
 
 
@@ -308,57 +298,57 @@ def _evaluate_exit(state: GcsState, h: float, params: Params, actions: list) -> 
         actions.append(SetTimer("threshold", threshold))
 
 
-def gcs_step(state: GcsState, event, h: float, params: Params):
-    """Advance a synchronization node; returns (state, actions).
+def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
+             h: float, params: Params) -> list:
+    """Advance a synchronization node at local time ``h``; returns its actions.
 
-    Messages pass a per-sender rate filter; a message after a quiet gap of
-    lam/10 opens a fresh listening phase (clearing reception state and the
-    threshold timer but leaving any already-scheduled pulse to fire). The
-    listening loop exits at its threshold; with the self-copy timestamp
-    still missing this is a timeout that anchors the pulse on the last
-    neighbor, otherwise the correction kernel sets the schedule.
+    ``timer`` is the kind of the timer that fired ('threshold' or 'pulse'),
+    or None for a message from (``sender``, ``sender_layer``); the sender
+    arguments are ignored for timers. Messages pass a per-sender rate
+    filter; a message after a quiet gap of lam/10 opens a fresh listening
+    phase (clearing reception state and the threshold timer but leaving any
+    already-scheduled pulse to fire). The listening loop exits at its
+    threshold; with the self-copy timestamp still missing this is a timeout
+    that anchors the pulse on the last neighbor, otherwise the correction
+    kernel sets the schedule.
     """
     actions: list = []
-    if isinstance(event, MessageArrival):
-        sender = event.sender_vertex
-        if event.sender_layer != state.layer - 1 or (
+    if timer is None:
+        if sender_layer != state.layer - 1 or (
             sender != state.vertex and sender not in state.bit_of
         ):
             raise ProtocolError(
                 f"node (v={state.vertex}, layer={state.layer}) got a pulse from "
-                f"non-predecessor (v={sender}, layer={event.sender_layer})"
+                f"non-predecessor (v={sender}, layer={sender_layer})"
             )
         quiet = params.lam / QUIET_DIVISOR
         last = state.last_from.get(sender)
         if last is not None and h - last < quiet:
-            return state, actions  # rate-filtered
+            return actions  # rate-filtered
         state.last_from[sender] = h
         if h - state.last_accept >= quiet:
             _open_phase(state, actions)
         state.last_accept = h
-        if state.phase is Phase.LISTENING:
+        if state.phase is _LISTENING:
             _record(state, sender, h)
             _evaluate_exit(state, h, params, actions)
-        return state, actions
+        return actions
 
-    if isinstance(event, TimerExpiry):
-        if event.kind == "threshold":
-            if state.phase is Phase.LISTENING:
-                _evaluate_exit(state, h, params, actions)
-            return state, actions
-        if event.kind == "pulse":
-            actions.append(Broadcast(pulse_index=state.iteration, local_time=h))
-            state.iteration += 1
-            state.h_own = None
-            state.h_min = None
-            state.h_max = None
-            state.rmask = 0
-            state.phase = Phase.GAP
-            state.pending_pulse_local = None
-            return state, actions
-        raise ProtocolError(f"unknown timer kind {event.kind!r}")
-
-    raise ProtocolError(f"unknown event {event!r}")
+    if timer == "threshold":
+        if state.phase is _LISTENING:
+            _evaluate_exit(state, h, params, actions)
+        return actions
+    if timer == "pulse":
+        actions.append(Broadcast(state.iteration, h))
+        state.iteration += 1
+        state.h_own = None
+        state.h_min = None
+        state.h_max = None
+        state.rmask = 0
+        state.phase = _GAP
+        state.pending_pulse_local = None
+        return actions
+    raise ProtocolError(f"unknown timer kind {timer!r}")
 
 
 class ChainState:
@@ -372,20 +362,17 @@ class ChainState:
         self.h_latch: float | None = None
 
 
-def layer0_step(state: ChainState, event, h: float, params: Params):
-    """Advance a chain node; a reception before the pending pulse reschedules it."""
-    actions: list = []
-    if isinstance(event, MessageArrival):
+def layer0_step(state: ChainState, timer: str | None, h: float, params: Params) -> list:
+    """Advance a chain node at local time ``h`` (``timer`` None for a
+    message); a reception before the pending pulse reschedules it."""
+    if timer is None:
         state.h_latch = h
-        actions.append(SetTimer("pulse", h + params.lam - params.d))
-        return state, actions
-    if isinstance(event, TimerExpiry):
-        if event.kind != "pulse":
-            raise ProtocolError(f"chain nodes only use pulse timers, got {event.kind!r}")
-        actions.append(Broadcast(pulse_index=state.iteration, local_time=h))
-        state.iteration += 1
-        return state, actions
-    raise ProtocolError(f"unknown event {event!r}")
+        return [SetTimer("pulse", h + params.lam - params.d)]
+    if timer != "pulse":
+        raise ProtocolError(f"chain nodes only use pulse timers, got {timer!r}")
+    actions = [Broadcast(state.iteration, h)]
+    state.iteration += 1
+    return actions
 
 
 def ideal_source_times(

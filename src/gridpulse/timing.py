@@ -2,7 +2,8 @@
 
 All quantities are real-valued; times are IEEE doubles. Delays are fixed for
 a whole run and drawn from [d-u, d]; hardware clocks are affine with rate in
-[1, theta] and an arbitrary phase.
+[1, theta] and an arbitrary phase, sampled as [layer, vertex] rate and
+offset arrays.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .topology import LayeredGraph
 
 __all__ = [
     "DelayAssignment",
-    "HardwareClock",
     "Params",
     "derive_kappa",
     "local_skew_budget",
@@ -112,46 +114,27 @@ def validate_params(params: Params, diameter: int, skew_budget: float | None = N
     return violations
 
 
-@dataclass(frozen=True)
-class HardwareClock:
-    """Affine local clock H(t) = offset + rate*t with rate in [1, theta]."""
+def sample_clocks(graph: LayeredGraph, params: Params, strategy: str,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One affine clock H(t) = offset + rate*t per node, deterministic in the seed.
 
-    rate: float
-    offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.rate >= 1.0:
-            raise ConfigurationError(f"clock rate must be >= 1, got {self.rate}")
-
-    def local(self, t: float) -> float:
-        return self.offset + self.rate * t
-
-    def real(self, h: float) -> float:
-        return (h - self.offset) / self.rate
-
-
-def sample_clocks(graph: LayeredGraph, params: Params, strategy: str, seed: int) -> dict:
-    """One clock per node, deterministic in the seed.
-
-    Strategies: 'uniform' draws rates in [1, theta] and offsets in [0, lam);
-    'all-one' is the identity clock; 'all-max' runs every clock at theta
-    with zero offset.
+    Returns ``rate`` and ``offset`` as [layer, vertex] arrays. Strategies:
+    'uniform' draws a rate in [1, theta] and then an offset in [0, lam) per
+    node, in (layer, vertex) order; 'all-one' is the identity clock;
+    'all-max' runs every clock at theta with zero offset.
     """
-    rng = random.Random(seed)
-    clocks: dict[tuple[int, int], HardwareClock] = {}
-    for layer in range(graph.num_layers):
-        for v in graph.base.vertices:
-            if strategy == "uniform":
-                rate = rng.uniform(1.0, params.theta)
-                offset = rng.uniform(0.0, params.lam)
-            elif strategy == "all-one":
-                rate, offset = 1.0, 0.0
-            elif strategy == "all-max":
-                rate, offset = params.theta, 0.0
-            else:
-                raise ConfigurationError(f"unknown clock strategy {strategy!r}")
-            clocks[(v, layer)] = HardwareClock(rate=rate, offset=offset)
-    return clocks
+    shape = (graph.num_layers, graph.base.num_vertices)
+    if strategy == "uniform":
+        rng = random.Random(seed)
+        draws = [(rng.uniform(1.0, params.theta), rng.uniform(0.0, params.lam))
+                 for _ in range(shape[0] * shape[1])]
+        rate, offset = np.array(draws).reshape(*shape, 2).transpose(2, 0, 1)
+        return rate, offset
+    if strategy == "all-one":
+        return np.ones(shape), np.zeros(shape)
+    if strategy == "all-max":
+        return np.full(shape, params.theta), np.zeros(shape)
+    raise ConfigurationError(f"unknown clock strategy {strategy!r}")
 
 
 def _chain_edges(graph: LayeredGraph) -> list[tuple]:

@@ -20,7 +20,8 @@ import yaml
 
 from gridpulse import analysis
 from gridpulse.cli import main as cli_main
-from gridpulse.engine import (SNAPSHOT_FIELDS, CorruptionSpec, RunConfig, _layer_kernel, run,
+from gridpulse.engine import (SNAPSHOT_FIELDS, CorruptionSpec, RunConfig, _layer_kernel,
+                              _sample_inputs, run,
                               run_events)
 from gridpulse.faults import FaultBehavior, FaultPlacement, validate_placement
 from gridpulse.protocol import SourceMode, compute_correction, correction_scan_oracle
@@ -85,7 +86,7 @@ def battery():
         for seed in SEEDS:
             cfg = a1_config(m, seed)
             engine = run_events(cfg)
-            kernel = _layer_kernel(cfg)  # what run(cfg) returns unless it falls back
+            kernel = _layer_kernel(cfg, _sample_inputs(cfg))  # what run(cfg) returns unless it falls back
             res = engine if kernel is None else kernel
             assert res.completed and res.diagnostics.alignment_enforced
             view = analysis.TraceView(res)

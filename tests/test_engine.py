@@ -4,24 +4,29 @@ and the layer kernel against the event engine."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gridpulse import engine as engine_module
 from gridpulse.engine import (
     SNAPSHOT_FIELDS,
     CorruptionSpec,
     PerturbationSpec,
     RunConfig,
     _layer_kernel,
+    _sample_inputs,
     corrupt_initial_state,
     run,
     run_events,
 )
 from gridpulse.errors import ConfigurationError, ProtocolError
-from gridpulse.faults import FaultBehavior, FaultPlacement
+from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps
 from gridpulse.protocol import SourceMode
 from gridpulse.timing import (DELAY_STRATEGIES, Params, sample_clocks, sample_delays,
                               validate_params)
@@ -83,6 +88,25 @@ class TestClosedForm:
             for v in cfg.base.vertices:
                 expected = [(k - 1) * 2.0 + layer * 2.0 for k in range(1, 4)]
                 assert times_of(res, v, layer) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("execute", [run, run_events])
+    @pytest.mark.parametrize("source", [SourceMode(kind="ideal", jitter=KAPPA / 4, seed=3),
+                                        SourceMode(kind="chain")], ids=["ideal", "chain"])
+    def test_pulses_follow_the_hardware_clocks(self, execute, source):
+        """Every pulse sits on its node's sampled clock H(t) = offset + rate*t:
+        ideal emitters convert their real times to local ones, and timers
+        convert their local deadlines to real times, both bit for bit."""
+        cfg = base_config(m=6, layers=4, pulses=4, source=source)
+        res = execute(cfg)
+        rate, offset = sample_clocks(build_layered(cfg.base, cfg.layers), PARAMS, "uniform",
+                                     seed=cfg.clock_seed)
+        rate, offset = rate[:, None, :], offset[:, None, :]
+        timed = slice(1 if source.kind == "ideal" else 0, None)
+        assert np.array_equal(res.times[timed],
+                              (res.local_times[timed] - offset[timed]) / rate[timed])
+        if source.kind == "ideal":
+            assert np.array_equal(res.local_times[0], offset[0] + rate[0] * res.times[0])
+        assert np.allclose(offset + rate * res.times, res.local_times, rtol=1e-15, atol=0.0)
 
     def test_correction_window_scan(self):
         """Internal corrections stay inside the window implied by the
@@ -454,7 +478,7 @@ class TestLayerKernel:
         last neighbor arrives, and 40 arrivals come after a commit. The
         kernel reproduces both without falling back."""
         cfg = a1_shaped(64, 1)
-        kernel = _layer_kernel(cfg)
+        kernel = _layer_kernel(cfg, _sample_inputs(cfg))
         assert kernel is not None
         assert kernel.diagnostics.early_second_arm_exits == 20
         assert kernel.diagnostics.stragglers_dropped == 40
@@ -466,7 +490,7 @@ class TestLayerKernel:
         cfg = base_config(m=7, layers=8, pulses=4,
                           source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=24),
                           delay_seed=42, clock_strategy="all-one", clock_seed=3)
-        kernel = _layer_kernel(cfg)
+        kernel = _layer_kernel(cfg, _sample_inputs(cfg))
         assert kernel is not None
         early = np.isnan(kernel.h_max) & (kernel.arm == "corrected")
         assert np.argwhere(early).tolist() == [[7, k, 2] for k in range(4)]
@@ -488,8 +512,27 @@ class TestLayerKernel:
         cfg = base_config(m=3, layers=3, pulses=3, params=params, delay_seed=1,
                           source=SourceMode(kind="ideal"),
                           delay_strategy=strategies[0], clock_strategy=strategies[1])
-        assert _layer_kernel(cfg) is None
+        assert _layer_kernel(cfg, _sample_inputs(cfg)) is None
         assert_same_run(run(cfg), run_events(cfg))
+
+    @pytest.mark.parametrize("edit", [
+        {"delay_strategy": "all-max", "clock_strategy": "all-one"},  # the tie config
+        {"placement": FaultPlacement(behaviors={
+            (2, 1): FaultBehavior(kind="fixed_offset", offset=PARAMS.lam / 8)})},
+    ], ids=["kernel_falls_back", "fault_free_twin"])
+    def test_samples_once(self, monkeypatch, edit):
+        """A run samples its graph, delays and clocks once, whether the kernel
+        falls back to the event engine or a fault-free twin runs first."""
+        calls = Counter()
+        for name in ("build_layered", "sample_delays", "sample_clocks"):
+            def counted(*args, _name=name, _sample=getattr(engine_module, name), **kwargs):
+                calls[_name] += 1
+                return _sample(*args, **kwargs)
+            monkeypatch.setattr(engine_module, name, counted)
+        cfg = base_config(m=3, layers=3, pulses=3, delay_seed=1,
+                          source=SourceMode(kind="ideal"), **edit)
+        run(cfg)
+        assert calls == {"build_layered": 1, "sample_delays": 1, "sample_clocks": 1}
 
     def test_event_engine_runs_only_the_full_machine(self):
         with pytest.raises(ConfigurationError, match="only machine 'full'"):
@@ -522,13 +565,13 @@ class TestSimplifiedKernel:
         res = run(cfg)
         graph = build_layered(cfg.base, cfg.layers)
         delays = sample_delays(graph, params, "uniform-random", seed=1)
-        clocks = sample_clocks(graph, params, "uniform", seed=1)
+        rate, offset = sample_clocks(graph, params, "uniform", seed=1)
         clamped = 0
         for layer in range(1, cfg.layers):
             for v in cfg.base.vertices:
                 for k in range(cfg.pulses):
                     last = max(
-                        clocks[(v, layer)].local(
+                        offset[layer, v] + rate[layer, v] * (
                             res.times[layer - 1, k, w] + delays[("dag", w, layer - 1, v)])
                         for w in (v, *cfg.base.adjacency[v])
                     )
@@ -581,3 +624,79 @@ class TestSimplifiedKernel:
         assert diag.reopens == diag.stragglers_dropped == waves
         assert diag.stale_timers == diag.rate_filtered == diag.timeouts_first_arm == 0
         assert diag.alignment_enforced
+
+
+def engine_only_config(kind, seed):
+    """Runs that only the event engine can do (chain source, corrupted
+    start, perturbation, faults), on the inputs of one seed."""
+    cfg = base_config(m=8, layers=8, pulses=8, delay_seed=seed, clock_seed=seed + 10_000_019,
+                      source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=seed + 20_000_033))
+    caps = perturbation_caps(cfg.base.num_vertices * cfg.layers, cfg.base.diameter, PARAMS)
+    if kind == "chain":
+        return dataclasses.replace(cfg, layers=4, source=SourceMode(kind="chain"))
+    if kind in ("corrupt_all", "corrupt_half"):
+        spec = (CorruptionSpec(node_fraction=1.0, max_spurious_messages=8) if kind == "corrupt_all"
+                else CorruptionSpec(node_fraction=0.5, max_spurious_messages=4))
+        return dataclasses.replace(cfg, corruption=spec, corruption_seed=seed)
+    if kind == "perturb_delay":
+        return dataclasses.replace(
+            cfg, perturbation=PerturbationSpec(delay_magnitude=caps[0] / 2, seed=seed))
+    if kind == "perturb_faults":
+        behaviors = {
+            (5, 2): FaultBehavior(kind="fixed_offset", offset=PARAMS.lam / 8),
+            (2, 4): FaultBehavior(kind="burst", count=3, spacing=0.05, recipients=(1, 3)),
+            (8, 6): FaultBehavior(kind="scripted",
+                                  times=tuple(PARAMS.lam * (k + 6) + 0.001 for k in range(6))),
+            (4, 7): FaultBehavior(kind="per_pulse_offset",
+                                  offsets=(0.0, PARAMS.lam / 8, -PARAMS.lam / 8)),
+        }
+        return dataclasses.replace(
+            cfg, placement=FaultPlacement(behaviors=behaviors),
+            perturbation=PerturbationSpec(delay_magnitude=caps[0] / 2,
+                                          rate_magnitude=caps[1] / 2, seed=seed))
+    assert kind == "silent_nonstrict"
+    behaviors = {node: FaultBehavior(kind="silent") for node in ((6, 4), (8, 4), (3, 2))}
+    return dataclasses.replace(cfg, placement=FaultPlacement(behaviors=behaviors, strict=False))
+
+
+def run_digest(result) -> str:
+    """SHA-256 over every RunResult array, the diagnostics and the completion record."""
+    digest = hashlib.sha256()
+    for name in RUN_ARRAYS:
+        x = getattr(result, name)
+        digest.update(f"{name}{x.shape}{x.dtype}".encode())
+        digest.update(json.dumps(x.tolist()).encode() if x.dtype == object
+                      else np.ascontiguousarray(x).tobytes())
+    digest.update(json.dumps([dataclasses.asdict(result.diagnostics), result.completed,
+                              result.incomplete_nodes]).encode())
+    return digest.hexdigest()
+
+
+# Recorded before the event engine moved to integer node ids and flat lists.
+ENGINE_ONLY_DIGESTS = {
+    ("chain", 1): "f48e461ec758c1c5791c69367a42565f002ac184bd2d02fc2a93bf0a34fd3ba2",
+    ("chain", 2): "33f8852e76aecc11db6afd2732704ff5414d618d1949487c823383a5222abc1e",
+    ("chain", 3): "f8560fb34b79f0d5dfc237de0ee3579983e493025c3a9a3f169b6780fb819177",
+    ("corrupt_all", 1): "b3790f103746ba4b936779e1c82cb6ae1eebea0a8c82234c284202cdbbe4a171",
+    ("corrupt_all", 2): "66940ddda2f8aa9818299ce99cf6d4bed01782d0cec053784f98a6499c2307fe",
+    ("corrupt_all", 3): "9bd738adc8a564dd62313feda4a85752594862ac4f962ff33780c1027289af00",
+    ("corrupt_half", 1): "70cd618f57d8df13c2e67451889a039e34a22c4d7cd14f09a9bca00ad2120fff",
+    ("corrupt_half", 2): "0374ab1ec011bdabcc382a72ddeb55dc37e09a10e91395c1100f2e005d8190ea",
+    ("corrupt_half", 3): "a1be17b5ded2611a37ad21a10fe16ea97c5a8b70e4cc9df156adbc579d769ff2",
+    ("perturb_delay", 1): "c88ca9a4a2df88bcedeca77e2f82f89225e8e77bcb5de9bc02d095f3a30a351d",
+    ("perturb_delay", 2): "119e5d76c4bb6cfbc77e1901743f1bdb2cdd74307a0e4a801badf68e0af55418",
+    ("perturb_delay", 3): "6bdcf21f961500b243676ddd4445125e0b3216e381c79bfd5be4d180794820eb",
+    ("perturb_faults", 1): "899f62ed45bf84279d0236149f4fe26e15b58a49a87414aa679bdbb8ca46f39d",
+    ("perturb_faults", 2): "b73d703d2ab5ffd30776bc9a4271a90e8604102d128a6c188309dbc4fc8644a8",
+    ("perturb_faults", 3): "b8e1b5730216390eded3979596752f748782e9c14c958a36a973808e98aba466",
+    ("silent_nonstrict", 1): "e210ef65dee1a18cb2b6f1d4e7be1e72c0727eb4d7978179b124a327a4a522bc",
+    ("silent_nonstrict", 2): "a9e2120397a132fe5fe79098b35e3a211bb5c7a3bfc435b5e9d5cd0eeb22bf07",
+    ("silent_nonstrict", 3): "be8a06ed26e6844d7e6dabe68ba4e3b06c914539592fa5707e8d6a008ea06e15",
+}
+
+
+class TestEngineOnlyGolden:
+    @pytest.mark.parametrize("kind, seed", sorted(ENGINE_ONLY_DIGESTS),
+                             ids=[f"{k}-{s}" for k, s in sorted(ENGINE_ONLY_DIGESTS)])
+    def test_digest_pinned(self, kind, seed):
+        assert run_digest(run(engine_only_config(kind, seed))) == ENGINE_ONLY_DIGESTS[kind, seed]

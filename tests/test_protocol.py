@@ -13,11 +13,9 @@ from gridpulse.protocol import (
     Broadcast,
     ChainState,
     GcsState,
-    MessageArrival,
     Phase,
     SetTimer,
     SourceMode,
-    TimerExpiry,
     compute_correction,
     correction_scan_oracle,
     gcs_step,
@@ -132,7 +130,7 @@ def feed(state, params, arrivals, packed=True):
     for sender, h in arrivals:
         if packed and not first and h - state.last_accept >= quiet:
             state.last_accept = h - quiet / 2
-        _, a = gcs_step(state, MessageArrival(sender, state.layer - 1, state.iteration), h, params)
+        a = gcs_step(state, None, sender, state.layer - 1, h, params)
         acts.extend(a)
         first = False
     return acts
@@ -161,7 +159,7 @@ class TestFullMachine:
                       and a.local_time != math.inf]
         t_exit = thresholds[-1].local_time
         assert t_exit == pytest.approx(101.7)
-        _, acts2 = gcs_step(st_, TimerExpiry("threshold"), t_exit, params)
+        acts2 = gcs_step(st_, "threshold", None, None, t_exit, params)
         assert st_.correction == 0.0
         nominal = st_.h_own + params.lam - params.d - st_.correction
         assert nominal == pytest.approx(101.0)
@@ -181,7 +179,7 @@ class TestFullMachine:
         feed(st_, params, [(1, 49.9), (2, 50.0)])
         assert st_.h_own is None and st_.h_max == 50.0
         # threshold arm: 50 + kappa/2 + theta*kappa = 51.7
-        _, acts = gcs_step(st_, TimerExpiry("threshold"), 51.7, params)
+        acts = gcs_step(st_, "threshold", None, None, 51.7, params)
         assert st_.exit_arm == "timeout"
         assert pulse_target(acts) == pytest.approx(50.0 + 1.5 + 2.0 - 1.0)
 
@@ -191,7 +189,7 @@ class TestFullMachine:
         feed(st_, params, [(1, 8.0), (0, 10.0)])
         # loop exits at 2*10 - 8 + 2 = 14, last neighbor treated as absent;
         # the below-zero branch clamps at 0
-        _, acts = gcs_step(st_, TimerExpiry("threshold"), 14.0, params)
+        acts = gcs_step(st_, "threshold", None, None, 14.0, params)
         assert st_.exit_arm == "corrected"
         assert st_.correction == 0.0
         nominal = 10.0 + 2.0 - 1.0
@@ -209,8 +207,8 @@ class TestFullMachine:
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
         feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
-        gcs_step(st_, TimerExpiry("threshold"), 101.7, params)
-        _, acts = gcs_step(st_, TimerExpiry("pulse"), 101.0, params)
+        gcs_step(st_, "threshold", None, None, 101.7, params)
+        acts = gcs_step(st_, "pulse", None, None, 101.0, params)
         pulses = [a for a in acts if isinstance(a, Broadcast)]
         assert len(pulses) == 1 and pulses[0].pulse_index == 1
         assert st_.iteration == 2
@@ -238,27 +236,27 @@ class TestFullMachine:
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
         with pytest.raises(ProtocolError):
-            gcs_step(st_, MessageArrival(7, 0, 1), 5.0, params)
+            gcs_step(st_, None, 7, 0, 5.0, params)
 
 
 class TestChainMachine:
     def test_reception_schedules_forward(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = ChainState(vertex=3)
-        _, acts = layer0_step(st_, MessageArrival(2, 0, 1), 50.0, params)
+        acts = layer0_step(st_, None, 50.0, params)
         assert acts == [SetTimer("pulse", 51.0)]
 
     def test_later_reception_reschedules(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = ChainState(vertex=3)
-        layer0_step(st_, MessageArrival(2, 0, 1), 50.0, params)
-        _, acts = layer0_step(st_, MessageArrival(2, 0, 1), 50.4, params)
+        layer0_step(st_, None, 50.0, params)
+        acts = layer0_step(st_, None, 50.4, params)
         assert acts == [SetTimer("pulse", 51.4)]
 
     def test_pulse_increments_iteration(self):
         params = PARAMS_TOY
         st_ = ChainState(vertex=3)
-        _, acts = layer0_step(st_, TimerExpiry("pulse"), 51.0, params)
+        acts = layer0_step(st_, "pulse", 51.0, params)
         assert [a for a in acts if isinstance(a, Broadcast)][0].pulse_index == 1
         assert st_.iteration == 2
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridpulse.errors import ConfigurationError
 from gridpulse.timing import (
-    HardwareClock,
     Params,
     derive_kappa,
     local_skew_budget,
@@ -85,31 +85,6 @@ class TestValidateParams:
         assert validate_params(p, 1000) == []
 
 
-class TestHardwareClock:
-    def test_identity(self):
-        c = HardwareClock(rate=1.0, offset=0.0)
-        assert c.local(7.5) == 7.5
-
-    def test_affine(self):
-        c = HardwareClock(rate=1.2, offset=3.0)
-        assert c.local(10.0) == pytest.approx(15.0)
-        assert c.real(15.0) == pytest.approx(10.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.floats(min_value=1.0, max_value=2.0),
-        st.floats(min_value=-10, max_value=10),
-        st.floats(min_value=-1e6, max_value=1e6),
-    )
-    def test_inverse_round_trip(self, rate, offset, t):
-        c = HardwareClock(rate=rate, offset=offset)
-        assert c.real(c.local(t)) == pytest.approx(t, abs=1e-12 * max(1.0, abs(t)))
-
-    def test_sub_unit_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HardwareClock(rate=0.99)
-
-
 @pytest.fixture(scope="module")
 def small_world():
     base = build_line_with_replicated_ends(4)
@@ -179,9 +154,35 @@ class TestClocks:
         base = build_line_with_replicated_ends(3)
         graph = build_layered(base, 3)
         params = Params.derive(d=1.0, u=0.1, theta=1.3, lam=3.0)
-        clocks = sample_clocks(graph, params, "uniform", seed)
-        assert all(1.0 <= c.rate <= params.theta for c in clocks.values())
-        assert all(0.0 <= c.offset <= params.lam for c in clocks.values())
+        rate, offset = sample_clocks(graph, params, "uniform", seed)
+        assert rate.shape == offset.shape == (3, base.num_vertices)
+        assert np.all((1.0 <= rate) & (rate <= params.theta))
+        assert np.all((0.0 <= offset) & (offset <= params.lam))
+
+    def test_uniform_draw_order(self, small_world):
+        """A rate and then an offset per node, nodes in (layer, vertex) order."""
+        graph, params = small_world
+        rate, offset = sample_clocks(graph, params, "uniform", seed=5)
+        rng = random.Random(5)
+        for layer in range(graph.num_layers):
+            for v in graph.base.vertices:
+                assert rate[layer, v] == rng.uniform(1.0, params.theta)
+                assert offset[layer, v] == rng.uniform(0.0, params.lam)
+
+    def test_all_one_is_identity(self, small_world):
+        graph, params = small_world
+        rate, offset = sample_clocks(graph, params, "all-one", seed=0)
+        assert np.all(rate == 1.0) and np.all(offset == 0.0)
+
+    def test_all_max_runs_at_theta(self, small_world):
+        graph, params = small_world
+        rate, offset = sample_clocks(graph, params, "all-max", seed=0)
+        assert np.all(rate == params.theta) and np.all(offset == 0.0)
+
+    def test_unknown_strategy_rejected(self, small_world):
+        graph, params = small_world
+        with pytest.raises(ConfigurationError, match="unknown clock strategy"):
+            sample_clocks(graph, params, "fast", seed=0)
 
 
 class TestMeasurementErrorBound:
