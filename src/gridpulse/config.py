@@ -20,7 +20,7 @@ from .engine import CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
 from .protocol import SourceMode
-from .timing import DELAY_STRATEGIES, Params
+from .timing import DELAY_STRATEGIES, Params, delay_keys
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
 __all__ = [
@@ -146,10 +146,17 @@ def _params(doc: dict) -> Params:
     )
 
 
-def _delay_map(rows) -> dict | None:
-    """``delays.map`` rows [*edge key, delay], e.g. [dag, v, layer, w, delay]."""
-    if rows is None:
+def _delay_map(rows, strategy: str, base: BaseGraph, layers: int) -> dict | None:
+    """``delays.map`` rows [*edge key, delay], e.g. [dag, v, layer, w, delay]:
+    read under custom-map only, at most one row per edge of the layered graph."""
+    if strategy != "custom-map":
+        if rows is not None:
+            raise ConfigurationError(f"delays.map: read only under strategy custom-map, "
+                                     f"not {strategy!r}")
         return None
+    if rows is None:
+        raise ConfigurationError("delays.map: required by strategy custom-map")
+    edges = set(delay_keys(build_layered(base, layers)))
     delays = {}
     for i, row in enumerate(_list(rows, "delays.map")):
         if not (isinstance(row, list) and len(row) in (4, 5) and row[0] in ("dag", "chain")
@@ -157,7 +164,12 @@ def _delay_map(rows) -> dict | None:
                 and isinstance(row[-1], (int, float))):
             raise ConfigurationError(f"delays.map[{i}]: expected [dag, v, layer, w, delay] or "
                                      f"[chain, hop, w, delay], got {row!r}")
-        delays[tuple(row[:-1])] = float(row[-1])
+        key = tuple(row[:-1])
+        if key not in edges:
+            raise ConfigurationError(f"delays.map[{i}]: the layered graph has no edge {key}")
+        if key in delays:
+            raise ConfigurationError(f"delays.map[{i}]: a second row for edge {key}")
+        delays[key] = float(row[-1])
     return delays
 
 
@@ -259,7 +271,7 @@ def build_run_config(doc: dict) -> RunConfig:
         pulses=_value(doc, "pulses", int),
         delay_strategy=strategy,
         delay_seed=_value(delays, "delays.seed", int, 0),
-        custom_delays=_delay_map(delays.get("map")),
+        custom_delays=_delay_map(delays.get("map"), strategy, base, layers),
         clock_strategy=clocks.get("strategy", "uniform"),
         clock_seed=_value(clocks, "clocks.seed", int, 0),
         placement=_placement(doc, base, layers),

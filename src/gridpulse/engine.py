@@ -15,7 +15,8 @@ and shared by the kernel, the event queue and a fault-free twin.
 Inside the event queue, node (v, layer) is the integer id ``layer * n + v``.
 Clock rates and offsets, state machines, timer versions and pulse counts
 are flat lists indexed by it; each node's broadcast receivers are
-precomputed once per run, with their delays in a flat list indexed by edge.
+precomputed once per run, with their delays in a flat list indexed by edge:
+``i * width + j`` for slot j of node i, then the chain hops.
 The main loop calls ``gcs_step`` and ``layer0_step`` with plain arguments
 and dispatches on the class of the actions they return.
 """
@@ -47,7 +48,7 @@ from .protocol import (
     ideal_source_times,
     layer0_step,
 )
-from .timing import Params, sample_clocks, sample_delays, validate_params
+from .timing import Params, chain_edges, sample_clocks, sample_delays, validate_params
 from .topology import BaseGraph, LayeredGraph, build_layered
 
 __all__ = [
@@ -272,7 +273,8 @@ class _Inputs(NamedTuple):
 
     graph: LayeredGraph
     validation: list[str]
-    delays: dict  # edge key -> delay, as sample_delays returns it
+    dag: np.ndarray  # [layer, vertex, slot] delays, as sample_delays returns them
+    chain: np.ndarray  # the chain hops' delays
     rate: np.ndarray  # [layer, vertex]
     offset: np.ndarray  # [layer, vertex]
 
@@ -280,11 +282,11 @@ class _Inputs(NamedTuple):
 def _sample_inputs(config: RunConfig) -> _Inputs:
     graph = build_layered(config.base, config.layers)
     validation = validate_params(config.params, config.base.diameter)
-    delays = sample_delays(graph, config.params, config.delay_strategy,
-                           seed=config.delay_seed, custom=config.custom_delays).delays
+    dag, chain = sample_delays(graph, config.params, config.delay_strategy,
+                               seed=config.delay_seed, custom=config.custom_delays)
     rate, offset = sample_clocks(graph, config.params, config.clock_strategy,
                                  seed=config.clock_seed)
-    return _Inputs(graph, validation, delays, rate, offset)
+    return _Inputs(graph, validation, dag, chain, rate, offset)
 
 
 def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
@@ -314,7 +316,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     """
     full = config.machine == "full"
     base, params = config.base, config.params
-    validation, delays, rate, offset = inputs.validation, inputs.delays, inputs.rate, inputs.offset
+    validation, dag, rate, offset = inputs.validation, inputs.dag, inputs.rate, inputs.offset
     L, K, n = config.layers, config.pulses, base.num_vertices
     # inputs[v] = (v, neighbors...); the padding slots j >= deg + 1 are not real
     degree = np.array([len(nbrs) for nbrs in base.adjacency])
@@ -322,6 +324,10 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     inputs = np.array([(v, *nbrs) + (v,) * (width - 1 - len(nbrs))
                        for v, nbrs in enumerate(base.adjacency)])
     real = np.arange(width) < degree[:, None] + 1
+    # delays[l, v, k]: the edge from (inputs[v][k], l) to (v, l+1), read from its slot
+    slots = base.slots
+    delays = dag.reshape(L - 1, n * width)[:, [[w * width + slots[w].index(v) for w in row]
+                                                for v, row in enumerate(inputs.tolist())]]
     last_slot = np.broadcast_to(degree[:, None], (K, n, 1))
     quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
 
@@ -336,9 +342,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     pushes = pushed_waves = stragglers = early_exits = 0
     for layer in range(1, L):
         off, rt = offset[layer], rate[layer]
-        delay = np.array([[delays[("dag", w, layer - 1, v)] for w in inputs[v]]
-                          for v in base.vertices])
-        arrival = np.where(real, times[layer - 1][:, inputs] + delay, np.inf)
+        arrival = np.where(real, times[layer - 1][:, inputs] + delays[layer - 1], np.inf)
         order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, slot]
         a = np.take_along_axis(arrival, order, axis=-1)
         # padding repeats the last arrival: no gap, minimum or maximum moves
@@ -528,8 +532,9 @@ class _Engine:
     """One run on the event queue, over the flat node ids ``layer * n + v``.
 
     ``successors[i]`` lists the (receiver layer, receiver vertex, edge index)
-    triples of node i's broadcast. ``delay[e]`` is the delay of edge e, with
-    edges in sorted key order, the order ``perturb_between_pulses`` draws in.
+    triples of node i's broadcast. ``delay[e]`` is the delay of edge e: the
+    [layer, vertex, slot] table flattened, so slot j of node i is edge
+    ``i * width + j``, then the chain hops.
     """
 
     def __init__(self, config: RunConfig, inputs: _Inputs, nominal: RunResult | None):
@@ -541,11 +546,14 @@ class _Engine:
         nodes = n * config.layers
         members = config.placement.members
         self.faulty = [(i % n, i // n) in members for i in range(nodes)]
-        self.delay_keys = sorted(inputs.delays)
-        self.delay = [inputs.delays[key] for key in self.delay_keys]
+        self.delay = inputs.dag.ravel().tolist() + inputs.chain.tolist()
+        # (edge index, hop, target) of each chain hop
+        self.chain = [(e, hop, w) for e, (_, hop, w)
+                      in enumerate(chain_edges(inputs.graph), start=inputs.dag.size)]
         self.rate = inputs.rate.ravel().tolist()
         self.offset = inputs.offset.ravel().tolist()
-        self.successors = self._successors()
+        width = inputs.dag.shape[-1]
+        self.successors = self._successors(width)
 
         self.enforce_alignment = _auto_alignment(config, self.validation)
         self.heap: list = []
@@ -558,12 +566,19 @@ class _Engine:
         self.snapshot_rows: list = []
         self.wave_next = 1  # the perturbation wave that waits for every correct node
         if config.perturbation is not None:
-            self.caps = perturbation_caps(nodes, config.base.diameter, config.params)
-            if (config.perturbation.delay_magnitude > self.caps[0]
-                    or config.perturbation.rate_magnitude > self.caps[1]):
+            caps = perturbation_caps(nodes, config.base.diameter, config.params)
+            if (config.perturbation.delay_magnitude > caps[0]
+                    or config.perturbation.rate_magnitude > caps[1]):
                 raise ConfigurationError(
-                    f"perturbation magnitudes exceed caps {self.caps}"
+                    f"perturbation magnitudes exceed caps {caps}"
                 )
+            # the draw order: chain hops, then the real slots and the rates,
+            # both vertex-major
+            slots, layers = config.base.slots, range(config.layers)
+            self.delay_order = [e for e, _, _ in self.chain] + [
+                (layer * n + v) * width + j
+                for v in range(n) for layer in layers[:-1] for j in range(len(slots[v]))]
+            self.rate_order = [layer * n + v for v in range(n) for layer in layers]
 
         self._seed_sources()
         self._seed_fault_emissions()
@@ -586,26 +601,18 @@ class _Engine:
             return ChainState(vertex=v) if cfg.source.kind == "chain" else None
         return GcsState(vertex=v, layer=layer, neighbors=cfg.base.adjacency[v])
 
-    def _successors(self) -> list:
-        """Receivers of each node's broadcast: the dag receivers in sorted
-        vertex order, then, on a chain source, the chain hops."""
-        cfg = self.cfg
-        base, layers = cfg.base, cfg.layers
-        edge = {key: e for e, key in enumerate(self.delay_keys)}
-        out = [
-            [(layer + 1, w, edge[("dag", v, layer, w)])
-             for w in sorted((v, *base.adjacency[v]))] if layer + 1 < layers else []
-            for layer in range(layers) for v in base.vertices
-        ]
+    def _successors(self, width: int) -> list:
+        """Receivers of each node's broadcast: the dag receivers in slot
+        order, then, on a chain source, the chain hops."""
+        cfg, n = self.cfg, self.nv
+        slots = cfg.base.slots
+        out = [[(i // n + 1, w, i * width + j) for j, w in enumerate(slots[i % n])]
+               for i in range((cfg.layers - 1) * n)] + [[] for _ in range(n)]
         if cfg.source.kind == "chain":
-            info = base.line_info
-            line = info.line
-            for pos, v in enumerate(line, start=1):  # chain position of this sender
-                if pos < len(line):
-                    out[v].append((0, line[pos], edge[("chain", pos, line[pos])]))
-                if pos == len(line) - 1:
-                    out[v] += [(0, target, edge[("chain", pos, target)])
-                               for target in sorted(info.end_replicas)]
+            line = cfg.base.line_info.line
+            for e, hop, w in self.chain:
+                if hop:  # hop h >= 1 is sent by the line's h-th vertex
+                    out[line[hop - 1]].append((0, w, e))
         return out
 
     def _push(self, time: float, rvertex: int, rlayer: int, kind: int,
@@ -641,14 +648,11 @@ class _Engine:
                     self._deliver(v, t, k)
                 self.emitted[v] = cfg.pulses
         else:
-            info = base.line_info
-            first = info.line[0]
-            delay = dict(zip(self.delay_keys, self.delay))
             for k in range(1, cfg.pulses + 1):
                 t = (k - 1) * self.params.lam
-                for target in sorted((first, *info.start_replicas)):
-                    self._push(t + delay[("chain", 0, target)], target, 0, _KIND_MESSAGE,
-                               -1, (-1, k))
+                for e, hop, target in self.chain:
+                    if hop == 0:  # sent by the pulse source
+                        self._push(t + self.delay[e], target, 0, _KIND_MESSAGE, -1, (-1, k))
 
     def _seed_fault_emissions(self) -> None:
         cfg = self.cfg
@@ -731,21 +735,13 @@ class _Engine:
         """Redraw delays and rates in place, where the main loop and ``_deliver``
         read them."""
         spec = self.cfg.perturbation
-        n = self.nv
-        nodes = [(i % n, i // n) for i in range(len(self.rate))]
-        delays, rates = perturb_between_pulses(
-            dict(zip(self.delay_keys, self.delay)), dict(zip(nodes, self.rate)),
-            (spec.delay_magnitude, spec.rate_magnitude), pulse_index, spec.seed,
-            self.params, self.caps,
-        )
-        self.delay[:] = [delays[key] for key in self.delay_keys]
-        if spec.rate_magnitude > 0.0:
-            rate, offset = self.rate, self.offset
-            for i, node in enumerate(nodes):
-                # continuous local time across the rate switch
-                h_now = offset[i] + rate[i] * t_now
-                rate[i] = rates[node]
-                offset[i] = h_now - rate[i] * t_now
+        rate, offset = self.rate, self.offset
+        h_now = [o + r * t_now for o, r in zip(offset, rate)]
+        perturb_between_pulses(self.delay, rate, self.delay_order, self.rate_order,
+                               (spec.delay_magnitude, spec.rate_magnitude), pulse_index,
+                               spec.seed, self.params)
+        if spec.rate_magnitude > 0.0:  # continuous local time across the rate switch
+            offset[:] = [h - r * t_now for h, r in zip(h_now, rate)]
 
     # -- main loop ----------------------------------------------------------
 

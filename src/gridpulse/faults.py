@@ -169,34 +169,26 @@ def perturbation_caps(n: int, diameter: int, params: Params) -> tuple[float, flo
 
 
 def perturb_between_pulses(
-    delays: dict,
-    rates: dict,
+    delays: list,
+    rates: list,
+    delay_order: list,
+    rate_order: list,
     magnitudes: tuple[float, float],
     pulse_index: int,
     seed: int,
     params: Params,
-    caps: tuple[float, float],
-) -> tuple[dict, dict]:
-    """Perturbed copies of the delay and rate tables for one pulse boundary.
+) -> None:
+    """Redraw the delays and rates in place at one pulse boundary.
 
-    Draws are uniform in +-magnitude, clamped back into [d-u, d] and
-    [1, theta]; magnitudes beyond the caps are a configuration error.
+    ``delays[e]`` for each e in ``delay_order``, then ``rates[i]`` for each i
+    in ``rate_order``, moves by a uniform draw in +-magnitude and is clamped
+    back into [d-u, d] and [1, theta]. The draws come from one stream per
+    (seed, pulse_index), in that order.
     """
     delay_mag, rate_mag = magnitudes
-    if delay_mag < 0 or rate_mag < 0:
-        raise ConfigurationError("perturbation magnitudes must be >= 0")
-    if delay_mag > caps[0] or rate_mag > caps[1]:
-        raise ConfigurationError(
-            f"perturbation magnitudes {magnitudes} exceed caps {caps}"
-        )
     rng = random.Random(seed * 1_000_003 + pulse_index)
     lo, hi = params.d - params.u, params.d
-    new_delays = {}
-    for key in sorted(delays):
-        val = delays[key] + rng.uniform(-delay_mag, delay_mag)
-        new_delays[key] = min(max(val, lo), hi)
-    new_rates = {}
-    for key in sorted(rates):
-        val = rates[key] + rng.uniform(-rate_mag, rate_mag)
-        new_rates[key] = min(max(val, 1.0), params.theta)
-    return new_delays, new_rates
+    for e in delay_order:
+        delays[e] = min(max(delays[e] + rng.uniform(-delay_mag, delay_mag), lo), hi)
+    for i in rate_order:
+        rates[i] = min(max(rates[i] + rng.uniform(-rate_mag, rate_mag), 1.0), params.theta)

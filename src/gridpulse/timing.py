@@ -1,7 +1,8 @@
 """Timing model: protocol constants, static per-edge delays, static-rate clocks.
 
 All quantities are real-valued; times are IEEE doubles. Delays are fixed for
-a whole run and drawn from [d-u, d]; hardware clocks are affine with rate in
+a whole run and drawn from [d-u, d], sampled as a [layer, vertex, slot]
+array plus a vector of chain hops; hardware clocks are affine with rate in
 [1, theta] and an arbitrary phase, sampled as [layer, vertex] rate and
 offset arrays.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,9 @@ from .errors import ConfigurationError
 from .topology import LayeredGraph
 
 __all__ = [
-    "DelayAssignment",
     "Params",
+    "chain_edges",
+    "delay_keys",
     "derive_kappa",
     "local_skew_budget",
     "sample_clocks",
@@ -137,51 +139,25 @@ def sample_clocks(graph: LayeredGraph, params: Params, strategy: str,
     raise ConfigurationError(f"unknown clock strategy {strategy!r}")
 
 
-def _chain_edges(graph: LayeredGraph) -> list[tuple]:
+def chain_edges(graph: LayeredGraph) -> list[tuple]:
+    """The chain source's layer-0 hops ("chain", hop, w); hop h >= 1 is sent
+    by the line's h-th vertex."""
     info = graph.base.line_info
     if info is None:
         return []
-    edges: list[tuple] = []
-    first = info.line[0]
-    for target in sorted((first, *info.start_replicas)):
-        edges.append(("chain", 0, target))
-    for pos, sender in enumerate(info.line[:-1], start=1):
-        edges.append(("chain", pos, info.line[pos]))
-    if len(info.line) >= 2:
-        feeder_pos = len(info.line) - 1
-        for target in sorted(info.end_replicas):
-            edges.append(("chain", feeder_pos, target))
-    return edges
+    line = info.line
+    return ([("chain", 0, w) for w in sorted((line[0], *info.start_replicas))]
+            + [("chain", hop, w) for hop, w in enumerate(line[1:], start=1)]
+            + [("chain", len(line) - 1, w) for w in sorted(info.end_replicas)])
 
 
-def dag_edges(graph: LayeredGraph) -> list[tuple]:
-    """Directed layered edges in deterministic order."""
-    edges: list[tuple] = []
-    for layer in range(graph.num_layers - 1):
-        for v in graph.base.vertices:
-            for w in sorted((v, *graph.base.adjacency[v])):
-                edges.append(("dag", v, layer, w))
-    return edges
-
-
-@dataclass(frozen=True)
-class DelayAssignment:
-    """Static delay per directed edge (layered edges plus layer-0 chain hops)."""
-
-    d: float
-    u: float
-    delays: dict = field(repr=False)
-
-    def __post_init__(self) -> None:
-        lo, hi = self.d - self.u, self.d
-        for key, value in self.delays.items():
-            if not lo <= value <= hi:
-                raise ConfigurationError(
-                    f"delay {value!r} for edge {key} outside [{lo!r}, {hi!r}]"
-                )
-
-    def __getitem__(self, key) -> float:
-        return self.delays[key]
+def delay_keys(graph: LayeredGraph) -> list[tuple]:
+    """Every edge's ``delays.map`` key in draw order: the layered edges
+    ("dag", v, layer, w) in the C order of the [layer, vertex, slot] table,
+    then the chain hops."""
+    slots = graph.base.slots
+    return [("dag", v, layer, w) for layer in range(graph.num_layers - 1)
+            for v in graph.base.vertices for w in slots[v]] + chain_edges(graph)
 
 
 def sample_delays(
@@ -190,30 +166,45 @@ def sample_delays(
     strategy: str,
     seed: int = 0,
     custom: dict | None = None,
-) -> DelayAssignment:
-    """Draw one fixed delay per edge; deterministic for a given seed."""
-    keys = dag_edges(graph) + _chain_edges(graph)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one fixed delay per edge, in ``delay_keys`` order; deterministic
+    for a given seed.
+
+    Returns ``dag``, a [layer, vertex, slot] array whose entry [l, v, j] is
+    the delay from (v, l) to (slots[v][j], l+1) (NaN past slot deg(v)), and
+    ``chain``, the chain hops' delays in ``chain_edges`` order.
+    """
+    keys = delay_keys(graph)
     lo, hi = params.d - params.u, params.d
-    delays: dict = {}
     if strategy == "uniform-random":
         rng = random.Random(seed)
-        for key in keys:
-            delays[key] = rng.uniform(lo, hi)
+        values = [rng.uniform(lo, hi) for _ in keys]
     elif strategy == "all-min":
-        delays = {key: lo for key in keys}
+        values = [lo] * len(keys)
     elif strategy == "all-max":
-        delays = {key: hi for key in keys}
+        values = [hi] * len(keys)
     elif strategy == "per-layer-alternating":
-        for key in keys:
-            layer = key[2] if key[0] == "dag" else key[1]
-            delays[key] = lo if layer % 2 == 0 else hi
+        values = [lo if (key[2] if key[0] == "dag" else key[1]) % 2 == 0 else hi
+                  for key in keys]
     elif strategy == "custom-map":
         if custom is None:
             raise ConfigurationError("custom-map strategy needs an explicit delay map")
         missing = [key for key in keys if key not in custom]
         if missing:
             raise ConfigurationError(f"custom delay map misses {len(missing)} edges, e.g. {missing[0]}")
-        delays = {key: float(custom[key]) for key in keys}
+        values = np.array([custom[key] for key in keys], dtype=float)
+        bad = np.flatnonzero(~((lo <= values) & (values <= hi)))
+        if bad.size:
+            raise ConfigurationError(f"delay {float(values[bad[0]])!r} for edge {keys[bad[0]]} "
+                                     f"outside [{lo!r}, {hi!r}]")
     else:
         raise ConfigurationError(f"unknown delay strategy {strategy!r}")
-    return DelayAssignment(d=params.d, u=params.u, delays=delays)
+    values = np.array(values, dtype=float)
+    slots = graph.base.slots
+    width = max(map(len, slots))
+    real = np.array([[j < len(row) for j in range(width)] for row in slots])  # [vertex, slot]
+    real = np.broadcast_to(real, (graph.num_layers - 1, *real.shape))
+    count = int(real.sum())
+    dag = np.full(real.shape, np.nan)
+    dag[real] = values[:count]
+    return dag, values[count:]

@@ -20,7 +20,6 @@ __all__ = [
     "LineInfo",
     "build_layered",
     "build_line_with_replicated_ends",
-    "distance",
     "from_edges",
 ]
 
@@ -63,16 +62,12 @@ class BaseGraph:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < len(self.vertices)):
-            raise ConfigurationError(f"unknown vertex: {v!r}")
+    @property
+    def slots(self) -> tuple[tuple[int, ...], ...]:
+        """The slot table: ``slots[v] = sorted((v, *adjacency[v]))``. Node
+        (v, l) feeds (w, l+1) exactly for w in ``slots[v]``, and slot j of its
+        delay row is the edge to ``slots[v][j]``."""
+        return tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(self.adjacency))
 
 
 def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
@@ -164,13 +159,6 @@ def from_edges(edges: list[tuple[int, int]]) -> BaseGraph:
     return _finalize(n, seen, None)
 
 
-def distance(base: BaseGraph, v: int, w: int) -> int:
-    """Hop distance between two vertices of the base graph."""
-    base._check_vertex(v)
-    base._check_vertex(w)
-    return base.distance_table[v][w]
-
-
 @dataclass(frozen=True)
 class LayeredGraph:
     """Layered DAG over a base graph: layers 0 .. num_layers-1.
@@ -185,37 +173,6 @@ class LayeredGraph:
     def __post_init__(self) -> None:
         if self.num_layers < 1:
             raise ConfigurationError(f"layer count must be >= 1, got {self.num_layers}")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.base.num_vertices * self.num_layers
-
-    def nodes(self):
-        for layer in range(self.num_layers):
-            for v in self.base.vertices:
-                yield (v, layer)
-
-    def _check_node(self, node: tuple[int, int]) -> None:
-        v, layer = node
-        self.base._check_vertex(v)
-        if not 0 <= layer < self.num_layers:
-            raise ConfigurationError(f"layer {layer} outside 0..{self.num_layers - 1}")
-
-    def predecessors(self, node: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        self._check_node(node)
-        v, layer = node
-        if layer == 0:
-            return ()
-        prev = layer - 1
-        return tuple(sorted((w, prev) for w in (v, *self.base.adjacency[v])))
-
-    def successors(self, node: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        self._check_node(node)
-        v, layer = node
-        if layer == self.num_layers - 1:
-            return ()
-        nxt = layer + 1
-        return tuple(sorted((w, nxt) for w in (v, *self.base.adjacency[v])))
 
 
 def build_layered(base: BaseGraph, layers: int) -> LayeredGraph:

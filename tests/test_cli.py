@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import gridpulse
+
 from gridpulse.cli import main
 from gridpulse.config import load_config, run_document
-from gridpulse.timing import sample_delays
+from gridpulse.timing import delay_keys, sample_delays
 from gridpulse.topology import build_layered
 
 BASE_DOC = {
@@ -52,6 +59,30 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert read_all(out1) == read_all(out2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_byte_identical_across_processes(self, tmp_path, seed):
+        """The README's run config (faults, corrupted start, perturbation) gives
+        the same five files in two processes with different string hashing."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        doc = yaml.safe_load(re.search(r"```yaml\n(schema:.*?)```", readme, re.S).group(1))
+        for section in ("source", "delays", "clocks", "corruption", "perturbation"):
+            doc[section] = dict(doc[section], seed=seed)
+        cfg = write_config(tmp_path, doc)
+        src = str(Path(gridpulse.__file__).resolve().parent.parent)
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"out{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from gridpulse.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "run", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode in (0, 1), proc.stderr
+            runs.append((proc.returncode, read_all(out)))
+        assert len(runs[0][1]) == 5
+        assert runs[0] == runs[1]
 
     def test_invalid_regime_exit_two(self, tmp_path, capsys):
         doc = dict(BASE_DOC, params=dict(BASE_DOC["params"], Lambda=1.0001))
@@ -164,9 +195,10 @@ class TestVerify:
         assert main(["run", "--config", str(write_config(tmp_path, BASE_DOC)),
                      "--out", str(drawn)]) == 0
         cfg = load_config(tmp_path / "run.yaml")
-        delays = sample_delays(build_layered(cfg.base, cfg.layers), cfg.params,
-                               "uniform-random", seed=cfg.delay_seed).delays
-        rows = [[*key, value] for key, value in delays.items()]
+        graph = build_layered(cfg.base, cfg.layers)
+        dag, chain = sample_delays(graph, cfg.params, "uniform-random", seed=cfg.delay_seed)
+        values = [*dag[~np.isnan(dag)].tolist(), *chain.tolist()]  # the real slots, in C order
+        rows = [[*key, value] for key, value in zip(delay_keys(graph), values)]
         doc = dict(BASE_DOC, delays={"strategy": "custom-map", "map": rows})
         mapped = tmp_path / "mapped"
         assert main(["run", "--config", str(write_config(tmp_path, doc, "map.yaml")),

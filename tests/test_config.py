@@ -13,7 +13,7 @@ from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement, validate_placement
 from gridpulse.protocol import SourceMode
-from gridpulse.timing import DELAY_STRATEGIES, Params, sample_delays
+from gridpulse.timing import DELAY_STRATEGIES, Params, delay_keys
 from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 
 DOC = {
@@ -82,7 +82,7 @@ def run_configs(draw):
     strategy = draw(st.sampled_from(DELAY_STRATEGIES))
     custom = None
     if strategy == "custom-map":
-        keys = sample_delays(build_layered(base, layers), params, "all-min").delays  # dag and chain
+        keys = delay_keys(build_layered(base, layers))  # dag and chain
         custom = {key: draw(st.floats(params.d - params.u, params.d)) for key in keys}
     vertices = base.num_vertices
     nodes = [] if simplified else draw(st.lists(
@@ -169,6 +169,13 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"params": {"d": 1.0, "u": 0.002, "theta": 1.0002}}, "params.Lambda"),
     ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {"kind": "burst"}}]}},
      r"faults.placement\[0\].behavior"),
+    # delays.map names known edges, once each, and only under custom-map
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 99, 0, 0, 1.0]]}}, r"delays.map\[0\]"),
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 0.999],
+                                                    ["dag", 0, 0, 0, 0.999]]}},
+     r"delays.map\[1\]"),
+    ({"delays": {"strategy": "uniform-random", "map": [["dag", 0, 0, 0, 0.999]]}}, "delays.map"),
+    ({"delays": {"strategy": "custom-map"}}, "delays.map"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):

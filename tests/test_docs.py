@@ -1,4 +1,5 @@
-"""Every run config documented in the README and the config reference loads."""
+"""Every run config documented in the README and the config reference loads
+and runs, and the README's library example executes."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gridpulse import engine
 from gridpulse.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +37,20 @@ def test_documented_run_config_loads(tmp_path, block):
     path.write_text(block)
     cfg = load_config(path)
     assert cfg.source.jitter <= cfg.params.kappa / 4
+
+
+@pytest.mark.parametrize("block", run_config_blocks())
+def test_documented_run_config_runs(tmp_path, block):
+    path = tmp_path / "run.yaml"
+    path.write_text(block)
+    cfg = load_config(path)
+    result = engine.run(cfg)
+    assert result.completed
+    assert result.counts.shape == (cfg.layers, cfg.base.num_vertices)
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) >= 0.0

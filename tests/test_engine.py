@@ -28,8 +28,8 @@ from gridpulse.engine import (
 from gridpulse.errors import ConfigurationError, ProtocolError
 from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps
 from gridpulse.protocol import SourceMode
-from gridpulse.timing import (DELAY_STRATEGIES, Params, sample_clocks, sample_delays,
-                              validate_params)
+from gridpulse.timing import (DELAY_STRATEGIES, Params, delay_keys, sample_clocks,
+                              sample_delays, validate_params)
 from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 from gridpulse import analysis
 
@@ -418,7 +418,7 @@ def clean_configs(draw, machine="simplified", wide=False):
     strategy = draw(st.sampled_from(DELAY_STRATEGIES))
     custom = None
     if strategy == "custom-map":
-        keys = sample_delays(build_layered(base, layers), params, "all-min").delays
+        keys = delay_keys(build_layered(base, layers))
         custom = {key: draw(st.floats(params.d - params.u, params.d)) for key in keys}
     return RunConfig(
         base=base, layers=layers, params=params,
@@ -564,7 +564,8 @@ class TestSimplifiedKernel:
                           source=SourceMode(kind="ideal"), machine="simplified")
         res = run(cfg)
         graph = build_layered(cfg.base, cfg.layers)
-        delays = sample_delays(graph, params, "uniform-random", seed=1)
+        dag, _ = sample_delays(graph, params, "uniform-random", seed=1)
+        slots = cfg.base.slots
         rate, offset = sample_clocks(graph, params, "uniform", seed=1)
         clamped = 0
         for layer in range(1, cfg.layers):
@@ -572,7 +573,7 @@ class TestSimplifiedKernel:
                 for k in range(cfg.pulses):
                     last = max(
                         offset[layer, v] + rate[layer, v] * (
-                            res.times[layer - 1, k, w] + delays[("dag", w, layer - 1, v)])
+                            res.times[layer - 1, k, w] + dag[layer - 1, w, slots[w].index(v)])
                         for w in (v, *cfg.base.adjacency[v])
                     )
                     assert res.exit_local[layer, k, v] == last
@@ -634,6 +635,18 @@ def engine_only_config(kind, seed):
     caps = perturbation_caps(cfg.base.num_vertices * cfg.layers, cfg.base.diameter, PARAMS)
     if kind == "chain":
         return dataclasses.replace(cfg, layers=4, source=SourceMode(kind="chain"))
+    if kind == "chain_perturb":  # the chain hops come first in the perturbation draws
+        return dataclasses.replace(
+            cfg, layers=4, source=SourceMode(kind="chain"),
+            perturbation=PerturbationSpec(delay_magnitude=caps[0] / 2,
+                                          rate_magnitude=caps[1] / 2, seed=seed))
+    if kind == "edge_list_perturb":  # degrees 3, 2, 3, 4, 2, 2: ragged delay rows
+        base = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 3)])
+        caps = perturbation_caps(base.num_vertices * cfg.layers, base.diameter, PARAMS)
+        return dataclasses.replace(
+            cfg, base=base,
+            perturbation=PerturbationSpec(delay_magnitude=caps[0] / 2,
+                                          rate_magnitude=caps[1] / 2, seed=seed))
     if kind in ("corrupt_all", "corrupt_half"):
         spec = (CorruptionSpec(node_fraction=1.0, max_spurious_messages=8) if kind == "corrupt_all"
                 else CorruptionSpec(node_fraction=0.5, max_spurious_messages=4))
@@ -692,6 +705,13 @@ ENGINE_ONLY_DIGESTS = {
     ("silent_nonstrict", 1): "e210ef65dee1a18cb2b6f1d4e7be1e72c0727eb4d7978179b124a327a4a522bc",
     ("silent_nonstrict", 2): "a9e2120397a132fe5fe79098b35e3a211bb5c7a3bfc435b5e9d5cd0eeb22bf07",
     ("silent_nonstrict", 3): "be8a06ed26e6844d7e6dabe68ba4e3b06c914539592fa5707e8d6a008ea06e15",
+    # Recorded before the delays became dense [layer, vertex, slot] tables.
+    ("chain_perturb", 1): "e65e2f570a039d291befcc7a4163e6fbf7a965f3d6973112e1fc19070148a5c1",
+    ("chain_perturb", 2): "88f52ff00cf2d6cd2334c19c0437bb5ef76b22f9ef032acf0d4119f4bc7976ac",
+    ("chain_perturb", 3): "7127affe0a272e4e95f8349a831d2a6905ad157e72e3139f392afe017325fb49",
+    ("edge_list_perturb", 1): "b95ffd4059b2cc41fbe08698a53253d0f652201e7b18a9208fdf0eac2c7a81be",
+    ("edge_list_perturb", 2): "336eaf48c84d9d66d84d83cf0eb8c86fbe69da6fbbe674c13ebf97b6ad78e309",
+    ("edge_list_perturb", 3): "f0eef0a6863c9d37cb48f1b6691fce71188025385666f7f867de9fc8a7d1a723",
 }
 
 

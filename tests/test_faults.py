@@ -132,33 +132,39 @@ class TestPerturbation:
 
     def test_zero_magnitudes_identity(self):
         params = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
-        delays = {("dag", 0, 0, 1): 0.999, ("dag", 1, 0, 1): 0.9995}
-        rates = {(0, 0): 1.0001, (1, 0): 1.0}
-        caps = perturbation_caps(1000, 34, params)
-        nd, nr = perturb_between_pulses(delays, rates, (0.0, 0.0), 1, 7, params, caps)
-        assert nd == delays and nr == rates
+        delays, rates = [0.999, float("nan"), 0.9995], [1.0001, 1.0]
+        nd, nr = list(delays), list(rates)
+        perturb_between_pulses(nd, nr, [0, 2], [0, 1], (0.0, 0.0), 1, 7, params)
+        assert nd[::2] == delays[::2] and nr == rates
 
     def test_results_clamped_into_range(self):
         params = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
         caps = perturbation_caps(1000, 34, params)
-        delays = {("dag", 0, 0, 1): params.d, ("dag", 1, 0, 1): params.d - params.u}
-        rates = {(0, 0): params.theta, (1, 0): 1.0}
-        nd, nr = perturb_between_pulses(delays, rates, caps, 2, 11, params, caps)
-        assert all(params.d - params.u <= v <= params.d for v in nd.values())
-        assert all(1.0 <= v <= params.theta for v in nr.values())
+        delays, rates = [params.d, params.d - params.u], [params.theta, 1.0]
+        perturb_between_pulses(delays, rates, [0, 1], [0, 1], caps, 2, 11, params)
+        assert all(params.d - params.u <= v <= params.d for v in delays)
+        assert all(1.0 <= v <= params.theta for v in rates)
 
-    def test_magnitude_beyond_cap_rejected(self):
+    def test_draws_follow_the_given_order(self):
+        """Delays in delay_order, then rates in rate_order, from one stream;
+        entries outside the orders are not touched."""
         params = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
         caps = perturbation_caps(1000, 34, params)
-        with pytest.raises(ConfigurationError):
-            perturb_between_pulses({}, {}, (caps[0] * 2, 0.0), 1, 7, params, caps)
+        forward, backward = [0.999, 0.999, -1.0], [0.999, 0.999, -1.0]
+        rates = [1.0001, 1.0001]
+        perturb_between_pulses(forward, list(rates), [0, 1], [0, 1], caps, 3, 5, params)
+        perturb_between_pulses(backward, rates, [1, 0], [1, 0], caps, 3, 5, params)
+        assert forward[:2] == backward[1::-1] and forward[2] == backward[2] == -1.0
+        assert rates[0] != rates[1]
 
     def test_deterministic_per_seed_and_pulse(self):
         params = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
         caps = perturbation_caps(1000, 34, params)
-        delays = {("dag", 0, 0, 1): 0.999}
-        a = perturb_between_pulses(delays, {}, caps, 3, 5, params, caps)
-        b = perturb_between_pulses(delays, {}, caps, 3, 5, params, caps)
-        c = perturb_between_pulses(delays, {}, caps, 4, 5, params, caps)
-        assert a == b
-        assert a != c
+
+        def perturbed(pulse_index):
+            delays = [0.999]
+            perturb_between_pulses(delays, [], [0], [], caps, pulse_index, 5, params)
+            return delays
+
+        assert perturbed(3) == perturbed(3)
+        assert perturbed(3) != perturbed(4)

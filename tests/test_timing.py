@@ -12,13 +12,15 @@ from hypothesis import given, settings, strategies as st
 from gridpulse.errors import ConfigurationError
 from gridpulse.timing import (
     Params,
+    chain_edges,
+    delay_keys,
     derive_kappa,
     local_skew_budget,
     sample_clocks,
     sample_delays,
     validate_params,
 )
-from gridpulse.topology import build_layered, build_line_with_replicated_ends
+from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 
 
 class TestDeriveKappa:
@@ -93,40 +95,59 @@ def small_world():
     return graph, params
 
 
+def drawn(graph, params, strategy, **kw) -> dict:
+    """sample_delays' tables as a dict keyed by delays.map key."""
+    dag, chain = sample_delays(graph, params, strategy, **kw)
+    return dict(zip(delay_keys(graph), [*dag[~np.isnan(dag)], *chain]))
+
+
 class TestDelays:
     def test_all_max(self, small_world):
         graph, params = small_world
-        a = sample_delays(graph, params, "all-max")
-        assert all(v == params.d for v in a.delays.values())
+        assert all(v == params.d for v in drawn(graph, params, "all-max").values())
 
     def test_all_min(self, small_world):
         graph, params = small_world
-        a = sample_delays(graph, params, "all-min")
-        assert all(v == params.d - params.u for v in a.delays.values())
+        assert all(v == params.d - params.u for v in drawn(graph, params, "all-min").values())
 
     def test_uniform_deterministic(self, small_world):
         graph, params = small_world
-        a = sample_delays(graph, params, "uniform-random", seed=9)
-        b = sample_delays(graph, params, "uniform-random", seed=9)
-        assert a.delays == b.delays
-        c = sample_delays(graph, params, "uniform-random", seed=10)
-        assert a.delays != c.delays
+        a = drawn(graph, params, "uniform-random", seed=9)
+        assert a == drawn(graph, params, "uniform-random", seed=9)
+        assert a != drawn(graph, params, "uniform-random", seed=10)
+        rng = random.Random(9)  # one draw per edge, in delays.map key order
+        assert list(a.values()) == [rng.uniform(params.d - params.u, params.d) for _ in a]
 
     def test_alternating_layers(self, small_world):
         graph, params = small_world
-        a = sample_delays(graph, params, "per-layer-alternating")
-        for key, value in a.delays.items():
+        for key, value in drawn(graph, params, "per-layer-alternating").items():
             layer = key[2] if key[0] == "dag" else key[1]
             expected = params.d - params.u if layer % 2 == 0 else params.d
             assert value == expected
 
     def test_custom_out_of_range_rejected(self, small_world):
         graph, params = small_world
-        good = sample_delays(graph, params, "all-max")
-        bad = dict(good.delays)
+        bad = drawn(graph, params, "all-max")
         bad[next(iter(bad))] = params.d + 1.0
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="outside"):
             sample_delays(graph, params, "custom-map", custom=bad)
+
+    def test_custom_map_fills_the_slot_table(self):
+        """Entry [l, v, j] is the edge from (v, l) to (slots[v][j], l+1); the
+        padding past slot deg(v) is NaN. Degrees here are 3, 2, 3, 4, 2, 2."""
+        base = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 3)])
+        graph = build_layered(base, 3)
+        params = Params.derive(d=1.0, u=0.25, theta=1.05, lam=3.0)
+        keys = delay_keys(graph)
+        custom = {key: 0.75 + e / 1000 for e, key in enumerate(keys)}
+        dag, chain = sample_delays(graph, params, "custom-map", custom=custom)
+        assert dag.shape == (2, 6, 5) and chain.size == 0
+        for layer in range(2):
+            for v in base.vertices:
+                row = base.slots[v]
+                assert dag[layer, v, :len(row)].tolist() == [
+                    custom["dag", v, layer, w] for w in row]
+                assert np.isnan(dag[layer, v, len(row):]).all()
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(["uniform-random", "all-min", "all-max", "per-layer-alternating"]),
@@ -135,16 +156,18 @@ class TestDelays:
         base = build_line_with_replicated_ends(3)
         graph = build_layered(base, 3)
         params = Params.derive(d=1.0, u=0.25, theta=1.05, lam=3.0)
-        a = sample_delays(graph, params, strategy, seed=seed)
-        assert all(params.d - params.u <= v <= params.d for v in a.delays.values())
+        a = drawn(graph, params, strategy, seed=seed)
+        assert len(a) == len(delay_keys(graph))
+        assert all(params.d - params.u <= v <= params.d for v in a.values())
 
     def test_chain_edges_present(self, small_world):
         graph, params = small_world
-        a = sample_delays(graph, params, "all-max")
+        a = drawn(graph, params, "all-max")
         info = graph.base.line_info
-        assert ("chain", 0, info.line[0]) in a.delays
-        assert ("chain", 0, info.start_replicas[0]) in a.delays
-        assert ("chain", len(info.line) - 1, info.end_replicas[0]) in a.delays
+        assert ("chain", 0, info.line[0]) in a
+        assert ("chain", 0, info.start_replicas[0]) in a
+        assert ("chain", len(info.line) - 1, info.end_replicas[0]) in a
+        assert sample_delays(graph, params, "all-max")[1].size == len(chain_edges(graph))
 
 
 class TestClocks:

@@ -1,4 +1,4 @@
-"""Topology construction and distances."""
+"""Topology construction, the slot table and distances."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridpulse.config import build_run_config
 from gridpulse.errors import ConfigurationError
-from gridpulse.topology import build_layered, build_line_with_replicated_ends, distance, from_edges
+from gridpulse.timing import delay_keys
+from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 
 
 def bfs_oracle(adjacency, source):
@@ -27,12 +28,12 @@ def bfs_oracle(adjacency, source):
 class TestLineReplicatedEnds:
     def test_replicas_are_adjacent(self):
         g = build_line_with_replicated_ends(4)
-        assert distance(g, 0, 1) == 1
+        assert g.distance_table[0][1] == 1
 
     def test_line_distance(self):
         g = build_line_with_replicated_ends(4)
         # v_1..v_4 are vertices 2..5
-        assert distance(g, 2, 5) == 3
+        assert g.distance_table[2][5] == 3
 
     def test_diameter_matches_bfs_oracle(self):
         g = build_line_with_replicated_ends(4)
@@ -45,7 +46,7 @@ class TestLineReplicatedEnds:
     def test_min_degree_two(self):
         for m in (2, 3, 8):
             g = build_line_with_replicated_ends(m)
-            assert min(g.degree(v) for v in g.vertices) >= 2
+            assert min(len(nbrs) for nbrs in g.adjacency) >= 2
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -60,37 +61,42 @@ class TestLineReplicatedEnds:
         assert info.hop(info.end_replicas[1]) == 5
 
 
+def predecessors(base, v):
+    """The vertices whose slot rows feed v on the next layer up."""
+    return [w for w in base.vertices if v in base.slots[w]]
+
+
 class TestLayeredGraph:
+    """The slot table: node (v, l) feeds (w, l+1) exactly for w in slots[v]."""
+
     def test_path_piece_predecessors(self):
         g = build_line_with_replicated_ends(4)
-        lg = build_layered(g, 5)
         # v_2 (vertex 3) has line neighbors v_1 (2) and v_3 (4)
-        assert lg.predecessors((3, 2)) == ((2, 1), (3, 1), (4, 1))
+        assert g.slots[3] == (2, 3, 4)
+        assert predecessors(g, 3) == [2, 3, 4]
 
     def test_successors_mirror_predecessors(self):
         g = build_line_with_replicated_ends(4)
-        lg = build_layered(g, 4)
-        for v, layer in lg.nodes():
-            for succ in lg.successors((v, layer)):
-                assert (v, layer) in lg.predecessors(succ)
+        for v in g.vertices:
+            for w in g.slots[v]:
+                assert v in g.slots[w]
 
     def test_end_vertex_in_degree(self):
         g = build_line_with_replicated_ends(4)
-        lg = build_layered(g, 3)
         # v_1 (vertex 2): self, v_2, both start replicas
-        assert len(lg.predecessors((2, 1))) == 4
+        assert predecessors(g, 2) == [0, 1, 2, 3]
 
     def test_predecessor_count_is_degree_plus_one(self):
         g = build_line_with_replicated_ends(6)
-        lg = build_layered(g, 4)
         for v in g.vertices:
-            for layer in range(1, 4):
-                assert len(lg.predecessors((v, layer))) == g.degree(v) + 1
+            assert len(predecessors(g, v)) == len(g.slots[v]) == len(g.adjacency[v]) + 1
 
     def test_layer_zero_has_no_predecessors(self):
-        g = build_line_with_replicated_ends(3)
-        lg = build_layered(g, 2)
-        assert lg.predecessors((2, 0)) == ()
+        """Layered edges run from layers 0..L-2 to layers 1..L-1."""
+        lg = build_layered(build_line_with_replicated_ends(3), 3)
+        dag = [key for key in delay_keys(lg) if key[0] == "dag"]
+        assert {layer for _, _, layer, _ in dag} == {0, 1}
+        assert len(dag) == 2 * sum(len(row) for row in lg.base.slots)
 
 
 class TestDistanceMetric:
@@ -127,11 +133,6 @@ class TestDistanceMetric:
                         dense.distance_table[v][x]
                         <= dense.distance_table[v][w] + dense.distance_table[w][x]
                     )
-
-    def test_unknown_vertex(self):
-        g = build_line_with_replicated_ends(3)
-        with pytest.raises(ConfigurationError):
-            distance(g, 0, 99)
 
 
 class TestEdgeList:
