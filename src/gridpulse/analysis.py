@@ -45,30 +45,38 @@ UNSTABILIZED = math.inf
 
 class TraceView:
     """The configured pulses of a run: times[layer, pulse, vertex] with NaN
-    gaps, and the mask of correct nodes, correct[layer, vertex]."""
+    gaps, and the mask of correct nodes, correct[layer, vertex].
+
+    The neighbor layout is the base graph's padded slot table: slot[v, j]
+    is v or one of its neighbors, ``neighbor[v, j]`` marks the real slots
+    that hold a neighbor, and dist[v, w] is the hop distance.
+    """
 
     def __init__(self, result: RunResult):
         cfg = result.config
         self.base = cfg.base
         self.times = result.times[:, : cfg.pulses]
         self.correct = _correct_mask(result)
-        self.edges = [
-            (a, b)
-            for a in self.base.vertices
-            for b in self.base.adjacency[a]
-            if a < b
-        ]
-
-    def dist_matrix(self) -> np.ndarray:
-        return np.asarray(self.base.distance_table, dtype=float)
+        self.slot, real = cfg.base.padded_slots
+        self.neighbor = real & (self.slot != np.arange(len(self.slot))[:, None])
+        self.dist = np.asarray(cfg.base.distance_table, dtype=float)
 
 
 def _correct_mask(result: RunResult) -> np.ndarray:
     correct = np.ones(result.counts.shape, dtype=bool)
     for v, layer in result.config.placement.members:
-        if 0 <= layer < correct.shape[0]:
-            correct[layer, v] = False
+        correct[layer, v] = False
     return correct
+
+
+def _nanmax(x: np.ndarray, axis) -> np.ndarray:
+    """Max over ``axis`` ignoring NaN; NaN where every entry is NaN or there
+    is none."""
+    return np.fmax.reduce(x, axis=axis, initial=np.nan)
+
+
+def _floats(x: np.ndarray) -> list:
+    return [None if math.isnan(v) else v for v in x.tolist()]
 
 
 @dataclass
@@ -92,41 +100,18 @@ def local_skew(view: TraceView) -> SkewSummary:
     k on the upper layer, the pairing under which an ideally timed cascade
     has zero offset. Self-copy edges are included in the cross-layer max.
     """
-    L, K, _ = view.times.shape
-    per_layer_by_pulse = np.full((L, K), np.nan)
-    per_layer: list = []
-    for layer in range(L):
-        diffs = []
-        for a, b in view.edges:
-            if view.correct[layer, a] and view.correct[layer, b]:
-                d = np.abs(view.times[layer, :, a] - view.times[layer, :, b])
-                diffs.append(d)
-        if not diffs:
-            per_layer.append(None)
-            continue
-        stacked = np.vstack(diffs)
-        with np.errstate(all="ignore"):
-            per_pulse = np.nanmax(stacked, axis=0)
-        per_layer_by_pulse[layer] = per_pulse
-        value = np.nanmax(per_pulse) if not np.all(np.isnan(per_pulse)) else None
-        per_layer.append(float(value) if value is not None else None)
-
-    per_pair: list = []
-    for layer in range(L - 1):
-        diffs = []
-        for a in view.base.vertices:
-            for b in (a, *view.base.adjacency[a]):
-                if view.correct[layer, a] and view.correct[layer + 1, b]:
-                    d = np.abs(view.times[layer, 1:, a] - view.times[layer + 1, : K - 1, b])
-                    diffs.append(d)
-        if not diffs or K < 2:
-            per_pair.append(None)
-            continue
-        stacked = np.vstack(diffs)
-        if np.all(np.isnan(stacked)):
-            per_pair.append(None)
-        else:
-            per_pair.append(float(np.nanmax(stacked)))
+    t, slot, correct = view.times, view.slot, view.correct
+    # [layer, pulse, vertex, slot]: the offset of each correct node to its
+    # correct neighbors on the same layer, and to its correct successors one
+    # layer up and one pulse earlier
+    pairs = view.neighbor & correct[..., None] & correct[:, slot]
+    same = np.where(pairs[:, None], np.abs(t[..., None] - t[:, :, slot]), np.nan)
+    per_layer_by_pulse = _nanmax(same, axis=(2, 3))
+    feeds = correct[:-1, :, None] & correct[1:, slot]
+    across = np.where(feeds[:, None], np.abs(t[:-1, 1:, :, None] - t[1:, :-1][:, :, slot]),
+                      np.nan)
+    per_layer = _floats(_nanmax(per_layer_by_pulse, axis=1))
+    per_pair = _floats(_nanmax(across, axis=(1, 2, 3)))
 
     candidates = [x for x in per_layer + per_pair if x is not None]
     overall = max(candidates) if candidates else None
@@ -143,50 +128,29 @@ class PotentialTable:
     """Distance-discounted pair potentials per discretization level.
 
     psi discounts ordered pair offsets by 4*s*kappa per hop, xi by
-    (4*s-2)*kappa per hop; the tables hold the per-layer-per-pulse maxima
-    and the witness pair attaining each level-layer maximum.
+    (4*s-2)*kappa per hop; the tables hold the per-layer-per-pulse maxima.
     """
 
     s_values: list
     psi: np.ndarray = field(repr=False)  # [s, layer, pulse]
     xi: np.ndarray = field(repr=False)
-    witnesses: dict = field(repr=False)  # (s, layer) -> (v, w, pulse)
 
 
 def potentials(view: TraceView, kappa: float, s_max: int) -> PotentialTable:
     """Exact pair maxima over correct nodes, diagonal included (so psi >= 0)."""
     if s_max < 0:
         raise ConfigurationError("s_max must be >= 0")
-    L, K, nv = view.times.shape
-    dist = view.dist_matrix()
+    L, K, _ = view.times.shape
     s_values = list(range(s_max + 1))
-    psi = np.full((s_max + 1, L, K), np.nan)
-    xi = np.full((s_max + 1, L, K), np.nan)
-    witnesses: dict = {}
+    psi = np.empty((s_max + 1, L, K))
+    xi = np.empty((s_max + 1, L, K))
     for layer in range(L):
-        ok = view.correct[layer]
-        if not ok.any():
-            continue
-        for k in range(K):
-            t = view.times[layer, k]
-            valid = ok & ~np.isnan(t)
-            if not valid.any():
-                continue
-            tv = np.where(valid, t, np.nan)
-            diff = tv[:, None] - tv[None, :]  # diff[v, w] = t_v - t_w
-            for s in s_values:
-                with np.errstate(all="ignore"):
-                    mat_psi = diff - 4.0 * s * kappa * dist
-                    mat_xi = diff - (4.0 * s - 2.0) * kappa * dist
-                    p = np.nanmax(mat_psi)
-                    x = np.nanmax(mat_xi)
-                psi[s, layer, k] = p
-                xi[s, layer, k] = x
-                key = (s, layer)
-                if key not in witnesses or p > witnesses[key][3]:
-                    v, w = np.unravel_index(np.nanargmax(mat_psi), mat_psi.shape)
-                    witnesses[key] = (int(v), int(w), k + 1, float(p))
-    return PotentialTable(s_values=s_values, psi=psi, xi=xi, witnesses=witnesses)
+        t = np.where(view.correct[layer], view.times[layer], np.nan)  # [pulse, vertex]
+        diff = t[:, :, None] - t[:, None, :]  # diff[k, v, w] = t_v - t_w
+        for s in s_values:
+            psi[s, layer] = _nanmax(diff - 4.0 * s * kappa * view.dist, axis=(1, 2))
+            xi[s, layer] = _nanmax(diff - (4.0 * s - 2.0) * kappa * view.dist, axis=(1, 2))
+    return PotentialTable(s_values=s_values, psi=psi, xi=xi)
 
 
 def skew_vs_potential_violations(view: TraceView, table: PotentialTable,
@@ -227,17 +191,13 @@ def psi_bound_violations(table: PotentialTable, kappa: float,
         for l1, l2 in layer_pairs:
             if not 0 <= l1 <= l2 < L:
                 continue
-            for k in range(K):
-                xi = table.xi[s, l1, k]
-                psi = table.psi[s, l2, k]
-                if math.isnan(xi) or math.isnan(psi):
-                    continue
-                bound = max(0.0, xi - (l2 - l1 + 1) * kappa) + (l2 - l1) * kappa / 2.0
-                if psi > bound:
-                    out.append({
-                        "s": s, "bottom": l1, "top": l2, "pulse": k + 1,
-                        "psi": float(psi), "bound": float(bound),
-                    })
+            psi = table.psi[s, l2]
+            bound = (np.maximum(0.0, table.xi[s, l1] - (l2 - l1 + 1) * kappa)
+                     + (l2 - l1) * kappa / 2.0)
+            bad = psi > bound  # False where either is NaN
+            out += [{"s": s, "bottom": l1, "top": l2, "pulse": k + 1, "psi": p, "bound": b}
+                    for k, p, b in zip(np.flatnonzero(bad).tolist(), psi[bad].tolist(),
+                                       bound[bad].tolist())]
     return out
 
 
@@ -252,23 +212,11 @@ class ConditionVerdict:
     slack: float
 
 
-def _adjacency_mask(base) -> np.ndarray:
-    nv = base.num_vertices
-    mask = np.zeros((nv, nv), dtype=bool)
-    for v in base.vertices:
-        mask[v, list(base.adjacency[v])] = True
-    return mask
-
-
-def _neighbor_extrema_layer(view: TraceView, layer: int):
-    """min/max over neighbors of each vertex, per pulse: arrays [K, nv]."""
-    t = view.times[layer]  # [K, nv]
-    mask = _adjacency_mask(view.base)
-    expanded = np.where(mask[None, :, :], t[:, None, :], np.nan)
-    with np.errstate(all="ignore"):
-        nmin = np.nanmin(expanded, axis=2)
-        nmax = np.nanmax(expanded, axis=2)
-    return nmin, nmax
+def _neighbor_extrema(view: TraceView) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of each vertex's neighbors' pulse times, per [layer, pulse,
+    vertex]; NaN where no neighbor pulsed."""
+    t = np.where(view.neighbor, view.times[:, :, view.slot], np.nan)
+    return np.fmin.reduce(t, axis=-1), np.fmax.reduce(t, axis=-1)
 
 
 def check_conditions(result: RunResult, view: TraceView, s_max: int,
@@ -282,60 +230,50 @@ def check_conditions(result: RunResult, view: TraceView, s_max: int,
     """
     params = result.config.params
     kappa, theta = params.kappa, params.theta
-    L, K, nv = view.times.shape
-    corr = result.correction[:, :K]
-    out: list[ConditionVerdict] = []
-    layer_correct = view.correct.all(axis=1)
+    L, K, _ = view.times.shape
+    # [layer - 1, pulse, vertex]: the input layer's times against the
+    # correction of the receiver on the layer above
+    nmin, nmax = (x[:-1] for x in _neighbor_extrema(view))
+    ts = view.times[:-1]
+    c = result.correction[1:, :K]
+    c_rel = c / theta
+    valid = (view.correct[:-1].all(axis=1)[:, None, None] & view.correct[1:, None, :]
+             & ~np.isnan(c) & ~np.isnan(ts) & ~np.isnan(nmin) & ~np.isnan(nmax))
+    above_one = valid & (np.arange(1, L) >= 2)[:, None, None]  # where FC and JC apply
+    names: list = []
+    found: list = []  # per condition: its reported (layer - 1, pulse, vertex, passed, slack)
 
-    def emit(mask: np.ndarray, layer: int, name: str,
-             passed_mat: np.ndarray, slack: np.ndarray | None) -> None:
-        for k, v in zip(*np.nonzero(mask)):
-            out.append(ConditionVerdict(
-                vertex=int(v), layer=layer, pulse=int(k) + 1, condition=name,
-                passed=bool(passed_mat[k, v]), disjunct=None,
-                slack=float(slack[k, v]) if slack is not None else 0.0,
-            ))
+    def emit(name: str, applies: np.ndarray, passed: np.ndarray, slack: np.ndarray) -> None:
+        report = applies & ~passed if failures_only else applies
+        layer, k, v = np.nonzero(report)
+        found.append((layer, np.full(layer.size, len(names)), k, v, passed[report], slack[report]))
+        names.append(name)
 
     with np.errstate(invalid="ignore"):
-        for layer in range(1, L):
-            if not layer_correct[layer - 1]:
-                continue
-            nmin, nmax = _neighbor_extrema_layer(view, layer - 1)  # [K, nv]
-            ts = view.times[layer - 1]
-            c = corr[layer]
-            valid = (view.correct[layer][None, :] & ~np.isnan(c) & ~np.isnan(ts)
-                     & ~np.isnan(nmin) & ~np.isnan(nmax))
-            if not valid.any():
-                continue
-            c_rel = c / theta
-            for s in range(s_max + 1):
-                sc = ((c_rel <= ts - nmax + 4 * s * kappa)
-                      | (c_rel <= ts - nmin - 4 * s * kappa)
-                      | (c <= 0.0))
-                report = valid & ~sc if failures_only else valid
-                if report.any():
-                    slack = np.maximum(ts - nmax + 4 * s * kappa - c_rel,
-                                       np.maximum(ts - nmin - 4 * s * kappa - c_rel, -c))
-                    emit(report, layer, f"SC({s})", sc, slack)
-            if layer >= 2:
-                for s in range(1, s_max + 1):
-                    fc = ((c >= ts - nmax + (4 * s - 2) * kappa + kappa)
-                          | (c >= ts - nmin - (4 * s - 2) * kappa + kappa)
-                          | (c >= kappa))
-                    report = valid & ~fc if failures_only else valid
-                    if report.any():
-                        slack = np.maximum(
-                            c - (ts - nmax + (4 * s - 2) * kappa + kappa),
-                            np.maximum(c - (ts - nmin - (4 * s - 2) * kappa + kappa),
-                                       c - kappa))
-                        emit(report, layer, f"FC({s})", fc, slack)
-                jc = (((kappa < c_rel) & (c_rel <= ts - nmax - kappa))
-                      | ((0.0 > c) & (c >= ts - nmin + kappa))
-                      | ((0.0 <= c) & (c <= theta * kappa)))
-                report = valid & ~jc if failures_only else valid
-                if report.any():
-                    emit(report, layer, "JC", jc, None)
-    return out
+        for s in range(s_max + 1):
+            lo = ts - nmax + 4 * s * kappa
+            hi = ts - nmin - 4 * s * kappa
+            emit(f"SC({s})", valid, (c_rel <= lo) | (c_rel <= hi) | (c <= 0.0),
+                 np.maximum(lo - c_rel, np.maximum(hi - c_rel, -c)))
+        for s in range(1, s_max + 1):
+            lo = ts - nmax + (4 * s - 2) * kappa + kappa
+            hi = ts - nmin - (4 * s - 2) * kappa + kappa
+            emit(f"FC({s})", above_one, (c >= lo) | (c >= hi) | (c >= kappa),
+                 np.maximum(c - lo, np.maximum(c - hi, c - kappa)))
+        jc = (((kappa < c_rel) & (c_rel <= ts - nmax - kappa))
+              | ((0.0 > c) & (c >= ts - nmin + kappa))
+              | ((0.0 <= c) & (c <= theta * kappa)))
+        emit("JC", above_one, jc, np.zeros(c.shape))
+    layer, cond, k, v, passed, slack = (np.concatenate(x) for x in zip(*found))
+    # each condition's entries are in (layer, pulse, vertex) order: a stable
+    # sort by layer puts them in (layer, condition, pulse, vertex) order
+    order = np.argsort(layer, kind="stable")
+    return [
+        ConditionVerdict(vertex=v, layer=layer + 1, pulse=k + 1, condition=names[cond],
+                         passed=passed, disjunct=None, slack=slack)
+        for layer, cond, k, v, passed, slack
+        in zip(*(x[order].tolist() for x in (layer, cond, k, v, passed, slack)))
+    ]
 
 
 def check_fault_envelope(result: RunResult, view: TraceView) -> list:
@@ -411,30 +349,24 @@ def check_estimates(result: RunResult, view: TraceView) -> list:
     params = result.config.params
     kappa = params.kappa
     eps = _guard(params)
-    out = []
-    L, K, nv = view.times.shape
-    for layer in range(1, L):
-        if not view.correct[layer - 1].all():
-            continue
-        nmin, nmax = _neighbor_extrema_layer(view, layer - 1)  # [K, nv]
-        ts = view.times[layer - 1]
-        h_own = result.h_own[layer, :K]
-        # [K, nv, extreme]: the last-neighbor ('max') pair first, as reported
-        measured = h_own[..., None] - np.stack(
-            (result.h_max[layer, :K], result.h_min[layer, :K]), axis=-1)
-        centered = measured - kappa / 2
-        true = ts[..., None] - np.stack((nmax, nmin), axis=-1)
-        with np.errstate(invalid="ignore"):
-            bad = ~((true - kappa - eps <= centered) & (centered <= true + eps))
-        bad &= ~np.isnan(centered) & ~np.isnan(true) & view.correct[layer][None, :, None]
-        for k, v, e in zip(*(i.tolist() for i in np.nonzero(bad))):
-            out.append({
-                "vertex": v, "layer": layer, "pulse": k + 1,
-                "extreme": ("max", "min")[e],
-                "measured_minus_half": float(centered[k, v, e]),
-                "true": float(true[k, v, e]),
-            })
-    return out
+    K = view.times.shape[1]
+    nmin, nmax = _neighbor_extrema(view)
+    # [layer - 1, pulse, vertex, extreme]: the last-neighbor ('max') pair
+    # first, as reported
+    measured = result.h_own[1:, :K, :, None] - np.stack(
+        (result.h_max[1:, :K], result.h_min[1:, :K]), axis=-1)
+    centered = measured - kappa / 2
+    true = view.times[:-1, ..., None] - np.stack((nmax[:-1], nmin[:-1]), axis=-1)
+    with np.errstate(invalid="ignore"):
+        bad = ~((true - kappa - eps <= centered) & (centered <= true + eps))
+    bad &= (~np.isnan(centered) & ~np.isnan(true) & view.correct[1:, None, :, None]
+            & view.correct[:-1].all(axis=1)[:, None, None, None])
+    return [
+        {"vertex": v, "layer": layer + 1, "pulse": k + 1, "extreme": ("max", "min")[e],
+         "measured_minus_half": c, "true": t}
+        for layer, k, v, e, c, t in zip(*(i.tolist() for i in np.nonzero(bad)),
+                                        centered[bad].tolist(), true[bad].tolist())
+    ]
 
 
 def period_consistency(result: RunResult, view: TraceView,

@@ -74,12 +74,8 @@ def _derive_seeds(doc: dict, seed: int) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        checks = _parse_checks(args.checks)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    checks = _parse_checks(args.checks)
     violations = validate_params(cfg.params, cfg.base.diameter)
     if violations and not args.force:
         for msg in violations:
@@ -91,9 +87,6 @@ def cmd_run(args) -> int:
     except AlignmentError as exc:
         print(f"iteration alignment violated: {exc}", file=sys.stderr)
         return 1
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     rep = build_report(result, checks=checks)
     out = _out_dir(args)
     write_outputs(result, rep, out)
@@ -103,12 +96,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     out = Path(args.dir) if args.dir else _out_dir(args)
-    try:
-        result = report_mod.result_from_files(out)
-        checks = _parse_checks(args.checks)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    result = report_mod.result_from_files(out)
+    checks = _parse_checks(args.checks)
     rep = build_report(result, checks=checks)
     report_mod.write_report_json(rep, out / "verify.json")
     sys.stdout.write(render_text(rep))
@@ -213,19 +202,11 @@ def _write_rows(rows: list[dict], out: Path, stem: str,
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = load_experiment(args.config)
-        checks = _parse_checks(args.checks)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_experiment(args.config)
+    checks = _parse_checks(args.checks)
     points = _axis_points(spec.axes)
     trials = [(spec.run, point, seed, checks) for point in points for seed in spec.seeds]
-    try:
-        rows = _run_batch(trials, _sweep_trial, args.jobs)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    rows = _run_batch(trials, _sweep_trial, args.jobs)
     axis_keys = sorted({k for r in rows for k in r if k.startswith("axis:")})
     aggregates = _aggregate(rows, axis_keys, "max_layer_skew")
     _write_rows(rows, _out_dir(args), "sweep", aggregates)
@@ -261,18 +242,10 @@ def _stabilize_trial(payload) -> dict:
 
 
 def cmd_stabilize(args) -> int:
-    try:
-        spec = load_experiment(args.config)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_experiment(args.config)
     corruption = spec.corruption or {"node_fraction": 1.0, "max_spurious_messages": 8}
     trials = [(spec.run, seed, corruption) for seed in spec.seeds]
-    try:
-        rows = _run_batch(trials, _stabilize_trial, args.jobs)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    rows = _run_batch(trials, _stabilize_trial, args.jobs)
     aggregates = _aggregate(rows, [], "stabilization_pulse")
     _write_rows(rows, _out_dir(args), "stabilize", aggregates)
     bad = [r for r in rows if not r["within_limit"]]
@@ -326,22 +299,18 @@ def _mc_trial(payload) -> dict:
     period = analysis.period_consistency(result, view)
     budget = local_skew_budget(cfg.params, cfg.base.diameter)
     max_layer = skew.max_layer_skew()
-    static = all(b.kind in ("silent", "fixed_offset", "burst") for b in behaviors.values())
     row.update({
         "max_layer_skew": max_layer,
         "envelope_violations": len(envelope),
-        "period_violations": len(period) if static else None,
+        "period_violations": (len(period) if all(b.periodic for b in behaviors.values())
+                              else None),
         "within_budget": None if max_layer is None else max_layer <= budget,
     })
     return row
 
 
 def cmd_faults_mc(args) -> int:
-    try:
-        spec = load_experiment(args.config)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_experiment(args.config)
     seeds = spec.seeds
     if spec.trials:
         seeds = tuple(range(spec.seeds[0], spec.seeds[0] + spec.trials))
@@ -350,11 +319,7 @@ def cmd_faults_mc(args) -> int:
          spec.behavior_changes_per_pulse)
         for seed in seeds
     ]
-    try:
-        rows = _run_batch(trials, _mc_trial, args.jobs)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    rows = _run_batch(trials, _mc_trial, args.jobs)
     aggregates = _aggregate(rows, [], "max_layer_skew")
     aggregates += _aggregate(rows, [], "envelope_violations")
     _write_rows(rows, _out_dir(args), "faults_mc", aggregates)

@@ -208,6 +208,10 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
             path = f"faults.placement[{i}]"
             entry = _mapping(entry, path, PLACEMENT_KEYS)
             node = (_value(entry, f"{path}.vertex", int), _value(entry, f"{path}.layer", int))
+            if not (0 <= node[0] < base.num_vertices and 0 <= node[1] < layers):
+                raise ConfigurationError(f"{path}: node (vertex, layer) = {node} is outside the "
+                                         f"grid of {base.num_vertices} vertices and {layers} "
+                                         f"layers")
             behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
         placement = FaultPlacement(behaviors=behaviors, strict=strict)
     if strict and placement:

@@ -150,6 +150,11 @@ class RunConfig:
             raise ConfigurationError("need at least one pulse")
         if self.layers < 1:
             raise ConfigurationError("need at least one layer")
+        for v, layer in sorted(self.placement.members):
+            if not (0 <= v < self.base.num_vertices and 0 <= layer < self.layers):
+                raise ConfigurationError(
+                    f"faulty node (v={v}, layer={layer}) is outside the grid of "
+                    f"{self.base.num_vertices} vertices and {self.layers} layers")
         if self.machine not in ("full", "simplified"):
             raise ConfigurationError(f"unknown machine {self.machine!r}")
         if self.source.kind == "ideal" and self.source.jitter > self.params.kappa / 4:
@@ -318,16 +323,16 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     base, params = config.base, config.params
     validation, dag, rate, offset = inputs.validation, inputs.dag, inputs.rate, inputs.offset
     L, K, n = config.layers, config.pulses, base.num_vertices
-    # inputs[v] = (v, neighbors...); the padding slots j >= deg + 1 are not real
-    degree = np.array([len(nbrs) for nbrs in base.adjacency])
-    width = 1 + degree.max()
-    inputs = np.array([(v, *nbrs) + (v,) * (width - 1 - len(nbrs))
-                       for v, nbrs in enumerate(base.adjacency)])
-    real = np.arange(width) < degree[:, None] + 1
-    # delays[l, v, k]: the edge from (inputs[v][k], l) to (v, l+1), read from its slot
-    slots = base.slots
-    delays = dag.reshape(L - 1, n * width)[:, [[w * width + slots[w].index(v) for w in row]
-                                                for v, row in enumerate(inputs.tolist())]]
+    # (slot[v, j], l) feeds (v, l+1): the inputs of v are its own slots
+    slot, real = base.padded_slots
+    width = slot.shape[1]
+    vertex = np.arange(n)[:, None]
+    own_slot = (slot == vertex).argmax(axis=1)
+    degree = real.sum(axis=1) - 1
+    # delays[l, v, j]: the edge from (slot[v, j], l) to (v, l+1), read from the
+    # sender's slot of v
+    back = (slot[slot] == vertex[..., None]).argmax(axis=-1)
+    delays = dag.reshape(L - 1, n * width)[:, slot * width + back]
     last_slot = np.broadcast_to(degree[:, None], (K, n, 1))
     quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
 
@@ -342,7 +347,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     pushes = pushed_waves = stragglers = early_exits = 0
     for layer in range(1, L):
         off, rt = offset[layer], rate[layer]
-        arrival = np.where(real, times[layer - 1][:, inputs] + delays[layer - 1], np.inf)
+        arrival = np.where(real, times[layer - 1][:, slot] + delays[layer - 1], np.inf)
         order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, slot]
         a = np.take_along_axis(arrival, order, axis=-1)
         # padding repeats the last arrival: no gap, minimum or maximum moves
@@ -373,7 +378,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
                 exit_local[fired] = timer[fired]
                 listening &= ~fired
                 stragglers += int((real[:, j] & ~listening).sum())
-            own = listening & (order[..., j] == 0)
+            own = listening & (order[..., j] == own_slot)
             neighbor = listening & ~own
             seen += neighbor
             h_own[own] = hj[own]
@@ -425,7 +430,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     arm[1:] = "corrected"
 
     waves = (L - 1) * n * K
-    messages = (L - 1) * K * int(degree.sum() + n)
+    messages = (L - 1) * K * int(real.sum())
     diagnostics = Diagnostics(
         events=messages + pushes + waves, messages=messages,
         stale_timers=pushes - pushed_waves, stragglers_dropped=stragglers,

@@ -73,6 +73,12 @@ class FaultBehavior:
     def needs_nominal(self) -> bool:
         return self.kind in ("fixed_offset", "burst", "per_pulse_offset")
 
+    @property
+    def periodic(self) -> bool:
+        """Whether the emissions repeat with the period whenever the nominal
+        pulses do; scripted and per_pulse_offset emissions need not."""
+        return self.kind in ("silent", "fixed_offset", "burst")
+
 
 def faulty_emissions(
     behavior: FaultBehavior,

@@ -158,13 +158,8 @@ def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
 
     if "period" in checks:
         violations = analysis.period_consistency(result, view)
-        # silent/fixed_offset/burst emission patterns repeat with the period;
-        # scripted and per_pulse_offset need not
-        static_faults = all(
-            b.kind in ("silent", "fixed_offset", "burst")
-            for b in cfg.placement.behaviors.values()
-        )
-        expected_static = cfg.perturbation is None and cfg.corruption is None and static_faults
+        expected_static = (cfg.perturbation is None and cfg.corruption is None
+                           and all(b.periodic for b in cfg.placement.behaviors.values()))
         report["checks"]["period"] = {
             "passed": (not violations) if expected_static else True,
             "violation_count": len(violations),

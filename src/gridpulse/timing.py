@@ -200,9 +200,7 @@ def sample_delays(
     else:
         raise ConfigurationError(f"unknown delay strategy {strategy!r}")
     values = np.array(values, dtype=float)
-    slots = graph.base.slots
-    width = max(map(len, slots))
-    real = np.array([[j < len(row) for j in range(width)] for row in slots])  # [vertex, slot]
+    real = graph.base.padded_slots[1]  # [vertex, slot]
     real = np.broadcast_to(real, (graph.num_layers - 1, *real.shape))
     count = int(real.sum())
     dag = np.full(real.shape, np.nan)

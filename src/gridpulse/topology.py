@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 __all__ = [
@@ -68,6 +70,18 @@ class BaseGraph:
         (v, l) feeds (w, l+1) exactly for w in ``slots[v]``, and slot j of its
         delay row is the edge to ``slots[v][j]``."""
         return tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(self.adjacency))
+
+    @property
+    def padded_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slot table as a [vertex, slot] int array, each row padded to the
+        widest by repeating its last entry, and ``real``, the mask of the
+        slots that ``slots`` has. The padding leaves a row's minimum and
+        maximum unchanged."""
+        slots = self.slots
+        width = max(map(len, slots))
+        table = np.array([row + row[-1:] * (width - len(row)) for row in slots])
+        real = np.arange(width) < np.array([len(row) for row in slots])[:, None]
+        return table, real
 
 
 def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:

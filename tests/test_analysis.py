@@ -107,9 +107,6 @@ class TestPotentials:
         view = analysis.TraceView(res)
         table = analysis.potentials(view, kappa=0.01, s_max=1)
         assert table.psi[1, 0, 0] == pytest.approx(0.06)
-        v, w, k, value = table.witnesses[(1, 0)]
-        assert (v, w) == (3, 2) or (v, w) == (3, 4)
-        assert value == pytest.approx(0.06)
 
     def test_xi_dominates_psi(self):
         times = {v: [0.013 * v] for v in range(8)}
@@ -385,6 +382,128 @@ def stabilization_by_loop(res, ref):
     return worst
 
 
+def local_skew_by_loop(view):
+    """(per_layer, per_layer_pair, per_layer_by_pulse, overall) of local_skew."""
+    base = view.base
+    L, K, _ = view.times.shape
+    t = view.times.tolist()  # [layer][pulse][vertex]
+    by_pulse = np.full((L, K), np.nan)
+    per_layer = []
+    for layer in range(L):
+        ok = view.correct[layer]
+        pairs = [(a, b) for a in base.vertices for b in base.adjacency[a]
+                 if a < b and ok[a] and ok[b]]
+        if not pairs:
+            per_layer.append(None)
+            continue
+        for k in range(K):
+            d = [abs(t[layer][k][a] - t[layer][k][b]) for a, b in pairs]
+            d = [x for x in d if not math.isnan(x)]
+            if d:
+                by_pulse[layer, k] = max(d)
+        defined = [x for x in by_pulse[layer].tolist() if not math.isnan(x)]
+        per_layer.append(max(defined) if defined else None)
+    per_pair = []
+    for layer in range(L - 1):
+        d = [abs(t[layer][k + 1][a] - t[layer + 1][k][b])
+             for a in base.vertices for b in (a, *base.adjacency[a])
+             if view.correct[layer, a] and view.correct[layer + 1, b]
+             for k in range(K - 1)]
+        d = [x for x in d if not math.isnan(x)]
+        per_pair.append(max(d) if d else None)
+    overall = max([x for x in per_layer + per_pair if x is not None], default=None)
+    return per_layer, per_pair, by_pulse, overall
+
+
+def potentials_by_loop(view, kappa, s_max):
+    """(psi, xi): per (s, layer, pulse), the max over ordered pairs of correct
+    pulsed nodes of t_v - t_w discounted per hop of distance."""
+    L, K, nv = view.times.shape
+    dist = view.base.distance_table
+    psi = np.full((s_max + 1, L, K), np.nan)
+    xi = np.full((s_max + 1, L, K), np.nan)
+    for layer in range(L):
+        for k in range(K):
+            t = view.times[layer, k].tolist()
+            valid = [v for v in range(nv) if view.correct[layer, v] and not math.isnan(t[v])]
+            if not valid:
+                continue
+            for s in range(s_max + 1):
+                psi[s, layer, k] = max(t[v] - t[w] - 4.0 * s * kappa * dist[v][w]
+                                       for v in valid for w in valid)
+                xi[s, layer, k] = max(t[v] - t[w] - (4.0 * s - 2.0) * kappa * dist[v][w]
+                                      for v in valid for w in valid)
+    return psi, xi
+
+
+def conditions_by_loop(res, view, s_max, failures_only):
+    p = res.config.params
+    kappa, theta = p.kappa, p.theta
+    adjacency = res.config.base.adjacency
+    L, K, nv = view.times.shape
+    out = []
+    for layer in range(1, L):
+        if not view.correct[layer - 1].all():
+            continue
+        names = [f"SC({s})" for s in range(s_max + 1)]
+        if layer >= 2:
+            names += [f"FC({s})" for s in range(1, s_max + 1)] + ["JC"]
+        found = {name: [] for name in names}
+        for k in range(K):
+            t = view.times[layer - 1, k].tolist()
+            for v in range(nv):
+                c = float(res.correction[layer, k, v])
+                others = [t[w] for w in adjacency[v] if not math.isnan(t[w])]
+                if (not view.correct[layer, v] or math.isnan(c) or math.isnan(t[v])
+                        or not others):
+                    continue
+                ts, nmin, nmax, c_rel = t[v], min(others), max(others), c / theta
+                verdicts = []
+                for s in range(s_max + 1):
+                    lo = ts - nmax + 4 * s * kappa
+                    hi = ts - nmin - 4 * s * kappa
+                    verdicts.append((f"SC({s})", c_rel <= lo or c_rel <= hi or c <= 0.0,
+                                     max(lo - c_rel, hi - c_rel, -c)))
+                if layer >= 2:
+                    for s in range(1, s_max + 1):
+                        lo = ts - nmax + (4 * s - 2) * kappa + kappa
+                        hi = ts - nmin - (4 * s - 2) * kappa + kappa
+                        verdicts.append((f"FC({s})", c >= lo or c >= hi or c >= kappa,
+                                         max(c - lo, c - hi, c - kappa)))
+                    jc = ((kappa < c_rel <= ts - nmax - kappa)
+                          or (0.0 > c >= ts - nmin + kappa)
+                          or (0.0 <= c <= theta * kappa))
+                    verdicts.append(("JC", jc, 0.0))
+                for name, passed, slack in verdicts:
+                    if not (failures_only and passed):
+                        found[name].append(analysis.ConditionVerdict(
+                            vertex=v, layer=layer, pulse=k + 1, condition=name,
+                            passed=passed, disjunct=None, slack=slack))
+        for name in names:
+            out += found[name]
+    return out
+
+
+def psi_bound_by_loop(table, kappa):
+    s_count, L, K = table.psi.shape
+    layer_pairs = sorted({(l1, min(l1 + g, L - 1))
+                          for g in (1, 2, 5, 10, L - 1) if g >= 1
+                          for l1 in range(0, L, max(1, L // 6))})
+    out = []
+    for s in range(1, s_count):
+        for l1, l2 in layer_pairs:
+            for k in range(K):
+                xi = float(table.xi[s, l1, k])
+                psi = float(table.psi[s, l2, k])
+                if math.isnan(xi) or math.isnan(psi):
+                    continue
+                bound = max(0.0, xi - (l2 - l1 + 1) * kappa) + (l2 - l1) * kappa / 2.0
+                if psi > bound:
+                    out.append({"s": s, "bottom": l1, "top": l2, "pulse": k + 1,
+                                "psi": psi, "bound": bound})
+    return out
+
+
 @pytest.fixture(scope="module")
 def scrambled():
     """A fully corrupted start, its clean reference, and a perturbed faulty run:
@@ -406,6 +525,16 @@ def scrambled():
     return run(corrupted), run(cfg), run(faulty)
 
 
+@pytest.fixture(scope="module")
+def chain():
+    """A chain-source run: its checkers pair adjacent nodes one pulse apart,
+    so skew, conditions and estimates fail with long lists."""
+    return run(RunConfig(
+        base=build_line_with_replicated_ends(8), layers=6, params=PARAMS,
+        source=SourceMode(kind="chain"), pulses=8, delay_seed=3, clock_seed=4,
+    ))
+
+
 class TestArrayCheckersMatchLoops:
     def test_drift_estimates_period(self, scrambled):
         for res in scrambled:
@@ -423,3 +552,33 @@ class TestArrayCheckersMatchLoops:
         for res, ref in ((corrupted, clean), (clean, clean), (clean, corrupted)):
             assert analysis.stabilization_pulse(res, ref) == stabilization_by_loop(res, ref)
         assert analysis.stabilization_pulse(corrupted, clean) > 1.0
+
+    def test_skew_potentials_conditions(self, scrambled, chain):
+        s_max = 3
+        for res in (*scrambled, chain):
+            view = analysis.TraceView(res)
+            skew = analysis.local_skew(view)
+            per_layer, per_pair, by_pulse, overall = local_skew_by_loop(view)
+            assert skew.per_layer == per_layer
+            assert skew.per_layer_pair == per_pair
+            assert np.array_equal(skew.per_layer_by_pulse, by_pulse, equal_nan=True)
+            assert skew.overall == overall
+            table = analysis.potentials(view, KAPPA, s_max=s_max)
+            psi, xi = potentials_by_loop(view, KAPPA, s_max)
+            assert np.array_equal(table.psi, psi, equal_nan=True)
+            assert np.array_equal(table.xi, xi, equal_nan=True)
+            for failures_only in (True, False):
+                assert (analysis.check_conditions(res, view, s_max, failures_only)
+                        == conditions_by_loop(res, view, s_max, failures_only))
+            for kappa in (KAPPA, 10 * KAPPA):
+                assert (analysis.psi_bound_violations(table, kappa)
+                        == psi_bound_by_loop(table, kappa))
+        view = analysis.TraceView(chain)
+        assert len(analysis.check_conditions(chain, view, s_max)) > 50
+        assert analysis.local_skew(view).max_layer_skew() > local_skew_budget(
+            PARAMS, chain.config.base.diameter)
+        assert len(analysis.check_estimates(chain, view)) > 50
+        assert analysis.check_estimates(chain, view) == estimates_by_loop(chain, view)
+        corrupted_view = analysis.TraceView(scrambled[0])
+        assert analysis.psi_bound_violations(
+            analysis.potentials(corrupted_view, KAPPA, s_max=s_max), KAPPA)

@@ -227,6 +227,23 @@ class TestVerify:
         assert main(["verify", str(out)]) == 2
 
 
+class TestConfigErrors:
+    BAD_RUN = dict(BASE_DOC, delays={"strategy": "fastest"})
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep", "stabilize", "faults-mc"])
+    def test_exit_two_with_config_error(self, tmp_path, capsys, command):
+        """``main`` turns a ConfigurationError into exit 2 for every subcommand,
+        also when a batch trial raises it."""
+        if command == "run":
+            args = ["--config", str(write_config(tmp_path, self.BAD_RUN))]
+        elif command == "verify":
+            args = [str(tmp_path)]  # holds no run
+        else:
+            args = ["--config", str(write_config(tmp_path, {"run": self.BAD_RUN, "seeds": [1]}))]
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestSweep:
     def test_rows_and_determinism(self, tmp_path):
         doc = {

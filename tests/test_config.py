@@ -176,7 +176,24 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"delays.map\[1\]"),
     ({"delays": {"strategy": "uniform-random", "map": [["dag", 0, 0, 0, 0.999]]}}, "delays.map"),
     ({"delays": {"strategy": "custom-map"}}, "delays.map"),
+    # fault placements name a node of the grid: 7 vertices, 4 layers
+    ({"faults": {"placement": [{"vertex": 99, "layer": 1,
+                                "behavior": {"kind": "fixed_offset", "offset": 0.1}}]}},
+     r"faults.placement\[0\]"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {"kind": "silent"}},
+                               {"vertex": 2, "layer": 9, "behavior": {"kind": "silent"}}]}},
+     r"faults.placement\[1\]"),
+    ({"faults": {"placement": [{"vertex": -1, "layer": 1, "behavior": {"kind": "silent"}}]}},
+     r"faults.placement\[0\]"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
         build_run_config(dict(DOC, **edit))
+
+
+@pytest.mark.parametrize("node", [(7, 1), (-1, 1), (2, 4), (2, -1)])
+def test_run_config_rejects_a_fault_outside_the_grid(node):
+    cfg = build_run_config(DOC)  # 7 vertices, 4 layers
+    placement = FaultPlacement(behaviors={node: FaultBehavior(kind="silent")}, strict=False)
+    with pytest.raises(ConfigurationError, match=rf"\(v={node[0]}, layer={node[1]}\)"):
+        RunConfig(**{**vars(cfg), "placement": placement})
