@@ -60,17 +60,21 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+# A batch row's seed plus these offsets seeds each random stream, so the
+# streams are decoupled and the row seed fully determines a trial.
+SEED_OFFSETS = {"delays": 0, "clocks": 10_000_019, "source": 20_000_033,
+                "faults": 30_000_049, "corruption": 40_000_061,
+                "perturbation": 50_000_077, "fault_behaviors": 60_000_091}
+
+
 def _derive_seeds(doc: dict, seed: int) -> None:
-    """Decoupled per-stream seeds so the row seed fully determines a trial."""
-    _set_path(doc, "delays.seed", seed)
-    _set_path(doc, "clocks.seed", seed + 10_000_019)
-    _set_path(doc, "source.seed", seed + 20_000_033)
-    if "faults" in doc and isinstance(doc["faults"], dict) and "p" in doc["faults"]:
-        _set_path(doc, "faults.seed", seed + 30_000_049)
-    if "corruption" in doc and isinstance(doc["corruption"], dict):
-        _set_path(doc, "corruption.seed", seed + 40_000_061)
-    if "perturbation" in doc and isinstance(doc["perturbation"], dict):
-        _set_path(doc, "perturbation.seed", seed + 50_000_077)
+    """Set every per-stream seed of a run document from the row seed."""
+    for stream in ("delays", "clocks", "source"):
+        _set_path(doc, f"{stream}.seed", seed + SEED_OFFSETS[stream])
+    for stream in ("faults", "corruption", "perturbation"):
+        section = doc.get(stream)
+        if isinstance(section, dict) and (stream != "faults" or "p" in section):
+            section["seed"] = seed + SEED_OFFSETS[stream]
 
 
 def cmd_run(args) -> int:
@@ -218,11 +222,10 @@ def cmd_sweep(args) -> int:
 def _stabilize_trial(payload) -> dict:
     doc, seed, corruption = payload
     doc = json.loads(json.dumps(doc))
+    doc["corruption"] = dict(corruption)
     _derive_seeds(doc, seed)
     clean_doc = json.loads(json.dumps(doc))
-    clean_doc.pop("corruption", None)
-    doc["corruption"] = dict(corruption)
-    doc["corruption"]["seed"] = seed + 40_000_061
+    clean_doc.pop("corruption")
     cfg = build_run_config(doc)
     ref_cfg = build_run_config(clean_doc)
     result = run(cfg)
@@ -262,7 +265,7 @@ def _mc_trial(payload) -> dict:
     doc.pop("faults", None)
     cfg = build_run_config(doc)
     graph = build_layered(cfg.base, cfg.layers)
-    placement = sample_placement(graph, p, seed + 30_000_049)
+    placement = sample_placement(graph, p, seed + SEED_OFFSETS["faults"])
     violating = validate_placement(graph, placement)
     row = {
         "seed": seed,
@@ -275,7 +278,7 @@ def _mc_trial(payload) -> dict:
         row.update({"max_layer_skew": None, "envelope_violations": None,
                     "period_violations": None, "within_budget": None})
         return row
-    rng = _random.Random(seed + 60_000_091)
+    rng = _random.Random(seed + SEED_OFFSETS["fault_behaviors"])
     behaviors = {}
     changing = 0
     for node in sorted(placement.members):

@@ -212,7 +212,11 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
                 raise ConfigurationError(f"{path}: node (vertex, layer) = {node} is outside the "
                                          f"grid of {base.num_vertices} vertices and {layers} "
                                          f"layers")
-            behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
+            behavior = behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
+            if not all(0 <= w < base.num_vertices for w in behavior.recipients or ()):
+                raise ConfigurationError(f"{path}.behavior.recipients: {list(behavior.recipients)} "
+                                         f"names a vertex outside the grid of "
+                                         f"{base.num_vertices} vertices")
         placement = FaultPlacement(behaviors=behaviors, strict=strict)
     if strict and placement:
         bad = validate_placement(graph, placement)

@@ -52,14 +52,12 @@ from .timing import Params, chain_edges, sample_clocks, sample_delays, validate_
 from .topology import BaseGraph, LayeredGraph, build_layered
 
 __all__ = [
-    "CorruptionPlan",
     "CorruptionSpec",
     "Diagnostics",
     "PerturbationSpec",
     "RunConfig",
     "RunResult",
     "SNAPSHOT_FIELDS",
-    "corrupt_initial_state",
     "run",
     "run_arrays",
     "run_events",
@@ -82,35 +80,6 @@ class CorruptionSpec:
             raise ConfigurationError("corruption node_fraction must be in [0, 1]")
         if self.max_spurious_messages < 0:
             raise ConfigurationError("max_spurious_messages must be >= 0")
-
-
-@dataclass(frozen=True)
-class NodePatch:
-    vertex: int
-    layer: int
-    iteration: int = 1
-    phase: str = "gap"  # 'gap' | 'listening' | 'waiting'
-    h_own: float | None = None
-    h_min: float | None = None
-    h_max: float | None = None
-    extra_rbits: int = 0
-    last_accept: float = -math.inf
-    pending_pulse_local: float | None = None
-
-
-@dataclass(frozen=True)
-class SpuriousMessage:
-    sender_vertex: int
-    receiver_vertex: int
-    receiver_layer: int
-    arrival_time: float
-    pulse_index: int
-
-
-@dataclass(frozen=True)
-class CorruptionPlan:
-    node_patches: tuple[NodePatch, ...] = ()
-    spurious: tuple[SpuriousMessage, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,11 +119,16 @@ class RunConfig:
             raise ConfigurationError("need at least one pulse")
         if self.layers < 1:
             raise ConfigurationError("need at least one layer")
-        for v, layer in sorted(self.placement.members):
-            if not (0 <= v < self.base.num_vertices and 0 <= layer < self.layers):
+        n = self.base.num_vertices
+        for (v, layer), behavior in sorted(self.placement.behaviors.items()):
+            if not (0 <= v < n and 0 <= layer < self.layers):
                 raise ConfigurationError(
                     f"faulty node (v={v}, layer={layer}) is outside the grid of "
-                    f"{self.base.num_vertices} vertices and {self.layers} layers")
+                    f"{n} vertices and {self.layers} layers")
+            if not all(0 <= w < n for w in behavior.recipients or ()):
+                raise ConfigurationError(
+                    f"faulty node (v={v}, layer={layer}) has recipients "
+                    f"{list(behavior.recipients)} outside the grid's {n} vertices")
         if self.machine not in ("full", "simplified"):
             raise ConfigurationError(f"unknown machine {self.machine!r}")
         if self.source.kind == "ideal" and self.source.jitter > self.params.kappa / 4:
@@ -282,6 +256,7 @@ class _Inputs(NamedTuple):
     chain: np.ndarray  # the chain hops' delays
     rate: np.ndarray  # [layer, vertex]
     offset: np.ndarray  # [layer, vertex]
+    source_times: np.ndarray | None  # [pulse, vertex] ideal layer-0 times; None for a chain
 
 
 def _sample_inputs(config: RunConfig) -> _Inputs:
@@ -291,7 +266,10 @@ def _sample_inputs(config: RunConfig) -> _Inputs:
                                seed=config.delay_seed, custom=config.custom_delays)
     rate, offset = sample_clocks(graph, config.params, config.clock_strategy,
                                  seed=config.clock_seed)
-    return _Inputs(graph, validation, dag, chain, rate, offset)
+    source = config.source
+    times = (ideal_source_times(config.base, config.params.lam, source.jitter, source.seed,
+                                config.pulses) if source.kind == "ideal" else None)
+    return _Inputs(graph, validation, dag, chain, rate, offset, times)
 
 
 def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
@@ -340,9 +318,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     times = np.full(shape, np.nan)
     local_times = np.full(shape, np.nan)
     snap = {name: np.full(shape, np.nan) for name in SNAPSHOT_FIELDS}
-    source = ideal_source_times(base, params.lam, config.source.jitter,
-                                config.source.seed, K)
-    times[0] = np.array([source[v] for v in base.vertices]).T
+    times[0] = inputs.source_times
     local_times[0] = offset[0] + rate[0] * times[0]
     pushes = pushed_waves = stragglers = early_exits = 0
     for layer in range(1, L):
@@ -475,64 +451,6 @@ def _run_events(config: RunConfig, inputs: _Inputs) -> RunResult:
     return _Engine(config, inputs, nominal=nominal).execute()
 
 
-def corrupt_initial_state(
-    graph: LayeredGraph,
-    spec: CorruptionSpec,
-    seed: int,
-    params: Params,
-) -> CorruptionPlan:
-    """Sample a reproducible corruption plan: scrambled node state and
-    spurious in-flight messages, within the requested bounds."""
-    rng = random.Random(seed)
-    lam = params.lam
-    patches: list[NodePatch] = []
-    for layer in range(1, graph.num_layers):
-        for v in graph.base.vertices:
-            if rng.random() >= spec.node_fraction:
-                continue
-            phase = rng.choice(("gap", "listening", "waiting"))
-            h_own = h_min = h_max = None
-            rbits = 0
-            pending = None
-            if phase == "listening":
-                base_h = rng.uniform(0.0, lam)
-                if rng.random() < 0.7:
-                    h_min = base_h
-                    rbits = 1
-                if rng.random() < 0.5:
-                    h_own = base_h + rng.uniform(0.0, lam / 4)
-            elif phase == "waiting":
-                pending = rng.uniform(0.0, 2.0 * lam)
-            patches.append(
-                NodePatch(
-                    vertex=v, layer=layer,
-                    iteration=rng.randint(1, 3),
-                    phase=phase,
-                    h_own=h_own, h_min=h_min, h_max=h_max,
-                    extra_rbits=rbits,
-                    last_accept=rng.uniform(-lam, 0.0),
-                    pending_pulse_local=pending,
-                )
-            )
-    spurious: list[SpuriousMessage] = []
-    if spec.max_spurious_messages > 0 and graph.num_layers > 1:
-        count = rng.randint(0, spec.max_spurious_messages)
-        for _ in range(count):
-            layer = rng.randrange(1, graph.num_layers)
-            v = rng.choice(graph.base.vertices)
-            sender = rng.choice((v, *graph.base.adjacency[v]))
-            spurious.append(
-                SpuriousMessage(
-                    sender_vertex=sender,
-                    receiver_vertex=v,
-                    receiver_layer=layer,
-                    arrival_time=rng.uniform(0.0, params.d),
-                    pulse_index=rng.randint(1, 3),
-                )
-            )
-    return CorruptionPlan(node_patches=tuple(patches), spurious=tuple(spurious))
-
-
 class _Engine:
     """One run on the event queue, over the flat node ids ``layer * n + v``.
 
@@ -585,14 +503,11 @@ class _Engine:
                 for v in range(n) for layer in layers[:-1] for j in range(len(slots[v]))]
             self.rate_order = [layer * n + v for v in range(n) for layer in layers]
 
-        self._seed_sources()
+        self._seed_sources(inputs.source_times)
         self._seed_fault_emissions()
         self._count_wave_left()
         if config.corruption is not None:
-            plan = corrupt_initial_state(
-                inputs.graph, config.corruption, config.corruption_seed, config.params
-            )
-            self._apply_corruption(plan)
+            self._scramble_start()
 
     # -- construction -----------------------------------------------------
 
@@ -637,18 +552,14 @@ class _Engine:
                 heapq.heappush(heap, (t + delay[e], rlayer, rvertex, v, _KIND_MESSAGE,
                                       next_seq(), payload))
 
-    def _seed_sources(self) -> None:
+    def _seed_sources(self, source: np.ndarray | None) -> None:
         cfg = self.cfg
-        base = cfg.base
-        if cfg.source.kind == "ideal":
-            times = ideal_source_times(
-                base, self.params.lam, cfg.source.jitter, cfg.source.seed, cfg.pulses
-            )
-            for v in base.vertices:
+        if source is not None:
+            for v, times in enumerate(source.T.tolist()):
                 if self.faulty[v]:
                     continue
                 clock_offset, clock_rate = self.offset[v], self.rate[v]
-                for k, t in enumerate(times[v], start=1):
+                for k, t in enumerate(times, start=1):
                     self.pulse_rows.append((0, v, k, t, clock_offset + clock_rate * t))
                     self._deliver(v, t, k)
                 self.emitted[v] = cfg.pulses
@@ -675,40 +586,51 @@ class _Engine:
                     v, layer = node
                     self._push(t_emit, v, layer, _KIND_FAULT_EMISSION, v, (recipients, k))
 
-    def _apply_corruption(self, plan: CorruptionPlan) -> None:
-        for patch in plan.node_patches:  # layers >= 1: correct nodes are GcsStates
-            i = patch.layer * self.nv + patch.vertex
+    def _scramble_start(self) -> None:
+        """Corrupt the start state from ``Random(corruption_seed)``: each picked
+        node of layers >= 1 gets an iteration in 1..3, a last acceptance in
+        [-lam, 0] and a gap, listening (h_min at h in [0, lam], its first
+        neighbor's bit set; h_own in [h, h + lam/4]) or waiting phase (a pulse
+        at local time [0, 2 lam]); faulty nodes draw too and keep nothing.
+        Then spurious messages from real predecessors arrive in [0, d]."""
+        spec, lam, n, base = self.cfg.corruption, self.params.lam, self.nv, self.cfg.base
+        rng = random.Random(self.cfg.corruption_seed)
+        for i in range(n, n * self.cfg.layers):
+            if rng.random() >= spec.node_fraction:
+                continue
+            phase = rng.choice(("gap", "listening", "waiting"))
+            h_own = h_min = target = None
+            if phase == "listening":
+                h = rng.uniform(0.0, lam)
+                if rng.random() < 0.7:
+                    h_min = h
+                if rng.random() < 0.5:
+                    h_own = h + rng.uniform(0.0, lam / 4)
+            elif phase == "waiting":
+                target = rng.uniform(0.0, 2.0 * lam)
+            iteration, last_accept = rng.randint(1, 3), rng.uniform(-lam, 0.0)
             st = self.machines[i]
             if st is None:
                 continue
-            st.iteration = patch.iteration
-            st.last_accept = patch.last_accept
-            if patch.phase == "listening":
-                st.phase = Phase.LISTENING
-                st.h_own = patch.h_own
-                st.h_min = patch.h_min
-                st.h_max = patch.h_max
-                st.rmask = patch.extra_rbits & st.full_mask
-                if st.h_min is None:
-                    st.rmask = 0
-                elif st.rmask == 0:
-                    st.rmask = 1
-                if st.rmask == st.full_mask and st.h_max is None:
-                    st.h_max = st.h_min
-            elif patch.phase == "waiting":
+            st.iteration, st.last_accept = iteration, last_accept
+            if phase == "listening":
+                st.phase, st.h_own, st.h_min = Phase.LISTENING, h_own, h_min
+                st.rmask = int(h_min is not None)
+            elif phase == "waiting":
                 st.phase = Phase.WAITING
-                target = patch.pending_pulse_local
-                if target is None:
-                    target = 0.0
-                st.pending_pulse_local = target
                 st.pending_snapshot = IterationSnapshot("corrupted", None, None, None, None,
                                                         target)
                 self.pulse_version[i] += 1
-                self._push((target - self.offset[i]) / self.rate[i], patch.vertex, patch.layer,
-                           _KIND_TIMER, patch.vertex, ("pulse", self.pulse_version[i], target))
-        for msg in plan.spurious:
-            self._push(msg.arrival_time, msg.receiver_vertex, msg.receiver_layer,
-                       _KIND_MESSAGE, msg.sender_vertex, (msg.receiver_layer - 1, msg.pulse_index))
+                v, layer = i % n, i // n
+                self._push((target - self.offset[i]) / self.rate[i], v, layer, _KIND_TIMER, v,
+                           ("pulse", self.pulse_version[i], target))
+        if spec.max_spurious_messages > 0 and self.cfg.layers > 1:
+            for _ in range(rng.randint(0, spec.max_spurious_messages)):
+                layer = rng.randrange(1, self.cfg.layers)
+                v = rng.choice(base.vertices)
+                sender = rng.choice((v, *base.adjacency[v]))
+                t, pulse_index = rng.uniform(0.0, self.params.d), rng.randint(1, 3)
+                self._push(t, v, layer, _KIND_MESSAGE, sender, (layer - 1, pulse_index))
 
     # -- waves and perturbation ---------------------------------------------
 
@@ -806,7 +728,7 @@ class _Engine:
                 continue
             if (st.__class__ is GcsState and st.phase is waiting
                     and before_phase is not waiting):
-                if st.exit_arm == "timeout":
+                if st.pending_snapshot.arm == "timeout":
                     timeouts += 1
                 elif st.h_max is None:
                     early_exits += 1

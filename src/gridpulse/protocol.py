@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigurationError, ProtocolError
 from .timing import Params
 from .topology import BaseGraph
@@ -181,23 +183,19 @@ def inner_loop_threshold(
     h_max: float | None,
     kappa: float,
     theta: float,
-) -> tuple[float, str | None]:
-    """Local time at which the listening loop may exit, and the active arm.
+) -> float:
+    """Local time at which the listening loop may exit: the earlier arm.
 
     First arm: h_max + kappa/2 + theta*kappa (waits out a missing self-copy
     pulse). Second arm: 2*h_own - h_min + 2*kappa (waits out a missing last
-    neighbor). An absent value makes its arm infinite; ties go to the first
-    arm. With both arms infinite the node keeps listening.
+    neighbor). An absent value makes its arm infinite; with both arms
+    infinite the node keeps listening.
     """
     if h_min is None:
         raise ProtocolError("threshold undefined before the first neighbor pulse")
     first = h_max + kappa / 2 + theta * kappa if h_max is not None else math.inf
     second = 2 * h_own - h_min + 2 * kappa if h_own is not None else math.inf
-    if first == math.inf and second == math.inf:
-        return math.inf, None
-    if first <= second:
-        return first, "first"
-    return second, "second"
+    return first if first <= second else second
 
 
 class GcsState:
@@ -206,8 +204,7 @@ class GcsState:
     __slots__ = (
         "vertex", "layer", "iteration", "phase",
         "h_own", "h_min", "h_max", "rmask", "full_mask", "bit_of",
-        "last_accept", "last_from", "pending_pulse_local", "pending_snapshot",
-        "correction", "exit_arm",
+        "last_accept", "last_from", "pending_snapshot",
     )
 
     def __init__(self, vertex: int, layer: int, neighbors: tuple[int, ...]):
@@ -225,10 +222,7 @@ class GcsState:
         self.full_mask = (1 << len(neighbors)) - 1
         self.last_accept = -math.inf
         self.last_from: dict[int, float] = {}
-        self.pending_pulse_local: float | None = None
         self.pending_snapshot: IterationSnapshot | None = None
-        self.correction: float | None = None
-        self.exit_arm: str | None = None
 
 
 def _open_phase(state: GcsState, actions: list) -> None:
@@ -276,10 +270,7 @@ def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> No
         target = state.h_own + params.lam - params.d - correction
     if target < h_exit:
         target = h_exit  # out-of-regime parameters only; never back-date a pulse
-    state.correction = correction
-    state.exit_arm = arm
     state.phase = _WAITING
-    state.pending_pulse_local = target
     state.pending_snapshot = IterationSnapshot(arm, state.h_own, h_min, h_max, correction, h_exit)
     actions.append(SetTimer("pulse", target))
 
@@ -287,10 +278,10 @@ def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> No
 def _evaluate_exit(state: GcsState, h: float, params: Params, actions: list) -> None:
     if state.h_min is None:
         return
-    threshold, _arm = inner_loop_threshold(
+    threshold = inner_loop_threshold(
         state.h_own, state.h_min, state.h_max, params.kappa, params.theta
     )
-    if threshold is math.inf:
+    if threshold == math.inf:
         return
     if h >= threshold:
         _commit(state, h, params, actions)
@@ -346,7 +337,6 @@ def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
         state.h_max = None
         state.rmask = 0
         state.phase = _GAP
-        state.pending_pulse_local = None
         return actions
     raise ProtocolError(f"unknown timer kind {timer!r}")
 
@@ -377,8 +367,9 @@ def layer0_step(state: ChainState, timer: str | None, h: float, params: Params) 
 
 def ideal_source_times(
     base: BaseGraph, lam: float, jitter: float, seed: int, pulses: int
-) -> dict[int, list[float]]:
-    """Well-synchronized layer-0 pulse times (k-1)*lam + j_v, j_v in [0, jitter].
+) -> np.ndarray:
+    """Well-synchronized layer-0 pulse times (k-1)*lam + j_v, j_v in [0, jitter],
+    as a [pulse, vertex] array.
 
     The per-vertex offsets are fixed for the whole run and reproducible from
     the seed. The jitter-vs-kappa admissibility check lives with the run
@@ -389,8 +380,5 @@ def ideal_source_times(
     if pulses < 1:
         raise ConfigurationError("need at least one pulse")
     rng = random.Random(seed)
-    offsets = {v: (rng.uniform(0.0, jitter) if jitter > 0 else 0.0) for v in base.vertices}
-    return {
-        v: [(k - 1) * lam + offsets[v] for k in range(1, pulses + 1)]
-        for v in base.vertices
-    }
+    offsets = [rng.uniform(0.0, jitter) if jitter > 0 else 0.0 for _ in base.vertices]
+    return np.arange(pulses)[:, None] * lam + np.array(offsets)

@@ -185,6 +185,13 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"faults.placement\[1\]"),
     ({"faults": {"placement": [{"vertex": -1, "layer": 1, "behavior": {"kind": "silent"}}]}},
      r"faults.placement\[0\]"),
+    # and their recipients name vertices of the grid
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": [99]}}]}},
+     r"faults.placement\[0\].behavior.recipients"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": [-1]}}]}},
+     r"faults.placement\[0\].behavior.recipients"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
@@ -196,4 +203,13 @@ def test_run_config_rejects_a_fault_outside_the_grid(node):
     cfg = build_run_config(DOC)  # 7 vertices, 4 layers
     placement = FaultPlacement(behaviors={node: FaultBehavior(kind="silent")}, strict=False)
     with pytest.raises(ConfigurationError, match=rf"\(v={node[0]}, layer={node[1]}\)"):
+        RunConfig(**{**vars(cfg), "placement": placement})
+
+
+@pytest.mark.parametrize("recipients", [(7,), (1, -1)])
+def test_run_config_rejects_recipients_outside_the_grid(recipients):
+    cfg = build_run_config(DOC)  # 7 vertices
+    behavior = FaultBehavior(kind="fixed_offset", offset=0.1, recipients=recipients)
+    placement = FaultPlacement(behaviors={(2, 1): behavior})
+    with pytest.raises(ConfigurationError, match=r"\(v=2, layer=1\) has recipients"):
         RunConfig(**{**vars(cfg), "placement": placement})

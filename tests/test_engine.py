@@ -21,7 +21,6 @@ from gridpulse.engine import (
     RunConfig,
     _layer_kernel,
     _sample_inputs,
-    corrupt_initial_state,
     run,
     run_events,
 )
@@ -240,14 +239,15 @@ class TestCorruption:
         stab = analysis.stabilization_pulse(res, ref)
         assert stab <= 2
 
-    def test_plan_reproducible(self):
-        graph = build_layered(build_line_with_replicated_ends(6), 8)
-        spec = CorruptionSpec(node_fraction=0.5, max_spurious_messages=4)
-        a = corrupt_initial_state(graph, spec, seed=3, params=PARAMS)
-        b = corrupt_initial_state(graph, spec, seed=3, params=PARAMS)
-        assert a == b
-        c = corrupt_initial_state(graph, spec, seed=4, params=PARAMS)
-        assert a != c
+    def test_corruption_seed_reproducible(self):
+        cfg = dataclasses.replace(
+            base_config(m=6, layers=8),
+            corruption=CorruptionSpec(node_fraction=0.5, max_spurious_messages=4),
+            corruption_seed=3,
+        )
+        digest = run_digest(run(cfg))
+        assert run_digest(run(cfg)) == digest
+        assert run_digest(run(dataclasses.replace(cfg, corruption_seed=4))) != digest
 
     def test_full_corruption_stabilizes(self):
         cfg = base_config(m=8, layers=8, pulses=12)
@@ -521,10 +521,11 @@ class TestLayerKernel:
             (2, 1): FaultBehavior(kind="fixed_offset", offset=PARAMS.lam / 8)})},
     ], ids=["kernel_falls_back", "fault_free_twin"])
     def test_samples_once(self, monkeypatch, edit):
-        """A run samples its graph, delays and clocks once, whether the kernel
-        falls back to the event engine or a fault-free twin runs first."""
+        """A run samples its graph, delays, clocks and layer-0 times once,
+        whether the kernel falls back to the event engine or a fault-free twin
+        runs first."""
         calls = Counter()
-        for name in ("build_layered", "sample_delays", "sample_clocks"):
+        for name in ("build_layered", "sample_delays", "sample_clocks", "ideal_source_times"):
             def counted(*args, _name=name, _sample=getattr(engine_module, name), **kwargs):
                 calls[_name] += 1
                 return _sample(*args, **kwargs)
@@ -532,7 +533,8 @@ class TestLayerKernel:
         cfg = base_config(m=3, layers=3, pulses=3, delay_seed=1,
                           source=SourceMode(kind="ideal"), **edit)
         run(cfg)
-        assert calls == {"build_layered": 1, "sample_delays": 1, "sample_clocks": 1}
+        assert calls == {"build_layered": 1, "sample_delays": 1, "sample_clocks": 1,
+                         "ideal_source_times": 1}
 
     def test_event_engine_runs_only_the_full_machine(self):
         with pytest.raises(ConfigurationError, match="only machine 'full'"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,23 +95,16 @@ class TestComputeCorrection:
 
 class TestInnerLoopThreshold:
     def test_symmetric(self):
-        t, arm = inner_loop_threshold(100, 100, 100, 1, 1.2)
-        assert t == pytest.approx(101.7)
-        assert arm == "first"
+        assert inner_loop_threshold(100, 100, 100, 1, 1.2) == pytest.approx(101.7)
 
     def test_missing_last_neighbor(self):
-        t, arm = inner_loop_threshold(10, 8, None, 1, 1.2)
-        assert t == pytest.approx(2 * 10 - 8 + 2)
-        assert arm == "second"
+        assert inner_loop_threshold(10, 8, None, 1, 1.2) == pytest.approx(2 * 10 - 8 + 2)
 
     def test_missing_self(self):
-        t, arm = inner_loop_threshold(None, 100, 100, 1, 1.2)
-        assert t == pytest.approx(101.7)
-        assert arm == "first"
+        assert inner_loop_threshold(None, 100, 100, 1, 1.2) == pytest.approx(101.7)
 
     def test_both_missing_keeps_listening(self):
-        t, arm = inner_loop_threshold(None, 80, None, 1, 1.2)
-        assert t == math.inf and arm is None
+        assert inner_loop_threshold(None, 80, None, 1, 1.2) == math.inf
 
     def test_needs_first_neighbor(self):
         with pytest.raises(ProtocolError):
@@ -160,8 +154,8 @@ class TestFullMachine:
         t_exit = thresholds[-1].local_time
         assert t_exit == pytest.approx(101.7)
         acts2 = gcs_step(st_, "threshold", None, None, t_exit, params)
-        assert st_.correction == 0.0
-        nominal = st_.h_own + params.lam - params.d - st_.correction
+        assert st_.pending_snapshot.correction == 0.0
+        nominal = st_.h_own + params.lam - params.d - st_.pending_snapshot.correction
         assert nominal == pytest.approx(101.0)
         # these toy constants sit outside the operating regime, so the exit
         # time already passed the nominal target and the pulse fires at exit;
@@ -171,7 +165,7 @@ class TestFullMachine:
         assert st_.rmask != 0
         assert st_.rmask == st_.full_mask
         assert st_.h_min <= st_.h_max
-        assert st_.phase is Phase.WAITING and st_.pending_pulse_local is not None
+        assert st_.phase is Phase.WAITING and st_.pending_snapshot is not None
 
     def test_missing_self_times_out_on_last_neighbor(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
@@ -180,7 +174,7 @@ class TestFullMachine:
         assert st_.h_own is None and st_.h_max == 50.0
         # threshold arm: 50 + kappa/2 + theta*kappa = 51.7
         acts = gcs_step(st_, "threshold", None, None, 51.7, params)
-        assert st_.exit_arm == "timeout"
+        assert st_.pending_snapshot.arm == "timeout"
         assert pulse_target(acts) == pytest.approx(50.0 + 1.5 + 2.0 - 1.0)
 
     def test_missing_last_neighbor_exits_second_arm(self):
@@ -190,8 +184,8 @@ class TestFullMachine:
         # loop exits at 2*10 - 8 + 2 = 14, last neighbor treated as absent;
         # the below-zero branch clamps at 0
         acts = gcs_step(st_, "threshold", None, None, 14.0, params)
-        assert st_.exit_arm == "corrected"
-        assert st_.correction == 0.0
+        assert st_.pending_snapshot.arm == "corrected"
+        assert st_.pending_snapshot.correction == 0.0
         nominal = 10.0 + 2.0 - 1.0
         assert pulse_target(acts) == pytest.approx(max(nominal, 14.0))
 
@@ -267,8 +261,8 @@ class TestIdealSource:
 
         base = build_line_with_replicated_ends(3)
         times = ideal_source_times(base, lam=2.0, jitter=0.0, seed=1, pulses=3)
-        for v in base.vertices:
-            assert times[v] == [0.0, 2.0, 4.0]
+        assert times.shape == (3, base.num_vertices)
+        assert (times == np.array([[0.0], [2.0], [4.0]])).all()
 
     def test_seed_reproducible(self):
         from gridpulse.topology import build_line_with_replicated_ends
@@ -276,7 +270,7 @@ class TestIdealSource:
         base = build_line_with_replicated_ends(3)
         a = ideal_source_times(base, 2.0, 0.001, seed=5, pulses=2)
         b = ideal_source_times(base, 2.0, 0.001, seed=5, pulses=2)
-        assert a == b
+        assert (a == b).all()
 
     def test_jitter_bounds_layer_skew(self):
         from gridpulse.topology import build_line_with_replicated_ends
@@ -284,9 +278,7 @@ class TestIdealSource:
         base = build_line_with_replicated_ends(3)
         jitter = 0.0011
         times = ideal_source_times(base, 2.0, jitter, seed=5, pulses=4)
-        for k in range(4):
-            vals = [times[v][k] for v in base.vertices]
-            assert max(vals) - min(vals) <= jitter
+        assert (times.max(axis=1) - times.min(axis=1) <= jitter).all()
 
     def test_source_mode_validation(self):
         with pytest.raises(ConfigurationError):
