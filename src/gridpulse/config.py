@@ -213,10 +213,10 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
                                          f"grid of {base.num_vertices} vertices and {layers} "
                                          f"layers")
             behavior = behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
-            if not all(0 <= w < base.num_vertices for w in behavior.recipients or ()):
+            if not set(behavior.recipients or ()) <= set(base.slots[node[0]]):
                 raise ConfigurationError(f"{path}.behavior.recipients: {list(behavior.recipients)} "
-                                         f"names a vertex outside the grid of "
-                                         f"{base.num_vertices} vertices")
+                                         f"names a vertex outside the node's successors "
+                                         f"{list(base.slots[node[0]])}")
         placement = FaultPlacement(behaviors=behaviors, strict=strict)
     if strict and placement:
         bad = validate_placement(graph, placement)

@@ -58,8 +58,8 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SNAPSHOT_FIELDS",
+    "empty_arrays",
     "run",
-    "run_arrays",
     "run_events",
 ]
 
@@ -125,10 +125,10 @@ class RunConfig:
                 raise ConfigurationError(
                     f"faulty node (v={v}, layer={layer}) is outside the grid of "
                     f"{n} vertices and {self.layers} layers")
-            if not all(0 <= w < n for w in behavior.recipients or ()):
+            if not set(behavior.recipients or ()) <= set(self.base.slots[v]):
                 raise ConfigurationError(
                     f"faulty node (v={v}, layer={layer}) has recipients "
-                    f"{list(behavior.recipients)} outside the grid's {n} vertices")
+                    f"{list(behavior.recipients)} outside its successors {self.base.slots[v]}")
         if self.machine not in ("full", "simplified"):
             raise ConfigurationError(f"unknown machine {self.machine!r}")
         if self.source.kind == "ideal" and self.source.jitter > self.params.kappa / 4:
@@ -168,43 +168,19 @@ class Diagnostics:
 SNAPSHOT_FIELDS = ("h_own", "h_min", "h_max", "correction", "exit_local")
 
 
-def run_arrays(layers: int, vertices: int, pulses: int,
-               pulse_rows: list, snapshot_rows: list) -> dict:
-    """The dense arrays of a run, keyed by RunResult field name.
-
-    ``pulse_rows`` hold (layer, vertex, pulse, time, local_time) and
-    ``snapshot_rows`` hold (layer, vertex, pulse, arm, *SNAPSHOT_FIELDS),
-    None marking an absent value; pulse indices are 1-based. ``counts`` is
-    the highest pulse index per node. The pulse axis has max(pulses, highest
-    index) entries; entries without a record are NaN, or "" for ``arm``.
-    """
-    rows = np.array(pulse_rows, dtype=float).reshape(-1, 5)
-    layer, vertex, index = rows[:, :3].astype(np.intp).T
-    counts = np.zeros((layers, vertices), dtype=np.int64)
-    np.maximum.at(counts, (layer, vertex), index)
-    snap_layer, snap_vertex, snap_index = np.array(
-        [r[:3] for r in snapshot_rows], dtype=np.intp).reshape(-1, 3).T
-    K = max(pulses, int(counts.max(initial=0)), int(snap_index.max(initial=0)))
-    shape = (layers, K, vertices)
-    out = {"counts": counts}
-    for col, name in enumerate(("times", "local_times"), start=3):
-        out[name] = np.full(shape, np.nan)
-        out[name][layer, index - 1, vertex] = rows[:, col]
-
-    at = (snap_layer, snap_index - 1, snap_vertex)
-    values = np.array([r[4:] for r in snapshot_rows], dtype=float)
-    values = values.reshape(-1, len(SNAPSHOT_FIELDS))
-    for col, name in enumerate(SNAPSHOT_FIELDS):
-        out[name] = np.full(shape, np.nan)
-        out[name][at] = values[:, col]
+def empty_arrays(layers: int, pulses: int, vertices: int) -> dict:
+    """A run's [layer, pulse, vertex] arrays without a pulse, keyed by
+    RunResult field name: NaN, and "" for ``arm``."""
+    shape = (layers, pulses, vertices)
+    out = {name: np.full(shape, np.nan) for name in ("times", "local_times", *SNAPSHOT_FIELDS)}
     out["arm"] = np.full(shape, "", dtype=object)
-    out["arm"][at] = [r[3] for r in snapshot_rows]
     return out
 
 
 @dataclass(eq=False)
 class RunResult:
-    """A finished run as dense [layer, pulse, vertex] arrays (see run_arrays).
+    """A finished run as dense [layer, pulse, vertex] arrays, max(pulses,
+    counts.max()) pulses long and NaN ("" for ``arm``) where nothing was recorded.
 
     Pulse k of node (v, layer) is at [layer, k - 1, v] for k <= counts[layer, v];
     the snapshot arrays hold the values behind that pulse where one was
@@ -314,10 +290,8 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     last_slot = np.broadcast_to(degree[:, None], (K, n, 1))
     quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
 
-    shape = (L, K, n)
-    times = np.full(shape, np.nan)
-    local_times = np.full(shape, np.nan)
-    snap = {name: np.full(shape, np.nan) for name in SNAPSHOT_FIELDS}
+    arrays = empty_arrays(L, K, n)
+    times, local_times = arrays["times"], arrays["local_times"]
     times[0] = inputs.source_times
     local_times[0] = offset[0] + rate[0] * times[0]
     pushes = pushed_waves = stragglers = early_exits = 0
@@ -401,9 +375,8 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
                 f"machine 'simplified': {_first_bad(early, layer)} receives an input "
                 f"no later than its previous pulse")
         for name, value in zip(SNAPSHOT_FIELDS, (h_own, h_min, h_max, correction, exit_local)):
-            snap[name][layer] = value
-    arm = np.full(shape, "", dtype=object)
-    arm[1:] = "corrected"
+            arrays[name][layer] = value
+    arrays["arm"][1:] = "corrected"
 
     waves = (L - 1) * n * K
     messages = (L - 1) * K * int(real.sum())
@@ -414,8 +387,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
         alignment_enforced=_auto_alignment(config, validation),
     )
     return RunResult(
-        config=config, counts=np.full((L, n), K, dtype=np.int64),
-        times=times, local_times=local_times, **snap, arm=arm,
+        config=config, counts=np.full((L, n), K, dtype=np.int64), **arrays,
         diagnostics=diagnostics, validation=validation,
         completed=True, incomplete_nodes=[],
     )
@@ -485,8 +457,7 @@ class _Engine:
         self.threshold_version = [0] * nodes
         self.pulse_version = [0] * nodes
         self.emitted = [0] * nodes
-        self.pulse_rows: list = []  # run_arrays rows, in emission order
-        self.snapshot_rows: list = []
+        self.arrays = empty_arrays(config.layers, config.pulses, n)  # the RunResult's
         self.wave_next = 1  # the perturbation wave that waits for every correct node
         if config.perturbation is not None:
             caps = perturbation_caps(nodes, config.base.diameter, config.params)
@@ -503,7 +474,7 @@ class _Engine:
                 for v in range(n) for layer in layers[:-1] for j in range(len(slots[v]))]
             self.rate_order = [layer * n + v for v in range(n) for layer in layers]
 
-        self._seed_sources(inputs.source_times)
+        self._seed_sources(inputs)
         self._seed_fault_emissions()
         self._count_wave_left()
         if config.corruption is not None:
@@ -552,15 +523,15 @@ class _Engine:
                 heapq.heappush(heap, (t + delay[e], rlayer, rvertex, v, _KIND_MESSAGE,
                                       next_seq(), payload))
 
-    def _seed_sources(self, source: np.ndarray | None) -> None:
-        cfg = self.cfg
+    def _seed_sources(self, inputs: _Inputs) -> None:
+        cfg, source = self.cfg, inputs.source_times
         if source is not None:
-            for v, times in enumerate(source.T.tolist()):
-                if self.faulty[v]:
-                    continue
-                clock_offset, clock_rate = self.offset[v], self.rate[v]
-                for k, t in enumerate(times, start=1):
-                    self.pulse_rows.append((0, v, k, t, clock_offset + clock_rate * t))
+            correct = [v for v in range(self.nv) if not self.faulty[v]]
+            self.arrays["times"][0][:, correct] = source[:, correct]
+            self.arrays["local_times"][0][:, correct] = (
+                inputs.offset[0, correct] + inputs.rate[0, correct] * source[:, correct])
+            for v in correct:
+                for k, t in enumerate(source[:, v].tolist(), start=1):
                     self._deliver(v, t, k)
                 self.emitted[v] = cfg.pulses
         else:
@@ -635,18 +606,27 @@ class _Engine:
     # -- waves and perturbation ---------------------------------------------
 
     def _record_pulse(self, i: int, t: float, local_time: float) -> None:
-        """Record node i's next pulse. Once every correct node has emitted
-        pulse ``wave_next``, perturb; at most one wave advances per recorded
-        pulse."""
+        """Record node i's next pulse, and the snapshot behind it, in the run's
+        arrays; a pulse past the pulse axis grows it by one. Once every correct
+        node has emitted pulse ``wave_next``, perturb; at most one wave
+        advances per recorded pulse."""
         layer, v = divmod(i, self.nv)
         index = self.emitted[i] + 1
         self.emitted[i] = index
-        self.pulse_rows.append((layer, v, index, t, local_time))
+        arrays = self.arrays
+        if index > arrays["times"].shape[1]:
+            extra = empty_arrays(self.cfg.layers, 1, self.nv)
+            arrays.update((name, np.concatenate((a, extra[name]), axis=1))
+                          for name, a in arrays.items())
+        at = (layer, index - 1, v)
+        arrays["times"][at] = t
+        arrays["local_times"][at] = local_time
         if index == self.wave_next:
             self.wave_left -= 1
         st = self.machines[i]
         if st.__class__ is GcsState and st.pending_snapshot is not None:
-            self.snapshot_rows.append((layer, v, index, *st.pending_snapshot))
+            for name, value in zip(IterationSnapshot._fields, st.pending_snapshot):
+                arrays[name][at] = value  # None is stored as NaN
             st.pending_snapshot = None
         if self.cfg.perturbation is not None and not self.wave_left:
             self.wave_next += 1
@@ -761,7 +741,8 @@ class _Engine:
         )
         return RunResult(
             config=cfg,
-            **run_arrays(cfg.layers, n, cfg.pulses, self.pulse_rows, self.snapshot_rows),
+            counts=np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n),
+            **self.arrays,
             diagnostics=diagnostics,
             validation=self.validation,
             completed=not incomplete,

@@ -83,8 +83,8 @@ class Broadcast(NamedTuple):
 
 
 class IterationSnapshot(NamedTuple):
-    """Internal values frozen when a listening phase commits to a pulse time,
-    in the column order of the engine's snapshot rows."""
+    """Internal values frozen when a listening phase commits to a pulse time;
+    each field is stored in the RunResult array of the same name."""
 
     arm: str  # 'corrected' | 'timeout' | 'corrupted'
     h_own: float | None

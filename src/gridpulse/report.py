@@ -8,7 +8,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict
@@ -18,15 +17,15 @@ import numpy as np
 
 from . import analysis
 from .config import build_run_config, run_document
-from .engine import Diagnostics, RunResult, run_arrays
+from .engine import Diagnostics, RunResult, empty_arrays
 from .errors import ConfigurationError
 from .timing import local_skew_budget
 
 __all__ = [
     "REPORT_SCHEMA",
     "build_report",
-    "read_trace_dir",
     "render_text",
+    "result_from_files",
     "write_outputs",
 ]
 
@@ -39,48 +38,21 @@ ALL_CHECKS = ("skew", "conditions", "envelope", "drift", "estimates", "period", 
 TRACE_COLUMNS = ["layer", "vertex", "pulse", "time_real", "time_local"]
 SNAPSHOT_COLUMNS = ["layer", "vertex", "pulse", "H_own", "H_min", "H_max", "correction",
                     "threshold_arm"]
-_SNAPSHOT_VALUES = ("h_own", "h_min", "h_max", "correction")  # the CSV's value columns
+_SNAPSHOT_ARRAYS = ("h_own", "h_min", "h_max", "correction", "arm")  # behind its value columns
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else format(x, ".17g")
-
-
-def _write_rows(path: Path, header: list, present: np.ndarray, arrays: list) -> None:
-    """One row per True entry of present[layer, pulse, vertex], in (layer,
-    vertex, pulse) order: the indices, then each array's value there."""
+def _write_columns(path: Path, header: list, present: np.ndarray, arrays: list) -> None:
+    """One line per True entry of present[layer, pulse, vertex], in (layer,
+    vertex, pulse) order: the indices, then each array's value there, floats
+    with 17 significant digits and NaN as an empty field."""
     layer, v, k = np.nonzero(present.transpose(0, 2, 1))
     at = (layer, k, v)
-    columns = [layer.tolist(), v.tolist(), (k + 1).tolist()]
-    columns += [a[at].tolist() if a.dtype == object else map(_fmt, a[at].tolist())
-                for a in arrays]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-
-
-def write_trace_csv(result: RunResult, path: Path) -> None:
-    K = result.times.shape[1]
-    emitted = np.arange(K)[None, :, None] < result.counts[:, None, :]
-    _write_rows(path, TRACE_COLUMNS, emitted, [result.times, result.local_times])
-
-
-def write_snapshot_csv(result: RunResult, path: Path) -> None:
-    _write_rows(path, SNAPSHOT_COLUMNS, result.arm != "",
-                [getattr(result, name) for name in _SNAPSHOT_VALUES] + [result.arm])
-
-
-def write_run_json(result: RunResult, path: Path) -> None:
-    payload = {
-        "schema": RUN_SCHEMA,
-        "config": run_document(result.config),
-        "validation_violations": result.validation,
-        "completed": result.completed,
-        "incomplete_nodes": [list(n) for n in result.incomplete_nodes],
-        "diagnostics": asdict(result.diagnostics),
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    columns = [map(str, index.tolist()) for index in (layer, v, k + 1)]
+    columns += [a[at].tolist() if a.dtype == object else
+                ("" if math.isnan(x) else "%.17g" % x for x in a[at].tolist()) for a in arrays]
+    with path.open("w") as fh:  # line by line: the text is never held whole
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map("%s\n".__mod__, map(",".join, zip(*columns))))
 
 
 def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
@@ -219,24 +191,91 @@ def render_text(report: dict) -> str:
 
 def write_outputs(result: RunResult, report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(result, out_dir / "trace.csv")
-    write_snapshot_csv(result, out_dir / "snapshots.csv")
-    write_run_json(result, out_dir / "run.json")
+    emitted = np.arange(result.times.shape[1])[:, None] < result.counts[:, None, :]
+    _write_columns(out_dir / "trace.csv", TRACE_COLUMNS, emitted,
+                   [result.times, result.local_times])
+    _write_columns(out_dir / "snapshots.csv", SNAPSHOT_COLUMNS, result.arm != "",
+                   [getattr(result, name) for name in _SNAPSHOT_ARRAYS])
+    run = {
+        "schema": RUN_SCHEMA,
+        "config": run_document(result.config),
+        "validation_violations": result.validation,
+        "completed": result.completed,
+        "incomplete_nodes": [list(n) for n in result.incomplete_nodes],
+        "diagnostics": asdict(result.diagnostics),
+    }
+    (out_dir / "run.json").write_text(json.dumps(run, sort_keys=True, indent=2) + "\n")
     write_report_json(report, out_dir / "report.json")
     (out_dir / "report.txt").write_text(render_text(report))
 
 
-def _float(text: str) -> float | None:
-    return float(text) if text else None
+def _parse(path: Path, column: list, dtype, first: int) -> np.ndarray:
+    """A column of fields as an array of ``dtype``: np.int64, float (an empty
+    field is NaN) or object (the text). A field that does not parse is
+    reported with its line; the column starts on line ``first``."""
+    parse = {np.int64: int, float: float, object: str}[dtype]
+    if dtype is float:
+        column = [x or "nan" for x in column]
+    try:
+        return np.array(list(map(parse, column)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for line, text in enumerate(column, start=first):
+            try:
+                np.array(parse(text), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"{path}:{line}: {exc}") from None
+        raise
 
 
-def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
-    """Load trace.csv, snapshots.csv and run.json back from an output dir, as
-    the pulse rows, snapshot rows (see engine.run_arrays) and run metadata."""
-    trace_path = out_dir / "trace.csv"
-    run_path = out_dir / "run.json"
-    if not trace_path.exists() or not run_path.exists():
-        raise ConfigurationError(f"{out_dir} does not hold a run (trace.csv/run.json missing)")
+def _read_columns(path: Path, header: list, dtypes: tuple, layers: int, vertices: int) -> list:
+    """The columns of a CSV file that ``_write_columns`` wrote with ``header``:
+    (layer, vertex, pulse) as int64 arrays, then the value columns as ``dtypes``.
+    A wrong header, field count or field, a row off the grid, or rows not
+    strictly increasing in (layer, vertex, pulse) are reported with the line.
+    Lines are split and parsed a block at a time, so that only one block's
+    fields are held as strings."""
+    width, first, dtypes = len(header), 2, (np.int64,) * 3 + dtypes
+    blocks = [[np.array([], dtype=dtype) for dtype in dtypes]]
+    with path.open() as fh:
+        if fh.readline().rstrip("\n") != ",".join(header):
+            raise ConfigurationError(f"{path}:1: expected the header {','.join(header)}")
+        while lines := "".join(fh.readlines(1 << 16)).splitlines():
+            for line, text in enumerate(lines, start=first):
+                if text.count(",") != width - 1:
+                    raise ConfigurationError(f"{path}:{line}: expected {width} fields")
+            fields = ",".join(lines).split(",")
+            blocks.append([_parse(path, fields[j::width], dtype, first)
+                           for j, dtype in enumerate(dtypes)])
+            first += len(lines)
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    layer, v, pulse = columns[:3]
+    _reject(path, (layer < 0) | (layer >= layers) | (v < 0) | (v >= vertices) | (pulse < 1),
+            f"is off the grid of {layers} layers and {vertices} vertices, or has a pulse below 1")
+    step, pulse_step = np.diff(layer * vertices + v), np.diff(pulse)
+    _reject(path, np.r_[False, (step < 0) | ((step == 0) & (pulse_step <= 0))],
+            "is not after the row above in (layer, vertex, pulse) order")
+    return columns
+
+
+def _reject(path: Path, bad: np.ndarray, what: str) -> None:
+    """Report the first row where ``bad`` holds."""
+    if bad.any():
+        raise ConfigurationError(f"{path}:{int(np.argmax(bad)) + 2}: this row {what}")
+
+
+def result_from_files(out_dir: Path) -> RunResult:
+    """Rebuild an analyzable run from stored trace/snapshot/metadata files.
+
+    The files must be laid out as ``write_outputs`` writes them: rows in
+    (layer, vertex, pulse) order, each node's pulses 1..count in trace.csv,
+    every snapshot on a pulse of the trace. ``exit_local`` is not stored and
+    reloads as NaN.
+    """
+    paths = [out_dir / name for name in ("trace.csv", "snapshots.csv", "run.json")]
+    if not all(p.exists() for p in paths):
+        raise ConfigurationError(f"{out_dir} does not hold a run "
+                                 f"(trace.csv, snapshots.csv or run.json missing)")
+    trace_path, snap_path, run_path = paths
     try:
         meta = json.loads(run_path.read_text())
     except ValueError as exc:
@@ -245,51 +284,30 @@ def read_trace_dir(out_dir: Path) -> tuple[list, list, dict]:
     if schema != RUN_SCHEMA:
         raise ConfigurationError(f"{run_path}: schema {schema!r} is not {RUN_SCHEMA!r}; "
                                  f"re-run `gridpulse run` to write this run in the current schema")
-    with trace_path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_COLUMNS:
-            raise ConfigurationError(f"{trace_path}: unexpected trace schema {header}")
-        try:
-            pulse_rows = [
-                (int(layer), int(v), int(k), float(t), float(local))
-                for layer, v, k, t, local in reader
-            ]
-        except ValueError as exc:
-            raise ConfigurationError(f"{trace_path}:{reader.line_num}: {exc}") from exc
-    snapshot_rows: list = []
-    snap_path = out_dir / "snapshots.csv"
-    if snap_path.exists():
-        with snap_path.open() as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            try:
-                snapshot_rows = [
-                    # exit_local is not stored
-                    (int(layer), int(v), int(k), arm, *map(_float, (h_own, h_min, h_max, c)), None)
-                    for layer, v, k, h_own, h_min, h_max, c, arm in reader
-                ]
-            except ValueError as exc:
-                raise ConfigurationError(f"{snap_path}:{reader.line_num}: {exc}") from exc
-    if not pulse_rows:
-        raise ConfigurationError(f"{trace_path}: trace is empty")
-    return pulse_rows, snapshot_rows, meta
-
-
-def result_from_files(out_dir: Path) -> RunResult:
-    """Rebuild an analyzable run from stored trace/snapshot/metadata files."""
-    pulse_rows, snapshot_rows, meta = read_trace_dir(out_dir)
     cfg = build_run_config(meta.get("config"))
-    vertices = cfg.base.num_vertices
-    for row in (*pulse_rows, *snapshot_rows):
-        if not (0 <= row[0] < cfg.layers and 0 <= row[1] < vertices and row[2] >= 1):
-            raise ConfigurationError(f"{out_dir}: (layer, vertex, pulse) {row[:3]} is outside "
-                                     f"the run's {cfg.layers} layers and {vertices} vertices")
+    L, n = cfg.layers, cfg.base.num_vertices
+
+    layer, v, pulse, times, local_times = _read_columns(
+        trace_path, TRACE_COLUMNS, (float, float), L, n)
+    if not layer.size:
+        raise ConfigurationError(f"{trace_path}: trace is empty")
+    _reject(trace_path, np.isnan(times) | np.isnan(local_times), "has no time")
+    counts = np.bincount(layer * n + v, minlength=L * n).reshape(L, n)
+    # a node's pulses, strictly increasing from 1, are 1..count when none exceeds count
+    _reject(trace_path, pulse > counts[layer, v],
+            "is past its node's row count: a node's pulses run 1, 2, ... without a gap")
+    arrays = empty_arrays(L, max(cfg.pulses, int(counts.max())), n)
+    arrays["times"][layer, pulse - 1, v] = times
+    arrays["local_times"][layer, pulse - 1, v] = local_times
+
+    layer, v, pulse, *values = _read_columns(
+        snap_path, SNAPSHOT_COLUMNS, (float,) * 4 + (object,), L, n)
+    _reject(snap_path, pulse > counts[layer, v], "has no pulse in trace.csv")
+    for name, value in zip(_SNAPSHOT_ARRAYS, values):
+        arrays[name][layer, pulse - 1, v] = value
     return RunResult(
-        config=cfg,
-        **run_arrays(cfg.layers, vertices, cfg.pulses, pulse_rows, snapshot_rows),
-        diagnostics=Diagnostics(),
+        config=cfg, counts=counts, **arrays, diagnostics=Diagnostics(),
         validation=list(meta.get("validation_violations", [])),
         completed=bool(meta.get("completed", True)),
-        incomplete_nodes=[tuple(n) for n in meta.get("incomplete_nodes", [])],
+        incomplete_nodes=[tuple(node) for node in meta.get("incomplete_nodes", [])],
     )

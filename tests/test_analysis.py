@@ -10,7 +10,7 @@ import pytest
 
 from gridpulse import analysis
 from gridpulse.engine import (
-    CorruptionSpec, PerturbationSpec, RunConfig, RunResult, run, run_arrays,
+    CorruptionSpec, PerturbationSpec, RunConfig, RunResult, empty_arrays, run,
 )
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
@@ -21,10 +21,9 @@ PARAMS = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
 KAPPA = PARAMS.kappa
 
 
-def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None,
-                     snapshot_rows=()) -> RunResult:
+def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None) -> RunResult:
     """Result with hand-written pulse times: layer_times[layer][vertex] -> list
-    (local times equal real times); snapshot rows as in run_arrays."""
+    (local times equal real times), and no snapshots."""
     base = build_line_with_replicated_ends(m)
     layers = max(layer_times) + 1
     cfg = RunConfig(
@@ -32,15 +31,15 @@ def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None,
         source=SourceMode(kind="ideal", jitter=0.0), pulses=pulses,
         placement=placement or FaultPlacement.empty(),
     )
-    pulse_rows = [
-        (layer, v, k + 1, t, t)
-        for layer, by_vertex in layer_times.items()
-        for v, times in by_vertex.items()
-        for k, t in enumerate(times)
-    ]
+    counts = np.zeros((layers, base.num_vertices), dtype=np.int64)
+    arrays = empty_arrays(layers, pulses, base.num_vertices)
+    for layer, by_vertex in layer_times.items():
+        for v, times in by_vertex.items():
+            counts[layer, v] = len(times)
+            arrays["times"][layer, : len(times), v] = times
+            arrays["local_times"][layer, : len(times), v] = times
     return RunResult(
-        config=cfg,
-        **run_arrays(layers, base.num_vertices, pulses, pulse_rows, list(snapshot_rows)),
+        config=cfg, counts=counts, **arrays,
         diagnostics=None, validation=[], completed=True, incomplete_nodes=[],
     )
 
@@ -135,12 +134,13 @@ class TestConditions:
             1: {v: [10.0] for v in range(8)},
             2: {v: [12.0] for v in range(8)},
         }
-        # (layer, vertex, pulse, arm, h_own, h_min, h_max, correction, exit_local)
-        snapshot_rows = [
-            (2, v, 1, "corrected", 11.0, 11.0, 11.0, corrections.get(v, 0.0), 11.0)
-            for v in range(8)
-        ]
-        return synthetic_result(layer_times, snapshot_rows=snapshot_rows)
+        res = synthetic_result(layer_times)
+        # the snapshots of layer 2's first pulses
+        res.arm[2, 0] = "corrected"
+        for name in ("h_own", "h_min", "h_max", "exit_local"):
+            getattr(res, name)[2, 0] = 11.0
+        res.correction[2, 0] = [corrections.get(v, 0.0) for v in range(8)]
+        return res
 
     @staticmethod
     def failures(res, s_max=3):

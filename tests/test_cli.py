@@ -160,6 +160,7 @@ class TestVerify:
     @pytest.mark.parametrize("name,row", [
         ("trace.csv", "3,99,1,6.0,6.0"),  # vertex outside the graph
         ("trace.csv", "3,4,1,6.0"),  # a field missing
+        ("trace.csv", "3,4,1,abc,6.0"),  # a time that is not a number
         ("snapshots.csv", "1,0,1,1.0,1.0,1.0,0"),  # a field missing
         ("snapshots.csv", "1,0,0,1.0,1.0,1.0,0,corrected"),  # pulse index below 1
     ])
@@ -170,7 +171,35 @@ class TestVerify:
         with (out / name).open("a") as fh:
             fh.write(row + "\n")
         assert main(["verify", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and re.search(rf"{name}:\d+: ", err)
+
+    @pytest.mark.parametrize("name,edit,blamed", [
+        ("trace.csv", lambda lines: lines + ["3,4,9,20.0,20.0"], "trace.csv"),
+        ("trace.csv", lambda lines: [x for x in lines if not x.startswith("3,4,2,")], "trace.csv"),
+        ("trace.csv", lambda lines: lines[:3] + lines[2:], "trace.csv"),
+        ("trace.csv", lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "trace.csv"),
+        ("trace.csv", lambda lines: [x for x in lines if not x.startswith("3,4,4,")],
+         "snapshots.csv"),
+        ("snapshots.csv", lambda lines: [lines[0] + "x", *lines[1:]], "snapshots.csv"),
+        ("snapshots.csv", None, "snapshots.csv"),
+    ], ids=["row_after_the_last", "pulse_gap", "duplicate_row", "rows_swapped",
+            "snapshot_without_pulse", "snapshot_header", "snapshots_deleted"])
+    def test_files_run_never_writes_exit_two(self, tmp_path, capsys, name, edit, blamed):
+        """verify reads the files in the layout that run writes (rows in
+        (layer, vertex, pulse) order, each node's pulses 1..count, every
+        snapshot on a pulse, both headers, snapshots.csv present) and rejects
+        any other, naming the file."""
+        doc = dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=6)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        if edit is None:
+            (out / name).unlink()
+        else:
+            lines = (out / name).read_text().splitlines()
+            (out / name).write_text("\n".join(edit(lines)) + "\n")
+        assert main(["verify", str(out)]) == 2
+        assert blamed in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         {"perturbation": {"delay_magnitude": 1e-4, "rate_magnitude": 1e-6, "seed": 5}},

@@ -47,8 +47,8 @@ def base_graphs(draw):
 
 
 @st.composite
-def behaviors(draw, vertices: int):
-    recipients = draw(st.none() | st.lists(st.integers(0, vertices - 1), max_size=3).map(tuple))
+def behaviors(draw, successors: tuple):
+    recipients = draw(st.none() | st.lists(st.sampled_from(successors), max_size=3).map(tuple))
     kind = draw(st.sampled_from(["silent", "fixed_offset", "scripted", "burst",
                                  "per_pulse_offset"]))
     fields = {
@@ -88,7 +88,8 @@ def run_configs(draw):
     nodes = [] if simplified else draw(st.lists(
         st.tuples(st.integers(0, vertices - 1), st.integers(1, layers - 1)),
         max_size=3, unique=True))
-    placement = FaultPlacement(behaviors={node: draw(behaviors(vertices)) for node in nodes},
+    placement = FaultPlacement(behaviors={node: draw(behaviors(base.slots[node[0]]))
+                                          for node in nodes},
                                strict=draw(st.booleans()))
     if placement.strict:
         assume(not validate_placement(build_layered(base, layers), placement))
@@ -185,12 +186,15 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"faults.placement\[1\]"),
     ({"faults": {"placement": [{"vertex": -1, "layer": 1, "behavior": {"kind": "silent"}}]}},
      r"faults.placement\[0\]"),
-    # and their recipients name vertices of the grid
+    # and their recipients name successors of the node: (2, 1) feeds vertices 0-3
     ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
         "kind": "fixed_offset", "offset": 0.1, "recipients": [99]}}]}},
      r"faults.placement\[0\].behavior.recipients"),
     ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
         "kind": "fixed_offset", "offset": 0.1, "recipients": [-1]}}]}},
+     r"faults.placement\[0\].behavior.recipients"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": [6]}}]}},
      r"faults.placement\[0\].behavior.recipients"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
@@ -206,9 +210,9 @@ def test_run_config_rejects_a_fault_outside_the_grid(node):
         RunConfig(**{**vars(cfg), "placement": placement})
 
 
-@pytest.mark.parametrize("recipients", [(7,), (1, -1)])
+@pytest.mark.parametrize("recipients", [(7,), (1, -1), (6,)])
 def test_run_config_rejects_recipients_outside_the_grid(recipients):
-    cfg = build_run_config(DOC)  # 7 vertices
+    cfg = build_run_config(DOC)  # 7 vertices; (2, 1) feeds vertices 0-3
     behavior = FaultBehavior(kind="fixed_offset", offset=0.1, recipients=recipients)
     placement = FaultPlacement(behaviors={(2, 1): behavior})
     with pytest.raises(ConfigurationError, match=r"\(v=2, layer=1\) has recipients"):
