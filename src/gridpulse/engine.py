@@ -18,7 +18,8 @@ are flat lists indexed by it; each node's broadcast receivers are
 precomputed once per run, with their delays in a flat list indexed by edge:
 ``i * width + j`` for slot j of node i, then the chain hops.
 The main loop calls ``gcs_step`` and ``layer0_step`` with plain arguments
-and dispatches on the class of the actions they return.
+and applies the one value they return: a cancelled threshold timer, an armed
+threshold or pulse timer, or, after a pulse timer, the pulse itself.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ from .errors import AlignmentError, ConfigurationError, ProtocolError
 from .faults import FaultPlacement, faulty_emissions, perturb_between_pulses, perturbation_caps
 from .protocol import (
     QUIET_DIVISOR,
-    Broadcast,
     ChainState,
     GcsState,
     IterationSnapshot,
     Phase,
-    SetTimer,
     SourceMode,
     compute_correction,
     gcs_step,
@@ -59,6 +58,7 @@ __all__ = [
     "RunResult",
     "SNAPSHOT_FIELDS",
     "empty_arrays",
+    "incomplete_nodes",
     "run",
     "run_events",
 ]
@@ -204,6 +204,16 @@ class RunResult:
 
     def pulse_times(self, vertex: int, layer: int) -> list[float]:
         return self.times[layer, : self.counts[layer, vertex], vertex].tolist()
+
+
+def incomplete_nodes(config: RunConfig, counts: np.ndarray) -> list:
+    """The correct nodes, as sorted (vertex, layer) pairs, that emitted fewer
+    than ``config.pulses`` pulses by the [layer, vertex] ``counts``; on a chain
+    source only layer 0 is held to that count."""
+    rows = config.layers if config.source.kind == "ideal" else 1
+    members = config.placement.members
+    return sorted((v, layer) for layer, v in np.argwhere(counts[:rows] < config.pulses).tolist()
+                  if (v, layer) not in members)
 
 
 def _needs_twin(placement: FaultPlacement) -> bool:
@@ -489,7 +499,7 @@ class _Engine:
         if self.faulty[i]:
             return None
         if layer == 0:
-            return ChainState(vertex=v) if cfg.source.kind == "chain" else None
+            return ChainState() if cfg.source.kind == "chain" else None
         return GcsState(vertex=v, layer=layer, neighbors=cfg.base.adjacency[v])
 
     def _successors(self, width: int) -> list:
@@ -658,7 +668,7 @@ class _Engine:
         threshold_version, pulse_version = self.threshold_version, self.pulse_version
         next_seq, record_pulse, deliver = self.next_seq, self._record_pulse, self._deliver
         heappop, heappush = heapq.heappop, heapq.heappush
-        quiet, enforce_alignment = params.lam / QUIET_DIVISOR, self.enforce_alignment
+        enforce_alignment = self.enforce_alignment
         listening, waiting, inf = Phase.LISTENING, Phase.WAITING, math.inf
         events = messages = stale = filtered = stragglers = reopens = 0
         timeouts = early_exits = 0
@@ -674,22 +684,21 @@ class _Engine:
                 h = offset[i] + rate[i] * t
                 if st.__class__ is GcsState:
                     slayer, pulse_index = payload
-                    before_phase, before_accept = st.phase, st.last_accept
-                    actions = gcs_step(st, None, svertex, slayer, h, params)
-                    if st.last_accept != h:
+                    armed = gcs_step(st, None, svertex, slayer, h, params)
+                    if armed == inf:
+                        reopens += 1
+                    elif st.last_accept != h:
                         filtered += 1
-                    else:
-                        if h - before_accept >= quiet:
-                            reopens += 1
-                        elif st.phase is not listening:
-                            stragglers += 1
-                        if enforce_alignment and pulse_index != st.iteration:
-                            raise AlignmentError(
-                                vertex=rvertex, layer=rlayer, got_index=pulse_index,
-                                expected_index=st.iteration, time=t,
-                            )
+                        continue
+                    elif st.phase is not listening:
+                        stragglers += 1
+                    if enforce_alignment and pulse_index != st.iteration:
+                        raise AlignmentError(
+                            vertex=rvertex, layer=rlayer, got_index=pulse_index,
+                            expected_index=st.iteration, time=t,
+                        )
                 else:
-                    actions = layer0_step(st, None, h, params)
+                    armed = layer0_step(st, None, h, params)
             elif kind == _KIND_TIMER:
                 timer, version, h = payload
                 if version != (threshold_version if timer == "threshold" else pulse_version)[i]:
@@ -698,42 +707,35 @@ class _Engine:
                 if st is None:
                     continue
                 if st.__class__ is GcsState:
-                    before_phase = st.phase
-                    actions = gcs_step(st, timer, None, None, h, params)
+                    armed = gcs_step(st, timer, None, None, h, params)
                 else:
-                    actions = layer0_step(st, timer, h, params)
+                    armed = layer0_step(st, timer, h, params)
+                if timer == "pulse":
+                    record_pulse(i, t, h)
+                    deliver(i, t, st.iteration - 1)
+                    continue
             else:
                 recipients, pulse_index = payload
                 deliver(i, t, pulse_index, recipients)
                 continue
-            if (st.__class__ is GcsState and st.phase is waiting
-                    and before_phase is not waiting):
-                if st.pending_snapshot.arm == "timeout":
-                    timeouts += 1
-                elif st.h_max is None:
-                    early_exits += 1
+            if armed is None:
+                continue
+            if st.__class__ is GcsState and st.phase is not waiting:
+                timer, versions = "threshold", threshold_version
+            else:
+                timer, versions = "pulse", pulse_version
+                if st.__class__ is GcsState:  # the step committed
+                    if st.pending_snapshot.arm == "timeout":
+                        timeouts += 1
+                    elif st.h_max is None:
+                        early_exits += 1
+            version = versions[i] = versions[i] + 1
+            if armed != inf:  # inf cancels
+                heappush(heap, ((armed - offset[i]) / rate[i], rlayer, rvertex, rvertex,
+                                _KIND_TIMER, next_seq(), (timer, version, armed)))
 
-            for act in actions:
-                if act.__class__ is SetTimer:
-                    timer, local_time = act
-                    versions = threshold_version if timer == "threshold" else pulse_version
-                    version = versions[i] = versions[i] + 1
-                    if local_time != inf:  # inf cancels
-                        heappush(heap, ((local_time - offset[i]) / rate[i], rlayer, rvertex,
-                                        rvertex, _KIND_TIMER, next_seq(),
-                                        (timer, version, local_time)))
-                elif act.__class__ is Broadcast:
-                    record_pulse(i, t, act.local_time)
-                    deliver(i, t, act.pulse_index)
-                else:
-                    raise ProtocolError(f"unknown action {act!r}")
-
-        incomplete = sorted(
-            (i % n, i // n)
-            for i, count in enumerate(self.emitted)
-            if not self.faulty[i] and count < cfg.pulses
-            and (cfg.source.kind == "ideal" or i < n)
-        )
+        counts = np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n)
+        incomplete = incomplete_nodes(cfg, counts)
         diagnostics = Diagnostics(
             events=events, messages=messages, stale_timers=stale, rate_filtered=filtered,
             stragglers_dropped=stragglers, reopens=reopens, timeouts_first_arm=timeouts,
@@ -741,7 +743,7 @@ class _Engine:
         )
         return RunResult(
             config=cfg,
-            counts=np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n),
+            counts=counts,
             **self.arrays,
             diagnostics=diagnostics,
             validation=self.validation,

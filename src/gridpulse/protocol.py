@@ -11,8 +11,12 @@ Two machines drive the event engine:
 Machines are transition functions over engine-owned state objects. A step
 takes plain arguments: the timer that fired (None for a message, whose
 sender vertex and layer come next) and the node's local time. It mutates
-the state and returns the list of actions (timers to arm, pulses to emit),
-which are named tuples so the engine can dispatch on their class. Only the
+the state and returns what it did to the node's timers, as one plain value:
+None (timers unchanged), ``math.inf`` (cancel the threshold timer: a
+message opened a fresh listening phase) or the local time of the one timer
+it armed, the pulse timer if the node is WAITING afterwards (always, for a
+chain node) and the threshold timer otherwise. A pulse step returns None and
+advances ``iteration``; the engine emits pulse ``iteration - 1``. Only the
 owning engine may touch a state concurrently.
 
 The event engine (``engine.run_events``) drives these machines and is the
@@ -41,16 +45,13 @@ from .timing import Params
 from .topology import BaseGraph
 
 __all__ = [
-    "Broadcast",
     "ChainState",
     "GcsState",
     "IterationSnapshot",
     "Phase",
-    "SetTimer",
     "SourceMode",
     "QUIET_DIVISOR",
     "compute_correction",
-    "correction_scan_oracle",
     "gcs_step",
     "ideal_source_times",
     "inner_loop_threshold",
@@ -70,16 +71,6 @@ class Phase(Enum):
 # Enum members bound once: a lookup on the class is several times slower
 # than a global, and the steps below run once per simulated event.
 _LISTENING, _WAITING, _GAP = Phase.LISTENING, Phase.WAITING, Phase.GAP
-
-
-class SetTimer(NamedTuple):
-    kind: str  # 'threshold' | 'pulse'
-    local_time: float  # inf cancels
-
-
-class Broadcast(NamedTuple):
-    pulse_index: int
-    local_time: float
 
 
 class IterationSnapshot(NamedTuple):
@@ -159,24 +150,6 @@ def _discretized_offset(a, b, kappa):
     return best
 
 
-def correction_scan_oracle(h_own, h_min, h_max, kappa, theta, extra: int = 2):
-    """Brute-force reference: scan every s up to the crossing plus ``extra``."""
-    if h_own is None or h_min is None:
-        raise ProtocolError("correction needs the self-copy and first-neighbor timestamps")
-    half = kappa / 2
-    if h_max is None:
-        return min(h_own - h_min + 3 * half, 0 * half)
-    a = h_own - h_max
-    b = h_own - h_min
-    s_max = max(0, math.ceil((h_max - h_min) / (8 * kappa))) + extra
-    delta = min(max(a + 4 * s * kappa, b - 4 * s * kappa) for s in range(s_max + 1)) - half
-    if delta < 0:
-        return min(h_own - h_min + 3 * half, 0 * half)
-    if delta > theta * kappa:
-        return max(h_own - h_max - 3 * half, theta * kappa)
-    return delta
-
-
 def inner_loop_threshold(
     h_own: float | None,
     h_min: float | None,
@@ -225,13 +198,11 @@ class GcsState:
         self.pending_snapshot: IterationSnapshot | None = None
 
 
-def _open_phase(state: GcsState, actions: list) -> None:
-    state.phase = _LISTENING
-    state.h_own = None
-    state.h_min = None
-    state.h_max = None
+def _clear(state: GcsState, phase: Phase) -> None:
+    """Forget the iteration's receptions and enter ``phase``."""
+    state.phase = phase
+    state.h_own = state.h_min = state.h_max = None
     state.rmask = 0
-    actions.append(SetTimer("threshold", math.inf))  # engine treats inf as cancel
 
 
 def _record(state: GcsState, sender: int, h: float) -> None:
@@ -249,8 +220,8 @@ def _record(state: GcsState, sender: int, h: float) -> None:
         state.h_max = h
 
 
-def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> None:
-    """Leave the listening loop and schedule the pulse."""
+def _commit(state: GcsState, h_exit: float, params: Params) -> float:
+    """Leave the listening loop; returns the pulse's local time."""
     h_min, h_max = state.h_min, state.h_max
     if h_max is not None and h_max < h_min:
         # remnant of a corrupted initial state; order the pair defensively
@@ -272,26 +243,14 @@ def _commit(state: GcsState, h_exit: float, params: Params, actions: list) -> No
         target = h_exit  # out-of-regime parameters only; never back-date a pulse
     state.phase = _WAITING
     state.pending_snapshot = IterationSnapshot(arm, state.h_own, h_min, h_max, correction, h_exit)
-    actions.append(SetTimer("pulse", target))
-
-
-def _evaluate_exit(state: GcsState, h: float, params: Params, actions: list) -> None:
-    if state.h_min is None:
-        return
-    threshold = inner_loop_threshold(
-        state.h_own, state.h_min, state.h_max, params.kappa, params.theta
-    )
-    if threshold == math.inf:
-        return
-    if h >= threshold:
-        _commit(state, h, params, actions)
-    else:
-        actions.append(SetTimer("threshold", threshold))
+    return target
 
 
 def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
-             h: float, params: Params) -> list:
-    """Advance a synchronization node at local time ``h``; returns its actions.
+             h: float, params: Params) -> float | None:
+    """Advance a synchronization node at local time ``h``; returns None,
+    ``math.inf`` (cancel the threshold timer) or the local time of the timer
+    it armed: the pulse timer if the node is now WAITING, else the threshold.
 
     ``timer`` is the kind of the timer that fired ('threshold' or 'pulse'),
     or None for a message from (``sender``, ``sender_layer``); the sender
@@ -303,7 +262,6 @@ def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
     that anchors the pulse on the last neighbor, otherwise the correction
     kernel sets the schedule.
     """
-    actions: list = []
     if timer is None:
         if sender_layer != state.layer - 1 or (
             sender != state.vertex and sender not in state.bit_of
@@ -315,54 +273,59 @@ def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
         quiet = params.lam / QUIET_DIVISOR
         last = state.last_from.get(sender)
         if last is not None and h - last < quiet:
-            return actions  # rate-filtered
+            return None  # rate-filtered
         state.last_from[sender] = h
-        if h - state.last_accept >= quiet:
-            _open_phase(state, actions)
+        reopen = h - state.last_accept >= quiet
         state.last_accept = h
-        if state.phase is _LISTENING:
+        if reopen:
+            _clear(state, _LISTENING)
             _record(state, sender, h)
-            _evaluate_exit(state, h, params, actions)
-        return actions
-
-    if timer == "threshold":
-        if state.phase is _LISTENING:
-            _evaluate_exit(state, h, params, actions)
-        return actions
-    if timer == "pulse":
-        actions.append(Broadcast(state.iteration, h))
+            # A phase's first input completes no threshold arm: every node has
+            # at least two neighbors, so the first arm needs two neighbor
+            # inputs and the second the self-copy and a neighbor. Cancelling
+            # the old threshold timer is all this step does to the timers.
+            return math.inf
+        if state.phase is not _LISTENING:
+            return None
+        _record(state, sender, h)
+    elif timer == "pulse":
         state.iteration += 1
-        state.h_own = None
-        state.h_min = None
-        state.h_max = None
-        state.rmask = 0
-        state.phase = _GAP
-        return actions
-    raise ProtocolError(f"unknown timer kind {timer!r}")
+        _clear(state, _GAP)
+        return None
+    elif timer != "threshold":
+        raise ProtocolError(f"unknown timer kind {timer!r}")
+    elif state.phase is not _LISTENING:
+        return None
+    # the listening loop's exit test, after an input or at the threshold timer
+    if state.h_min is None:
+        return None
+    threshold = inner_loop_threshold(
+        state.h_own, state.h_min, state.h_max, params.kappa, params.theta
+    )
+    if threshold == math.inf:
+        return None
+    return _commit(state, h, params) if h >= threshold else threshold
 
 
 class ChainState:
-    """Layer-0 chain forwarder: latch the reception time, pulse lam-d later."""
+    """Layer-0 chain forwarder: pulse lam-d after the latest reception."""
 
-    __slots__ = ("vertex", "iteration", "h_latch")
+    __slots__ = ("iteration",)
 
-    def __init__(self, vertex: int):
-        self.vertex = vertex
+    def __init__(self):
         self.iteration = 1
-        self.h_latch: float | None = None
 
 
-def layer0_step(state: ChainState, timer: str | None, h: float, params: Params) -> list:
+def layer0_step(state: ChainState, timer: str | None, h: float, params: Params) -> float | None:
     """Advance a chain node at local time ``h`` (``timer`` None for a
-    message); a reception before the pending pulse reschedules it."""
+    message). A reception returns the local time of its pulse timer, which
+    reschedules any pending pulse; the pulse step returns None."""
     if timer is None:
-        state.h_latch = h
-        return [SetTimer("pulse", h + params.lam - params.d)]
+        return h + params.lam - params.d
     if timer != "pulse":
         raise ProtocolError(f"chain nodes only use pulse timers, got {timer!r}")
-    actions = [Broadcast(state.iteration, h)]
     state.iteration += 1
-    return actions
+    return None
 
 
 def ideal_source_times(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .config import build_run_config, run_document
-from .engine import Diagnostics, RunResult, empty_arrays
+from .engine import Diagnostics, RunResult, empty_arrays, incomplete_nodes
 from .errors import ConfigurationError
 from .timing import local_skew_budget
 
@@ -268,8 +268,9 @@ def result_from_files(out_dir: Path) -> RunResult:
 
     The files must be laid out as ``write_outputs`` writes them: rows in
     (layer, vertex, pulse) order, each node's pulses 1..count in trace.csv,
-    every snapshot on a pulse of the trace. ``exit_local`` is not stored and
-    reloads as NaN.
+    every snapshot on a pulse of the trace with an arm that ``run`` writes, and
+    run.json's ``completed`` and ``incomplete_nodes`` as those counts give them.
+    ``exit_local`` is not stored and reloads as NaN.
     """
     paths = [out_dir / name for name in ("trace.csv", "snapshots.csv", "run.json")]
     if not all(p.exists() for p in paths):
@@ -303,11 +304,21 @@ def result_from_files(out_dir: Path) -> RunResult:
     layer, v, pulse, *values = _read_columns(
         snap_path, SNAPSHOT_COLUMNS, (float,) * 4 + (object,), L, n)
     _reject(snap_path, pulse > counts[layer, v], "has no pulse in trace.csv")
+    arm = values[-1]
+    _reject(snap_path, (arm != "corrected") & (arm != "timeout") & (arm != "corrupted"),
+            "has a threshold_arm other than corrected, timeout or corrupted")
     for name, value in zip(_SNAPSHOT_ARRAYS, values):
         arrays[name][layer, pulse - 1, v] = value
+
+    incomplete = incomplete_nodes(cfg, counts)
+    stored = (meta.get("completed"), meta.get("incomplete_nodes"))
+    derived = (not incomplete, [list(node) for node in incomplete])
+    if stored != derived:
+        raise ConfigurationError(
+            f"{run_path}: completed and incomplete_nodes are {stored[0]!r} and {stored[1]!r}, "
+            f"but the pulse counts of trace.csv give {derived[0]!r} and {derived[1]!r}")
     return RunResult(
         config=cfg, counts=counts, **arrays, diagnostics=Diagnostics(),
         validation=list(meta.get("validation_violations", [])),
-        completed=bool(meta.get("completed", True)),
-        incomplete_nodes=[tuple(node) for node in meta.get("incomplete_nodes", [])],
+        completed=not incomplete, incomplete_nodes=incomplete,
     )

@@ -24,9 +24,10 @@ from gridpulse.engine import (SNAPSHOT_FIELDS, CorruptionSpec, RunConfig, _layer
                               _sample_inputs, run,
                               run_events)
 from gridpulse.faults import FaultBehavior, FaultPlacement, validate_placement
-from gridpulse.protocol import SourceMode, compute_correction, correction_scan_oracle
+from gridpulse.protocol import SourceMode, compute_correction
 from gridpulse.timing import Params, local_skew_budget, validate_params
 from gridpulse.topology import build_layered, build_line_with_replicated_ends
+from oracles import correction_scan_oracle
 
 PARAMS = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
 KAPPA = PARAMS.kappa

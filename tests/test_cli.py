@@ -174,30 +174,40 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "config error" in err and re.search(rf"{name}:\d+: ", err)
 
-    @pytest.mark.parametrize("name,edit,blamed", [
-        ("trace.csv", lambda lines: lines + ["3,4,9,20.0,20.0"], "trace.csv"),
-        ("trace.csv", lambda lines: [x for x in lines if not x.startswith("3,4,2,")], "trace.csv"),
-        ("trace.csv", lambda lines: lines[:3] + lines[2:], "trace.csv"),
-        ("trace.csv", lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "trace.csv"),
-        ("trace.csv", lambda lines: [x for x in lines if not x.startswith("3,4,4,")],
+    @pytest.mark.parametrize("names,edit,blamed", [
+        (("trace.csv",), lambda lines: lines + ["3,4,9,20.0,20.0"], "trace.csv"),
+        (("trace.csv",), lambda lines: [x for x in lines if not x.startswith("3,4,2,")],
+         "trace.csv"),
+        (("trace.csv",), lambda lines: lines[:3] + lines[2:], "trace.csv"),
+        (("trace.csv",), lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "trace.csv"),
+        (("trace.csv",), lambda lines: [x for x in lines if not x.startswith("3,4,4,")],
          "snapshots.csv"),
-        ("snapshots.csv", lambda lines: [lines[0] + "x", *lines[1:]], "snapshots.csv"),
-        ("snapshots.csv", None, "snapshots.csv"),
+        (("snapshots.csv",), lambda lines: [lines[0] + "x", *lines[1:]], "snapshots.csv"),
+        (("snapshots.csv",), None, "snapshots.csv"),
+        (("snapshots.csv",), lambda lines: [lines[0], *(x.rsplit(",", 1)[0] + ",bogus"
+                                                        for x in lines[1:])], "snapshots.csv:2:"),
+        (("snapshots.csv",), lambda lines: [lines[0], *(x.rsplit(",", 1)[0] + ","
+                                                        for x in lines[1:])], "snapshots.csv:2:"),
+        (("trace.csv", "snapshots.csv"), lambda lines: [x for x in lines
+                                                        if not x.startswith("5,4,")], "run.json"),
     ], ids=["row_after_the_last", "pulse_gap", "duplicate_row", "rows_swapped",
-            "snapshot_without_pulse", "snapshot_header", "snapshots_deleted"])
-    def test_files_run_never_writes_exit_two(self, tmp_path, capsys, name, edit, blamed):
+            "snapshot_without_pulse", "snapshot_header", "snapshots_deleted", "arm_bogus",
+            "arm_empty", "node_deleted"])
+    def test_files_run_never_writes_exit_two(self, tmp_path, capsys, names, edit, blamed):
         """verify reads the files in the layout that run writes (rows in
         (layer, vertex, pulse) order, each node's pulses 1..count, every
-        snapshot on a pulse, both headers, snapshots.csv present) and rejects
-        any other, naming the file."""
+        snapshot on a pulse with an arm that run writes, both headers,
+        snapshots.csv present, run.json's completed and incomplete_nodes as
+        the pulse counts give them) and rejects any other, naming the file."""
         doc = dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=6)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-        if edit is None:
-            (out / name).unlink()
-        else:
-            lines = (out / name).read_text().splitlines()
-            (out / name).write_text("\n".join(edit(lines)) + "\n")
+        for name in names:
+            if edit is None:
+                (out / name).unlink()
+            else:
+                lines = (out / name).read_text().splitlines()
+                (out / name).write_text("\n".join(edit(lines)) + "\n")
         assert main(["verify", str(out)]) == 2
         assert blamed in capsys.readouterr().err
 

@@ -11,20 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from gridpulse.errors import ConfigurationError, ProtocolError
 from gridpulse.protocol import (
-    Broadcast,
     ChainState,
     GcsState,
     Phase,
-    SetTimer,
     SourceMode,
     compute_correction,
-    correction_scan_oracle,
     gcs_step,
     ideal_source_times,
     inner_loop_threshold,
     layer0_step,
 )
 from gridpulse.timing import Params
+from oracles import correction_scan_oracle
 
 PARAMS_TOY = Params.derive(d=1.0, u=0.5, theta=1.2, lam=3.5)
 
@@ -112,27 +110,20 @@ class TestInnerLoopThreshold:
 
 
 def feed(state, params, arrivals, packed=True):
-    """Drive a node with (sender, local time) message arrivals; collects actions.
+    """Drive a node with (sender, local time) message arrivals; returns what
+    each step returned.
 
     With ``packed`` the quiet clock is kept fresh between arrivals so the
     whole sequence lands in one listening phase, matching the worked
     examples' single-iteration reading; reopening behavior has its own tests.
     """
-    acts = []
+    results = []
     quiet = params.lam / 10.0
-    first = True
-    for sender, h in arrivals:
-        if packed and not first and h - state.last_accept >= quiet:
+    for index, (sender, h) in enumerate(arrivals):
+        if packed and index and h - state.last_accept >= quiet:
             state.last_accept = h - quiet / 2
-        a = gcs_step(state, None, sender, state.layer - 1, h, params)
-        acts.extend(a)
-        first = False
-    return acts
-
-
-def pulse_target(actions):
-    timers = [a for a in actions if isinstance(a, SetTimer) and a.kind == "pulse"]
-    return timers[-1].local_time if timers else None
+        results.append(gcs_step(state, None, sender, state.layer - 1, h, params))
+    return results
 
 
 class TestFullMachine:
@@ -147,20 +138,20 @@ class TestFullMachine:
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         assert params.kappa == pytest.approx(1.0, abs=1e-12)
         st_ = self.make()
-        acts = feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
+        # the self-copy opens the phase, the first neighbor arms the second
+        # arm (2*100 - 100 + 2) and the last neighbor the earlier first arm
+        results = feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
+        assert results == [math.inf, pytest.approx(102.0), pytest.approx(101.7)]
         # exit happens at the threshold timer, not at the messages
-        thresholds = [a for a in acts if isinstance(a, SetTimer) and a.kind == "threshold"
-                      and a.local_time != math.inf]
-        t_exit = thresholds[-1].local_time
-        assert t_exit == pytest.approx(101.7)
-        acts2 = gcs_step(st_, "threshold", None, None, t_exit, params)
+        t_exit = results[-1]
+        target = gcs_step(st_, "threshold", None, None, t_exit, params)
         assert st_.pending_snapshot.correction == 0.0
         nominal = st_.h_own + params.lam - params.d - st_.pending_snapshot.correction
         assert nominal == pytest.approx(101.0)
         # these toy constants sit outside the operating regime, so the exit
         # time already passed the nominal target and the pulse fires at exit;
         # at validated parameters the clamp never binds
-        assert pulse_target(acts2) == pytest.approx(max(nominal, t_exit))
+        assert target == pytest.approx(max(nominal, t_exit))
         # structural invariants of a committed node
         assert st_.rmask != 0
         assert st_.rmask == st_.full_mask
@@ -170,29 +161,29 @@ class TestFullMachine:
     def test_missing_self_times_out_on_last_neighbor(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
-        feed(st_, params, [(1, 49.9), (2, 50.0)])
-        assert st_.h_own is None and st_.h_max == 50.0
         # threshold arm: 50 + kappa/2 + theta*kappa = 51.7
-        acts = gcs_step(st_, "threshold", None, None, 51.7, params)
+        assert feed(st_, params, [(1, 49.9), (2, 50.0)]) == [math.inf, pytest.approx(51.7)]
+        assert st_.h_own is None and st_.h_max == 50.0
+        target = gcs_step(st_, "threshold", None, None, 51.7, params)
         assert st_.pending_snapshot.arm == "timeout"
-        assert pulse_target(acts) == pytest.approx(50.0 + 1.5 + 2.0 - 1.0)
+        assert target == pytest.approx(50.0 + 1.5 + 2.0 - 1.0)
 
     def test_missing_last_neighbor_exits_second_arm(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
-        feed(st_, params, [(1, 8.0), (0, 10.0)])
         # loop exits at 2*10 - 8 + 2 = 14, last neighbor treated as absent;
         # the below-zero branch clamps at 0
-        acts = gcs_step(st_, "threshold", None, None, 14.0, params)
+        assert feed(st_, params, [(1, 8.0), (0, 10.0)]) == [math.inf, 14.0]
+        target = gcs_step(st_, "threshold", None, None, 14.0, params)
         assert st_.pending_snapshot.arm == "corrected"
         assert st_.pending_snapshot.correction == 0.0
         nominal = 10.0 + 2.0 - 1.0
-        assert pulse_target(acts) == pytest.approx(max(nominal, 14.0))
+        assert target == pytest.approx(max(nominal, 14.0))
 
     def test_duplicate_messages_ignored(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
-        feed(st_, params, [(1, 10.0), (1, 10.05)])
+        assert feed(st_, params, [(1, 10.0), (1, 10.05)]) == [math.inf, None]
         assert st_.h_min == 10.0
         assert st_.rmask == 0b01
         assert st_.h_max is None
@@ -202,18 +193,16 @@ class TestFullMachine:
         st_ = self.make()
         feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
         gcs_step(st_, "threshold", None, None, 101.7, params)
-        acts = gcs_step(st_, "pulse", None, None, 101.0, params)
-        pulses = [a for a in acts if isinstance(a, Broadcast)]
-        assert len(pulses) == 1 and pulses[0].pulse_index == 1
-        assert st_.iteration == 2
+        assert gcs_step(st_, "pulse", None, None, 101.0, params) is None
+        assert st_.iteration == 2  # the engine emits pulse iteration - 1 = 1
         assert st_.phase is Phase.GAP
         assert st_.h_own is None and st_.rmask == 0
 
     def test_rate_filter_drops_spam(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
-        feed(st_, params, [(1, 10.0), (1, 10.1), (1, 10.19)])
         # only the first survives the lam/10 = 0.2 per-sender filter
+        assert feed(st_, params, [(1, 10.0), (1, 10.1), (1, 10.19)]) == [math.inf, None, None]
         assert st_.last_from[1] == 10.0
 
     def test_quiet_gap_reopens_and_flushes(self):
@@ -222,7 +211,7 @@ class TestFullMachine:
         feed(st_, params, [(1, 10.0)])
         assert st_.h_min == 10.0
         # next message after more than lam/10 quiet opens a fresh phase
-        feed(st_, params, [(2, 11.0)])
+        assert feed(st_, params, [(2, 11.0)]) == [math.inf]
         assert st_.h_min == 11.0
         assert st_.rmask == 0b10
 
@@ -232,26 +221,40 @@ class TestFullMachine:
         with pytest.raises(ProtocolError):
             gcs_step(st_, None, 7, 0, 5.0, params)
 
+    def test_step_results(self):
+        """A step returns inf on a phase's first input (self-copy or
+        neighbor), None on a rate-filtered message and on a pulse, and the
+        pulse's local time on the step that commits."""
+        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
+        for sender in (0, 1):
+            st_ = self.make()
+            assert gcs_step(st_, None, sender, 0, 10.0, params) == math.inf
+            assert st_.phase is Phase.LISTENING
+            assert gcs_step(st_, None, sender, 0, 10.1, params) is None  # rate-filtered
+        st_ = self.make()
+        # an input past the armed threshold (14) commits on the message itself,
+        # and the pulse is due at once: max(10 + 2 - 1 - 0, 14.05)
+        assert feed(st_, params, [(1, 8.0), (0, 10.0), (2, 14.05)]) == [math.inf, 14.0, 14.05]
+        assert st_.phase is Phase.WAITING and st_.pending_snapshot is not None
+        assert gcs_step(st_, "pulse", None, None, 14.05, params) is None
+        assert st_.iteration == 2
+
 
 class TestChainMachine:
     def test_reception_schedules_forward(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        st_ = ChainState(vertex=3)
-        acts = layer0_step(st_, None, 50.0, params)
-        assert acts == [SetTimer("pulse", 51.0)]
+        assert layer0_step(ChainState(), None, 50.0, params) == 51.0
 
     def test_later_reception_reschedules(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        st_ = ChainState(vertex=3)
+        st_ = ChainState()
         layer0_step(st_, None, 50.0, params)
-        acts = layer0_step(st_, None, 50.4, params)
-        assert acts == [SetTimer("pulse", 51.4)]
+        assert layer0_step(st_, None, 50.4, params) == 51.4
 
     def test_pulse_increments_iteration(self):
         params = PARAMS_TOY
-        st_ = ChainState(vertex=3)
-        acts = layer0_step(st_, "pulse", 51.0, params)
-        assert [a for a in acts if isinstance(a, Broadcast)][0].pulse_index == 1
+        st_ = ChainState()
+        assert layer0_step(st_, "pulse", 51.0, params) is None
         assert st_.iteration == 2
 
 
