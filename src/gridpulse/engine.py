@@ -42,9 +42,10 @@ from .protocol import (
     IterationSnapshot,
     Phase,
     SourceMode,
-    compute_correction,
+    compute_correction_array,
     gcs_step,
     ideal_source_times,
+    inner_loop_threshold_array,
     layer0_step,
 )
 from .timing import Params, chain_edges, sample_clocks, sample_delays, validate_params
@@ -345,10 +346,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
             h_min = np.where(neighbor & (seen == 1), hj, h_min)
             h_max = np.where(neighbor & (seen == degree), hj, h_max)
             if full:
-                first = np.where(np.isnan(h_max), np.inf, h_max + kappa / 2 + theta * kappa)
-                second = np.where(np.isnan(h_own) | np.isnan(h_min), np.inf,
-                                  2 * h_own - h_min + 2 * kappa)
-                threshold = np.minimum(first, second)
+                threshold = inner_loop_threshold_array(h_own, h_min, h_max, kappa, theta)
                 commit = listening & (hj >= threshold)
                 push = listening & ~commit & (threshold < np.inf)
                 exit_local[commit] = hj[commit]
@@ -366,12 +364,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
         else:
             exit_local = h[..., -1]
             stragglers += K * n  # the engine counts the arrival it commits on
-        correction = np.array([
-            compute_correction(own, lo, None if math.isnan(hi) else hi,
-                               params.kappa, params.theta)
-            for own, lo, hi in zip(h_own.ravel().tolist(), h_min.ravel().tolist(),
-                                   h_max.ravel().tolist())
-        ]).reshape(K, n)
+        correction = compute_correction_array(h_own, h_min, h_max, kappa, theta)
         target = np.maximum(h_own + params.lam - params.d - correction, exit_local)
         times[layer] = (target - off) / rt
         local_times[layer] = target

@@ -22,12 +22,14 @@ owning engine may touch a state concurrently.
 The event engine (``engine.run_events``) drives these machines and is the
 reference semantics. Clean static ideal-source runs (no faults, corruption
 or perturbation) are computed in closed form instead: ``engine.run`` replays
-each wave's listening phase over sorted arrays with the same threshold and
-``compute_correction``, and hands any wave it cannot reproduce back to the
-event engine. The paper's simplified node, which waits for every input and
-then applies the same correction, is the other branch of that closed form
-(``machine: simplified``); it exists only for such runs, and any other
-combination is a configuration error.
+each wave's listening phase over sorted arrays with the whole-array twins
+of the threshold and the correction (``inner_loop_threshold_array``,
+``compute_correction_array``, bit-identical to the scalar forms), and hands
+any wave it cannot reproduce back to the event engine. The paper's
+simplified node, which waits for every input and then applies the same
+correction, is the other branch of that closed form (``machine:
+simplified``); it exists only for such runs, and any other combination is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ __all__ = [
     "SourceMode",
     "QUIET_DIVISOR",
     "compute_correction",
+    "compute_correction_array",
     "gcs_step",
     "ideal_source_times",
     "inner_loop_threshold",
+    "inner_loop_threshold_array",
     "layer0_step",
 ]
 
@@ -150,6 +154,40 @@ def _discretized_offset(a, b, kappa):
     return best
 
 
+def compute_correction_array(h_own: np.ndarray, h_min: np.ndarray, h_max: np.ndarray,
+                             kappa: float, theta: float) -> np.ndarray:
+    """``compute_correction`` over whole [pulse, vertex] float arrays, NaN for
+    an absent ``h_max``; bit-identical to the scalar form element by element.
+
+    Every branch is evaluated everywhere and selected by mask, in the scalar
+    form's operation order, with Python's ``min``/``max`` tie rules (the first
+    argument wins a tie, so signed zeros agree). Operands are finite or NaN.
+    """
+    if np.isnan(h_own).any() or np.isnan(h_min).any():
+        raise ProtocolError("correction needs the self-copy and first-neighbor timestamps")
+    if kappa <= 0:
+        raise ProtocolError("kappa must be positive")
+    if (h_max < h_min).any():
+        raise ProtocolError("last-neighbor timestamp precedes first-neighbor timestamp")
+    half = kappa / 2
+    low = h_own - h_min + 3 * half
+    catch_down = np.where(0 * half < low, 0 * half, low)
+    a = h_own - h_max
+    b = h_own - h_min
+    # _discretized_offset: s = 0, then s in (floor(s*), ceil(s*)) when s > 0
+    best = np.where(b >= a, b, a)
+    s_star = (b - a) / (8 * kappa)
+    for s in (np.floor(s_star), np.ceil(s_star)):
+        up, down = a + 4 * s * kappa, b - 4 * s * kappa
+        val = np.where(down > up, down, up)
+        best = np.where((s > 0) & (val < best), val, best)
+    delta = best - half
+    high = h_own - h_max - 3 * half
+    catch_up = np.where(theta * kappa > high, theta * kappa, high)
+    return np.where(np.isnan(h_max) | (delta < 0), catch_down,
+                    np.where(delta > theta * kappa, catch_up, delta))
+
+
 def inner_loop_threshold(
     h_own: float | None,
     h_min: float | None,
@@ -169,6 +207,16 @@ def inner_loop_threshold(
     first = h_max + kappa / 2 + theta * kappa if h_max is not None else math.inf
     second = 2 * h_own - h_min + 2 * kappa if h_own is not None else math.inf
     return first if first <= second else second
+
+
+def inner_loop_threshold_array(h_own: np.ndarray, h_min: np.ndarray, h_max: np.ndarray,
+                               kappa: float, theta: float) -> np.ndarray:
+    """``inner_loop_threshold`` over whole [pulse, vertex] float arrays, NaN
+    for an absent value; ``inf`` where both arms are absent (which includes a
+    missing ``h_min``)."""
+    first = np.where(np.isnan(h_max), np.inf, h_max + kappa / 2 + theta * kappa)
+    second = np.where(np.isnan(h_own) | np.isnan(h_min), np.inf, 2 * h_own - h_min + 2 * kappa)
+    return np.where(first <= second, first, second)
 
 
 class GcsState:

@@ -19,7 +19,7 @@ from . import analysis
 from .config import build_run_config, run_document
 from .engine import Diagnostics, RunResult, empty_arrays, incomplete_nodes
 from .errors import ConfigurationError
-from .timing import local_skew_budget
+from .timing import local_skew_budget, validate_params
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -269,7 +269,8 @@ def result_from_files(out_dir: Path) -> RunResult:
     The files must be laid out as ``write_outputs`` writes them: rows in
     (layer, vertex, pulse) order, each node's pulses 1..count in trace.csv,
     every snapshot on a pulse of the trace with an arm that ``run`` writes, and
-    run.json's ``completed`` and ``incomplete_nodes`` as those counts give them.
+    run.json's ``completed`` and ``incomplete_nodes`` as those counts give them
+    and its ``validation_violations`` as the config's params give them.
     ``exit_local`` is not stored and reloads as NaN.
     """
     paths = [out_dir / name for name in ("trace.csv", "snapshots.csv", "run.json")]
@@ -317,8 +318,12 @@ def result_from_files(out_dir: Path) -> RunResult:
         raise ConfigurationError(
             f"{run_path}: completed and incomplete_nodes are {stored[0]!r} and {stored[1]!r}, "
             f"but the pulse counts of trace.csv give {derived[0]!r} and {derived[1]!r}")
+    validation = validate_params(cfg.params, cfg.base.diameter)
+    if meta.get("validation_violations") != validation:
+        raise ConfigurationError(
+            f"{run_path}: validation_violations is {meta.get('validation_violations')!r}, "
+            f"but the config's params give {validation!r}")
     return RunResult(
         config=cfg, counts=counts, **arrays, diagnostics=Diagnostics(),
-        validation=list(meta.get("validation_violations", [])),
-        completed=not incomplete, incomplete_nodes=incomplete,
+        validation=validation, completed=not incomplete, incomplete_nodes=incomplete,
     )

@@ -190,15 +190,19 @@ class TestVerify:
                                                         for x in lines[1:])], "snapshots.csv:2:"),
         (("trace.csv", "snapshots.csv"), lambda lines: [x for x in lines
                                                         if not x.startswith("5,4,")], "run.json"),
+        (("run.json",), lambda lines: [json.dumps(dict(json.loads("\n".join(lines)),
+                                                       validation_violations=["tampered"]))],
+         "run.json"),
     ], ids=["row_after_the_last", "pulse_gap", "duplicate_row", "rows_swapped",
             "snapshot_without_pulse", "snapshot_header", "snapshots_deleted", "arm_bogus",
-            "arm_empty", "node_deleted"])
+            "arm_empty", "node_deleted", "validation_tampered"])
     def test_files_run_never_writes_exit_two(self, tmp_path, capsys, names, edit, blamed):
         """verify reads the files in the layout that run writes (rows in
         (layer, vertex, pulse) order, each node's pulses 1..count, every
         snapshot on a pulse with an arm that run writes, both headers,
         snapshots.csv present, run.json's completed and incomplete_nodes as
-        the pulse counts give them) and rejects any other, naming the file."""
+        the pulse counts give them and its validation_violations as the params
+        give them) and rejects any other, naming the file."""
         doc = dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=6)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
@@ -225,6 +229,18 @@ class TestVerify:
         cfg = write_config(tmp_path, dict(BASE_DOC, **edit))
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert main(["verify", str(out)]) == code
+        assert (out / "verify.json").read_bytes() == (out / "report.json").read_bytes()
+
+    def test_forced_run_outside_the_regime_keeps_its_violations(self, tmp_path):
+        """A run forced outside the validated regime verifies with the
+        violations its params give, and to the same verdict."""
+        doc = dict(BASE_DOC, params=dict(BASE_DOC["params"], Lambda=1.0001))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out),
+                     "--force"])
+        violations = json.loads((out / "run.json").read_text())["validation_violations"]
+        assert violations and violations[0].startswith("period margin")
         assert main(["verify", str(out)]) == code
         assert (out / "verify.json").read_bytes() == (out / "report.json").read_bytes()
 

@@ -16,9 +16,11 @@ from gridpulse.protocol import (
     Phase,
     SourceMode,
     compute_correction,
+    compute_correction_array,
     gcs_step,
     ideal_source_times,
     inner_loop_threshold,
+    inner_loop_threshold_array,
     layer0_step,
 )
 from gridpulse.timing import Params
@@ -107,6 +109,102 @@ class TestInnerLoopThreshold:
     def test_needs_first_neighbor(self):
         with pytest.raises(ProtocolError):
             inner_loop_threshold(10, None, 12, 1, 1.2)
+
+
+def anchors(kappa, theta):
+    """(h_own, h_min, h_max) rows that every draw of ``receptions`` holds:
+    an absent h_max, h_max == h_min, an integer s* = 2 (h_min = h_own = 0
+    keeps the differences exact for any kappa), and one row for each of the
+    catch-down, catch-up and in-band branches."""
+    return [
+        (0.0, 0.0, math.nan),
+        (kappa, 0.0, 0.0),  # h_max == h_min; delta = kappa/2, in band
+        (0.0, 0.0, 16 * kappa),  # s* = 2
+        (-10 * kappa, 0.0, kappa),  # catch-down
+        (20 * kappa + theta * kappa, 0.0, kappa),  # catch-up
+        (kappa, 0.0, kappa / 4),  # in band
+    ]
+
+
+@st.composite
+def receptions(draw):
+    """h_own, h_min, h_max as [pulse, vertex] arrays (NaN for an absent
+    h_max, never h_max < h_min) with kappa and theta. Rows are drawn freely
+    or on a dyadic grid, where h_max - h_min = 8*kappa*s gives an integer s*."""
+    kappa = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(min_value=0.01, max_value=5.0))
+    theta = draw(st.floats(min_value=1.0 + 1e-9, max_value=1.5))
+    value = st.floats(min_value=-50, max_value=50)
+    grid = st.integers(min_value=-3200, max_value=3200).map(lambda i: i / 64)
+    free = st.tuples(value, value, st.just(math.nan) | st.floats(min_value=0, max_value=60))
+    dyadic = st.tuples(grid, grid, st.integers(min_value=0, max_value=8).map(
+        lambda s: 8 * kappa * s))
+    vertices = draw(st.sampled_from([1, 2, 3, 6]))  # divides the six anchor rows
+    size = vertices * draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(free | dyadic, min_size=size, max_size=size))
+    h_own, h_min, spread = np.array(anchors(kappa, theta) + rows).T
+    shape = (-1, vertices)
+    return (h_own.reshape(shape), h_min.reshape(shape), (h_min + spread).reshape(shape),
+            kappa, theta)
+
+
+def scalar_map(function, h_own, h_min, h_max, kappa, theta):
+    """``function`` per element, NaN passed as None; a float64 array."""
+    args = [[None if math.isnan(x) else x for x in a.ravel().tolist()]
+            for a in (h_own, h_min, h_max)]
+    return np.array([function(*row, kappa, theta) for row in zip(*args)],
+                    dtype=float).reshape(h_own.shape)
+
+
+class TestArrayForms:
+    """The kernel's whole-array twins against the scalar forms and the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(receptions())
+    def test_correction_matches_scalar_bit_for_bit(self, drawn):
+        want = scalar_map(compute_correction, *drawn)
+        assert compute_correction_array(*drawn).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(receptions())
+    def test_correction_matches_scan_oracle(self, drawn):
+        want = scalar_map(correction_scan_oracle, *drawn)
+        assert np.array_equal(compute_correction_array(*drawn), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(receptions(), st.data())
+    def test_threshold_matches_scalar(self, drawn, data):
+        h_own, h_min, h_max, kappa, theta = drawn
+        # any of the three may be absent; both arms absent keeps listening (inf)
+        for a in (h_own, h_max):
+            absent = data.draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size))
+            a[np.array(absent).reshape(a.shape)] = math.nan
+        got = inner_loop_threshold_array(h_own, h_min, h_max, kappa, theta)
+        assert (got[np.isnan(h_own) & np.isnan(h_max)] == math.inf).all()
+        want = scalar_map(inner_loop_threshold, h_own, h_min, h_max, kappa, theta)
+        assert got.tobytes() == want.tobytes()
+        # before the first neighbor pulse h_max is absent too
+        absent = np.full_like(h_min, math.nan)
+        assert (inner_loop_threshold_array(h_own, absent, absent, kappa, theta) == math.inf).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(receptions(), st.data(), st.floats(min_value=1e-9, max_value=10))
+    def test_protocol_error_parity(self, drawn, data, gap):
+        h_own, h_min, h_max, kappa, theta = drawn
+        at = data.draw(st.tuples(st.integers(0, h_min.shape[0] - 1),
+                                 st.integers(0, h_min.shape[1] - 1)))
+        h_max[at] = np.nextafter(h_min[at] - gap, -math.inf)
+        with pytest.raises(ProtocolError):
+            compute_correction(h_own[at], h_min[at], h_max[at], kappa, theta)
+        with pytest.raises(ProtocolError):
+            compute_correction_array(h_own, h_min, h_max, kappa, theta)
+
+    def test_missing_mandatory_inputs_rejected(self):
+        present, absent = np.array([[8.0, 8.0]]), np.array([[8.0, math.nan]])
+        h_max = np.array([[12.0, 12.0]])
+        with pytest.raises(ProtocolError):
+            compute_correction_array(absent, present, h_max, 1, 1.2)
+        with pytest.raises(ProtocolError):
+            compute_correction_array(present, absent, h_max, 1, 1.2)
 
 
 def feed(state, params, arrivals, packed=True):
