@@ -278,40 +278,37 @@ def check_conditions(result: RunResult, view: TraceView, s_max: int,
 
 def check_fault_envelope(result: RunResult, view: TraceView) -> list:
     """Pulses of correct fault-successors must sit in the window spanned by
-    their correct predecessors' pulses, shifted by the period, widened 2*kappa."""
+    their correct predecessors' pulses, shifted by the period, widened 2*kappa.
+
+    Witnesses are ordered by faulty node, then its successors (its own
+    vertex first, then its neighbors), then pulse. A node whose correct
+    predecessors did not all pulse is not checked at that pulse.
+    """
     cfg = result.config
     params = cfg.params
     eps = _guard(params)
-    faulty = cfg.placement.members
+    # [layer - 1, pulse, vertex, slot]: each node's correct predecessors one
+    # layer down (the padding repeats a slot, so it moves no extreme)
+    pred = view.correct[:-1, None, view.slot]
+    t_in = view.times[:-1][:, :, view.slot]
+    lo = np.where(pred, t_in, np.inf).min(axis=-1) + params.lam - 2 * params.kappa
+    hi = np.where(pred, t_in, -np.inf).max(axis=-1) + params.lam + 2 * params.kappa
+    t = view.times[1:]
+    with np.errstate(invalid="ignore"):
+        inside = (lo - eps <= t) & (t <= hi + eps)
+    bad = (view.correct[1:, None] & pred.any(axis=-1) & ~(pred & np.isnan(t_in)).any(axis=-1)
+           & ~np.isnan(t) & ~inside)
     out = []
-    L, K, _ = view.times.shape
-    for (fv, flayer) in sorted(faulty):
-        succ_layer = flayer + 1
-        if succ_layer >= L:
+    for fv, flayer in sorted(cfg.placement.members):
+        if flayer + 1 == len(view.times):
             continue
-        for v in (fv, *cfg.base.adjacency[fv]):
-            if not view.correct[succ_layer, v]:
-                continue
-            preds = [w for w in (v, *cfg.base.adjacency[v]) if view.correct[flayer, w]]
-            if not preds:
-                continue
-            for k in range(K):
-                tv = view.times[succ_layer, k, v]
-                if math.isnan(tv):
-                    continue
-                pred_times = view.times[flayer, k, preds]
-                if np.any(np.isnan(pred_times)):
-                    continue
-                t_min = float(np.min(pred_times))
-                t_max = float(np.max(pred_times))
-                lo = t_min + params.lam - 2 * params.kappa
-                hi = t_max + params.lam + 2 * params.kappa
-                if not (lo - eps <= tv <= hi + eps):
-                    out.append({
-                        "vertex": v, "layer": succ_layer, "pulse": k + 1,
-                        "time": tv, "window": [lo, hi],
-                        "faulty_predecessor": [fv, flayer],
-                    })
+        succ = (fv, *cfg.base.adjacency[fv])
+        j, k = np.nonzero(bad[flayer][:, succ].T)
+        v = np.array(succ)[j]
+        out += [{"vertex": vertex, "layer": flayer + 1, "pulse": pulse + 1, "time": time,
+                 "window": [low, high], "faulty_predecessor": [fv, flayer]}
+                for vertex, pulse, time, low, high
+                in zip(v.tolist(), k.tolist(), *(x[flayer, k, v].tolist() for x in (t, lo, hi)))]
     return out
 
 

@@ -340,34 +340,38 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, checks: bool, jobs: bool, needs_config=True):
+        """The flags a subcommand reads: --checks where it builds reports,
+        --jobs where it runs batch trials."""
         if needs_config:
             p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or ./gridpulse-out)")
-        p.add_argument("--checks", help="comma-separated subset of checks to enable")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trials for batch commands")
+        if checks:
+            p.add_argument("--checks", help="comma-separated subset of checks to enable")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel trials")
 
     p_run = sub.add_parser("run", help="execute one configured run and check it")
-    common(p_run)
+    common(p_run, checks=True, jobs=False)
     p_run.add_argument("--force", action="store_true",
                        help="run even if the operating-regime validation fails")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="re-check stored trace files")
     p_verify.add_argument("dir", nargs="?", help="run output directory")
-    common(p_verify, needs_config=False)
+    common(p_verify, checks=True, jobs=False, needs_config=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    common(p_sweep)
+    common(p_sweep, checks=True, jobs=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_stab = sub.add_parser("stabilize", help="corrupted-start stabilization experiment")
-    common(p_stab)
+    common(p_stab, checks=False, jobs=True)
     p_stab.set_defaults(func=cmd_stabilize)
 
     p_mc = sub.add_parser("faults-mc", help="Monte-Carlo fault trials")
-    common(p_mc)
+    common(p_mc, checks=False, jobs=True)
     p_mc.set_defaults(func=cmd_faults_mc)
 
     args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ from .engine import CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
 from .protocol import SourceMode
-from .timing import DELAY_STRATEGIES, Params, delay_keys
+from .timing import CLOCK_STRATEGIES, DELAY_STRATEGIES, Params, delay_keys
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
 __all__ = [
@@ -115,6 +115,25 @@ def _value(section: dict, path: str, kind, default=_REQUIRED):
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
+def _integer(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"must be an integer, got {x!r}")
+    return x
+
+
+def _boolean(x) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError(f"must be true or false, got {x!r}")
+    return x
+
+
+def _choice(section: dict, path: str, choices: tuple, default: str) -> str:
+    value = section.get(path.rsplit(".", 1)[-1], default)
+    if value not in choices:
+        raise ConfigurationError(f"{path}: {value!r} not one of {choices}")
+    return value
+
+
 def _base_graph(doc: dict) -> BaseGraph:
     section = _mapping(doc.get("topology"), "topology", ("kind", "m", "edges"))
     kind = section.get("kind", "line_replicated")
@@ -196,22 +215,26 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
         return FaultPlacement.empty()
     if "p" in section and "placement" in section:
         raise ConfigurationError("faults: give either p or placement, not both")
-    strict = bool(section.get("strict", True))
+    strict = _value(section, "faults.strict", _boolean, True)
     graph = build_layered(base, layers)
     if "p" in section:
         placement = sample_placement(graph, _value(section, "faults.p", float),
-                                     _value(section, "faults.seed", int, 0))
+                                     _value(section, "faults.seed", _integer, 0))
         placement = FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
     else:
         behaviors = {}
         for i, entry in enumerate(_list(section.get("placement", []), "faults.placement")):
             path = f"faults.placement[{i}]"
             entry = _mapping(entry, path, PLACEMENT_KEYS)
-            node = (_value(entry, f"{path}.vertex", int), _value(entry, f"{path}.layer", int))
+            node = (_value(entry, f"{path}.vertex", _integer),
+                    _value(entry, f"{path}.layer", _integer))
             if not (0 <= node[0] < base.num_vertices and 0 <= node[1] < layers):
                 raise ConfigurationError(f"{path}: node (vertex, layer) = {node} is outside the "
                                          f"grid of {base.num_vertices} vertices and {layers} "
                                          f"layers")
+            if node in behaviors:
+                raise ConfigurationError(f"{path}: a second entry for node (vertex, layer) = "
+                                         f"{node}")
             behavior = behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
             if not set(behavior.recipients or ()) <= set(base.slots[node[0]]):
                 raise ConfigurationError(f"{path}.behavior.recipients: {list(behavior.recipients)} "
@@ -241,20 +264,18 @@ def build_run_config(doc: dict) -> RunConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigurationError(f"schema: unsupported version {schema!r}")
     base = _base_graph(doc)
-    layers = _value(doc, "layers", int)
+    layers = _value(doc, "layers", _integer)
     source = _mapping(doc.get("source"), "source", SECTION_KEYS["source"])
     delays = _mapping(doc.get("delays"), "delays", SECTION_KEYS["delays"])
-    strategy = delays.get("strategy", "uniform-random")
-    if strategy not in DELAY_STRATEGIES:
-        raise ConfigurationError(f"delays.strategy: {strategy!r} not one of {DELAY_STRATEGIES}")
+    strategy = _choice(delays, "delays.strategy", DELAY_STRATEGIES, "uniform-random")
     clocks = _mapping(doc.get("clocks"), "clocks", SECTION_KEYS["clocks"])
 
     corr = _mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"])
     corruption = None
-    if corr and corr.get("enabled", True):
+    if corr and _value(corr, "corruption.enabled", _boolean, True):
         corruption = CorruptionSpec(
             node_fraction=_value(corr, "corruption.node_fraction", float, 0.0),
-            max_spurious_messages=_value(corr, "corruption.max_spurious_messages", int, 0),
+            max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
         )
 
     pert = _mapping(doc.get("perturbation"), "perturbation", SECTION_KEYS["perturbation"])
@@ -263,10 +284,12 @@ def build_run_config(doc: dict) -> RunConfig:
         perturbation = PerturbationSpec(
             delay_magnitude=_value(pert, "perturbation.delay_magnitude", float, 0.0),
             rate_magnitude=_value(pert, "perturbation.rate_magnitude", float, 0.0),
-            seed=_value(pert, "perturbation.seed", int, 0),
+            seed=_value(pert, "perturbation.seed", _integer, 0),
         )
 
     enforce = doc.get("enforce_alignment")
+    if enforce is not None:
+        enforce = _value(doc, "enforce_alignment", _boolean)
     return RunConfig(
         base=base,
         layers=layers,
@@ -274,20 +297,20 @@ def build_run_config(doc: dict) -> RunConfig:
         source=SourceMode(
             kind=source.get("kind", "ideal"),
             jitter=_value(source, "source.jitter", float, 0.0),
-            seed=_value(source, "source.seed", int, 0),
+            seed=_value(source, "source.seed", _integer, 0),
         ),
-        pulses=_value(doc, "pulses", int),
+        pulses=_value(doc, "pulses", _integer),
         delay_strategy=strategy,
-        delay_seed=_value(delays, "delays.seed", int, 0),
+        delay_seed=_value(delays, "delays.seed", _integer, 0),
         custom_delays=_delay_map(delays.get("map"), strategy, base, layers),
-        clock_strategy=clocks.get("strategy", "uniform"),
-        clock_seed=_value(clocks, "clocks.seed", int, 0),
+        clock_strategy=_choice(clocks, "clocks.strategy", CLOCK_STRATEGIES, "uniform"),
+        clock_seed=_value(clocks, "clocks.seed", _integer, 0),
         placement=_placement(doc, base, layers),
         machine=doc.get("machine", "full"),
         corruption=corruption,
-        corruption_seed=_value(corr, "corruption.seed", int, 0),
+        corruption_seed=_value(corr, "corruption.seed", _integer, 0),
         perturbation=perturbation,
-        enforce_alignment=enforce if enforce is None else bool(enforce),
+        enforce_alignment=enforce,
     )
 
 

@@ -1,10 +1,10 @@
 """Deterministic discrete-event execution of the whole network.
 
 One run is one event queue over real time: message deliveries and per-node
-timers, popped in (time, receiver layer, receiver vertex, sender vertex,
-kind, sequence) order. Hardware-clock deadlines are converted to real time
-when armed (clocks are affine), and the requested local time is carried on
-the timer so targets are hit bit-exactly. Identical configurations, seeds
+timers, popped in (time, receiver node id, sender vertex, kind, sequence)
+order. Hardware-clock deadlines are converted to real time when armed
+(clocks are affine), and the requested local time is carried on the timer
+so targets are hit bit-exactly. Identical configurations, seeds
 included, yield bit-identical traces. ``run_events`` runs the full machine
 on this queue and is the reference semantics. ``run`` computes clean static
 ideal-source runs in closed form instead, one layer at a time, for both
@@ -16,10 +16,11 @@ Inside the event queue, node (v, layer) is the integer id ``layer * n + v``.
 Clock rates and offsets, state machines, timer versions and pulse counts
 are flat lists indexed by it; each node's broadcast receivers are
 precomputed once per run, with their delays in a flat list indexed by edge:
-``i * width + j`` for slot j of node i, then the chain hops.
-The main loop calls ``gcs_step`` and ``layer0_step`` with plain arguments
-and applies the one value they return: a cancelled threshold timer, an armed
-threshold or pulse timer, or, after a pulse timer, the pulse itself.
+``i * width + j`` for slot j of node i, then the chain hops. A message
+carries its receiver's slot for the sender (``BaseGraph.slots``) and the
+pulse index. The main loop calls ``gcs_step`` and ``layer0_step`` with plain
+arguments and applies the one value they return: a cancelled threshold
+timer, an armed threshold or pulse timer, or, after a pulse timer, the pulse.
 """
 
 from __future__ import annotations
@@ -429,10 +430,10 @@ def _run_events(config: RunConfig, inputs: _Inputs) -> RunResult:
 class _Engine:
     """One run on the event queue, over the flat node ids ``layer * n + v``.
 
-    ``successors[i]`` lists the (receiver layer, receiver vertex, edge index)
-    triples of node i's broadcast. ``delay[e]`` is the delay of edge e: the
-    [layer, vertex, slot] table flattened, so slot j of node i is edge
-    ``i * width + j``, then the chain hops.
+    ``successors[i]`` lists the (receiver id, receiver vertex, edge index,
+    receiver slot, None for a chain hop) of node i's broadcast. ``delay[e]``
+    is the delay of edge e: the [layer, vertex, slot] table flattened, so
+    slot j of node i is edge ``i * width + j``, then the chain hops.
     """
 
     def __init__(self, config: RunConfig, inputs: _Inputs, nominal: RunResult | None):
@@ -451,6 +452,7 @@ class _Engine:
         self.rate = inputs.rate.ravel().tolist()
         self.offset = inputs.offset.ravel().tolist()
         width = inputs.dag.shape[-1]
+        self.slots = config.base.slots
         self.successors = self._successors(width)
 
         self.enforce_alignment = _auto_alignment(config, self.validation)
@@ -471,7 +473,7 @@ class _Engine:
                 )
             # the draw order: chain hops, then the real slots and the rates,
             # both vertex-major
-            slots, layers = config.base.slots, range(config.layers)
+            slots, layers = self.slots, range(config.layers)
             self.delay_order = [e for e, _, _ in self.chain] + [
                 (layer * n + v) * width + j
                 for v in range(n) for layer in layers[:-1] for j in range(len(slots[v]))]
@@ -493,38 +495,36 @@ class _Engine:
             return None
         if layer == 0:
             return ChainState() if cfg.source.kind == "chain" else None
-        return GcsState(vertex=v, layer=layer, neighbors=cfg.base.adjacency[v])
+        slots = self.slots[v]
+        return GcsState(own=slots.index(v), inputs=len(slots))
 
     def _successors(self, width: int) -> list:
         """Receivers of each node's broadcast: the dag receivers in slot
         order, then, on a chain source, the chain hops."""
-        cfg, n = self.cfg, self.nv
-        slots = cfg.base.slots
-        out = [[(i // n + 1, w, i * width + j) for j, w in enumerate(slots[i % n])]
-               for i in range((cfg.layers - 1) * n)] + [[] for _ in range(n)]
+        cfg, n, slots = self.cfg, self.nv, self.slots
+        out = [[((layer + 1) * n + w, w, (layer * n + v) * width + j, slots[w].index(v))
+                for j, w in enumerate(slots[v])]
+               for layer in range(cfg.layers - 1) for v in range(n)] + [[] for _ in range(n)]
         if cfg.source.kind == "chain":
             line = cfg.base.line_info.line
             for e, hop, w in self.chain:
                 if hop:  # hop h >= 1 is sent by the line's h-th vertex
-                    out[line[hop - 1]].append((0, w, e))
+                    out[line[hop - 1]].append((w, w, e, None))
         return out
 
-    def _push(self, time: float, rvertex: int, rlayer: int, kind: int,
-              svertex: int, payload) -> None:
-        heapq.heappush(self.heap,
-                       (time, rlayer, rvertex, svertex, kind, self.next_seq(), payload))
+    def _push(self, time: float, i: int, svertex: int, kind: int, payload) -> None:
+        heapq.heappush(self.heap, (time, i, svertex, kind, self.next_seq(), payload))
 
     def _deliver(self, i: int, t: float, pulse_index: int,
                  recipients: tuple[int, ...] | None = None) -> None:
         """Send node i's pulse ``pulse_index``, emitted at real time t, to its
         receivers, or to those among ``recipients``."""
-        layer, v = divmod(i, self.nv)
+        v = i % self.nv
         heap, delay, next_seq = self.heap, self.delay, self.next_seq
-        payload = (layer, pulse_index)
-        for rlayer, rvertex, e in self.successors[i]:
-            if recipients is None or rvertex in recipients:
-                heapq.heappush(heap, (t + delay[e], rlayer, rvertex, v, _KIND_MESSAGE,
-                                      next_seq(), payload))
+        for r, w, e, slot in self.successors[i]:
+            if recipients is None or w in recipients:
+                heapq.heappush(heap, (t + delay[e], r, v, _KIND_MESSAGE, next_seq(),
+                                      (slot, pulse_index)))
 
     def _seed_sources(self, inputs: _Inputs) -> None:
         cfg, source = self.cfg, inputs.source_times
@@ -542,29 +542,27 @@ class _Engine:
                 t = (k - 1) * self.params.lam
                 for e, hop, target in self.chain:
                     if hop == 0:  # sent by the pulse source
-                        self._push(t + self.delay[e], target, 0, _KIND_MESSAGE, -1, (-1, k))
+                        self._push(t + self.delay[e], target, -1, _KIND_MESSAGE, (None, k))
 
     def _seed_fault_emissions(self) -> None:
         cfg = self.cfg
-        for node in sorted(cfg.placement.members):
-            behavior = cfg.placement.behaviors[node]
+        for v, layer in sorted(cfg.placement.members):
+            behavior = cfg.placement.behaviors[v, layer]
             nominal_times = None
             if behavior.needs_nominal:
                 if self.nominal is None:
-                    raise ProtocolError(
-                        "offset-anchored behavior without a twin execution"
-                    )
-                nominal_times = self.nominal.pulse_times(*node)
+                    raise ProtocolError("offset-anchored behavior without a twin execution")
+                nominal_times = self.nominal.pulse_times(v, layer)
             for k in range(1, cfg.pulses + 1):
                 for t_emit, recipients in faulty_emissions(behavior, nominal_times, k):
-                    v, layer = node
-                    self._push(t_emit, v, layer, _KIND_FAULT_EMISSION, v, (recipients, k))
+                    self._push(t_emit, layer * self.nv + v, v, _KIND_FAULT_EMISSION,
+                               (recipients, k))
 
     def _scramble_start(self) -> None:
         """Corrupt the start state from ``Random(corruption_seed)``: each picked
         node of layers >= 1 gets an iteration in 1..3, a last acceptance in
         [-lam, 0] and a gap, listening (h_min at h in [0, lam], its first
-        neighbor's bit set; h_own in [h, h + lam/4]) or waiting phase (a pulse
+        neighbor's slot heard; h_own in [h, h + lam/4]) or waiting phase (a pulse
         at local time [0, 2 lam]); faulty nodes draw too and keep nothing.
         Then spurious messages from real predecessors arrive in [0, d]."""
         spec, lam, n, base = self.cfg.corruption, self.params.lam, self.nv, self.cfg.base
@@ -589,14 +587,14 @@ class _Engine:
             st.iteration, st.last_accept = iteration, last_accept
             if phase == "listening":
                 st.phase, st.h_own, st.h_min = Phase.LISTENING, h_own, h_min
-                st.rmask = int(h_min is not None)
+                # the first neighbor is the lowest neighbor slot
+                st.rmask = st.full_mask & -st.full_mask if h_min is not None else 0
             elif phase == "waiting":
                 st.phase = Phase.WAITING
                 st.pending_snapshot = IterationSnapshot("corrupted", None, None, None, None,
                                                         target)
                 self.pulse_version[i] += 1
-                v, layer = i % n, i // n
-                self._push((target - self.offset[i]) / self.rate[i], v, layer, _KIND_TIMER, v,
+                self._push((target - self.offset[i]) / self.rate[i], i, i % n, _KIND_TIMER,
                            ("pulse", self.pulse_version[i], target))
         if spec.max_spurious_messages > 0 and self.cfg.layers > 1:
             for _ in range(rng.randint(0, spec.max_spurious_messages)):
@@ -604,7 +602,8 @@ class _Engine:
                 v = rng.choice(base.vertices)
                 sender = rng.choice((v, *base.adjacency[v]))
                 t, pulse_index = rng.uniform(0.0, self.params.d), rng.randint(1, 3)
-                self._push(t, v, layer, _KIND_MESSAGE, sender, (layer - 1, pulse_index))
+                slot = self.slots[v].index(sender)
+                self._push(t, layer * n + v, sender, _KIND_MESSAGE, (slot, pulse_index))
 
     # -- waves and perturbation ---------------------------------------------
 
@@ -666,9 +665,8 @@ class _Engine:
         events = messages = stale = filtered = stragglers = reopens = 0
         timeouts = early_exits = 0
         while heap:
-            t, rlayer, rvertex, svertex, kind, _seq, payload = heappop(heap)
+            t, i, _sender, kind, _seq, payload = heappop(heap)
             events += 1
-            i = rlayer * n + rvertex
             st = machines[i]
             if kind == _KIND_MESSAGE:
                 messages += 1
@@ -676,8 +674,8 @@ class _Engine:
                     continue  # faulty or scripted receiver ignores input
                 h = offset[i] + rate[i] * t
                 if st.__class__ is GcsState:
-                    slayer, pulse_index = payload
-                    armed = gcs_step(st, None, svertex, slayer, h, params)
+                    slot, pulse_index = payload
+                    armed = gcs_step(st, None, slot, h, params)
                     if armed == inf:
                         reopens += 1
                     elif st.last_accept != h:
@@ -687,7 +685,7 @@ class _Engine:
                         stragglers += 1
                     if enforce_alignment and pulse_index != st.iteration:
                         raise AlignmentError(
-                            vertex=rvertex, layer=rlayer, got_index=pulse_index,
+                            vertex=i % n, layer=i // n, got_index=pulse_index,
                             expected_index=st.iteration, time=t,
                         )
                 else:
@@ -700,7 +698,7 @@ class _Engine:
                 if st is None:
                     continue
                 if st.__class__ is GcsState:
-                    armed = gcs_step(st, timer, None, None, h, params)
+                    armed = gcs_step(st, timer, None, h, params)
                 else:
                     armed = layer0_step(st, timer, h, params)
                 if timer == "pulse":
@@ -724,8 +722,8 @@ class _Engine:
                         early_exits += 1
             version = versions[i] = versions[i] + 1
             if armed != inf:  # inf cancels
-                heappush(heap, ((armed - offset[i]) / rate[i], rlayer, rvertex, rvertex,
-                                _KIND_TIMER, next_seq(), (timer, version, armed)))
+                heappush(heap, ((armed - offset[i]) / rate[i], i, i % n, _KIND_TIMER,
+                                next_seq(), (timer, version, armed)))
 
         counts = np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n)
         incomplete = incomplete_nodes(cfg, counts)

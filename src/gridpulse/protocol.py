@@ -10,8 +10,9 @@ Two machines drive the event engine:
 
 Machines are transition functions over engine-owned state objects. A step
 takes plain arguments: the timer that fired (None for a message, whose
-sender vertex and layer come next) and the node's local time. It mutates
-the state and returns what it did to the node's timers, as one plain value:
+input slot comes next: its index in ``BaseGraph.slots[v]``, the node's copy
+or a neighbor one layer down) and the node's local time. It mutates the
+state and returns what it did to the node's timers, as one plain value:
 None (timers unchanged), ``math.inf`` (cancel the threshold timer: a
 message opened a fresh listening phase) or the local time of the one timer
 it armed, the pulse timer if the node is WAITING afterwards (always, for a
@@ -62,7 +63,7 @@ __all__ = [
     "layer0_step",
 ]
 
-# Quiet period (and per-sender rate filter) is one tenth of the period.
+# Quiet period (and per-slot rate filter) is one tenth of the period.
 QUIET_DIVISOR = 10.0
 
 
@@ -220,29 +221,27 @@ def inner_loop_threshold_array(h_own: np.ndarray, h_min: np.ndarray, h_max: np.n
 
 
 class GcsState:
-    """Mutable per-node state of the full synchronization machine."""
+    """Mutable per-node state of the full synchronization machine, over
+    ``inputs`` slots of which ``own`` is the node's copy; ``rmask`` has bit
+    ``1 << slot`` set for each neighbor slot heard in the iteration."""
 
     __slots__ = (
-        "vertex", "layer", "iteration", "phase",
-        "h_own", "h_min", "h_max", "rmask", "full_mask", "bit_of",
+        "own", "iteration", "phase",
+        "h_own", "h_min", "h_max", "rmask", "full_mask",
         "last_accept", "last_from", "pending_snapshot",
     )
 
-    def __init__(self, vertex: int, layer: int, neighbors: tuple[int, ...]):
-        if layer < 1:
-            raise ProtocolError("synchronization nodes live on layers >= 1")
-        self.vertex = vertex
-        self.layer = layer
+    def __init__(self, own: int, inputs: int):
+        self.own = own
         self.iteration = 1
         self.phase = Phase.GAP
         self.h_own: float | None = None
         self.h_min: float | None = None
         self.h_max: float | None = None
         self.rmask = 0
-        self.bit_of = {w: 1 << i for i, w in enumerate(neighbors)}
-        self.full_mask = (1 << len(neighbors)) - 1
+        self.full_mask = ((1 << inputs) - 1) & ~(1 << own)
         self.last_accept = -math.inf
-        self.last_from: dict[int, float] = {}
+        self.last_from = [-math.inf] * inputs
         self.pending_snapshot: IterationSnapshot | None = None
 
 
@@ -253,12 +252,12 @@ def _clear(state: GcsState, phase: Phase) -> None:
     state.rmask = 0
 
 
-def _record(state: GcsState, sender: int, h: float) -> None:
-    if sender == state.vertex:
+def _record(state: GcsState, slot: int, h: float) -> None:
+    if slot == state.own:
         if state.h_own is None:
             state.h_own = h
         return
-    bit = state.bit_of[sender]
+    bit = 1 << slot
     if state.rmask & bit:
         return  # duplicate within the iteration
     if state.rmask == 0:
@@ -294,40 +293,31 @@ def _commit(state: GcsState, h_exit: float, params: Params) -> float:
     return target
 
 
-def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
-             h: float, params: Params) -> float | None:
+def gcs_step(state: GcsState, timer: str | None, slot: int | None, h: float,
+             params: Params) -> float | None:
     """Advance a synchronization node at local time ``h``; returns None,
     ``math.inf`` (cancel the threshold timer) or the local time of the timer
     it armed: the pulse timer if the node is now WAITING, else the threshold.
 
     ``timer`` is the kind of the timer that fired ('threshold' or 'pulse'),
-    or None for a message from (``sender``, ``sender_layer``); the sender
-    arguments are ignored for timers. Messages pass a per-sender rate
-    filter; a message after a quiet gap of lam/10 opens a fresh listening
-    phase (clearing reception state and the threshold timer but leaving any
-    already-scheduled pulse to fire). The listening loop exits at its
+    or None for a message on input ``slot``, which timers ignore. Messages
+    pass a per-slot rate filter; a message after a quiet gap of lam/10 opens
+    a fresh listening phase (clearing reception state and the threshold
+    timer but leaving any already-scheduled pulse to fire). The listening loop exits at its
     threshold; with the self-copy timestamp still missing this is a timeout
     that anchors the pulse on the last neighbor, otherwise the correction
     kernel sets the schedule.
     """
     if timer is None:
-        if sender_layer != state.layer - 1 or (
-            sender != state.vertex and sender not in state.bit_of
-        ):
-            raise ProtocolError(
-                f"node (v={state.vertex}, layer={state.layer}) got a pulse from "
-                f"non-predecessor (v={sender}, layer={sender_layer})"
-            )
         quiet = params.lam / QUIET_DIVISOR
-        last = state.last_from.get(sender)
-        if last is not None and h - last < quiet:
+        if h - state.last_from[slot] < quiet:
             return None  # rate-filtered
-        state.last_from[sender] = h
+        state.last_from[slot] = h
         reopen = h - state.last_accept >= quiet
         state.last_accept = h
         if reopen:
             _clear(state, _LISTENING)
-            _record(state, sender, h)
+            _record(state, slot, h)
             # A phase's first input completes no threshold arm: every node has
             # at least two neighbors, so the first arm needs two neighbor
             # inputs and the second the self-copy and a neighbor. Cancelling
@@ -335,7 +325,7 @@ def gcs_step(state: GcsState, timer: str | None, sender: int, sender_layer: int,
             return math.inf
         if state.phase is not _LISTENING:
             return None
-        _record(state, sender, h)
+        _record(state, slot, h)
     elif timer == "pulse":
         state.iteration += 1
         _clear(state, _GAP)

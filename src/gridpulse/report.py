@@ -55,6 +55,12 @@ def _write_columns(path: Path, header: list, present: np.ndarray, arrays: list) 
         fh.writelines(map("%s\n".__mod__, map(",".join, zip(*columns))))
 
 
+def _listed(violations: list) -> dict:
+    """A check's entry from its violations: the first 50 and their count."""
+    return {"passed": not violations, "violations": violations[:50],
+            "violation_count": len(violations)}
+
+
 def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
                  s_max: int | None = None) -> dict:
     """Run the requested checkers over a finished run and assemble verdicts."""
@@ -105,39 +111,17 @@ def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
         }
 
     if "envelope" in checks and not fault_free:
-        violations = analysis.check_fault_envelope(result, view)
-        report["checks"]["envelope"] = {
-            "passed": not violations,
-            "violations": violations[:50],
-            "violation_count": len(violations),
-        }
-
+        report["checks"]["envelope"] = _listed(analysis.check_fault_envelope(result, view))
     if "drift" in checks:
-        violations = analysis.check_drift(result, view)
-        report["checks"]["drift"] = {
-            "passed": not violations,
-            "violations": violations[:50],
-            "violation_count": len(violations),
-        }
-
+        report["checks"]["drift"] = _listed(analysis.check_drift(result, view))
     if "estimates" in checks and fault_free:
-        violations = analysis.check_estimates(result, view)
-        report["checks"]["estimates"] = {
-            "passed": not violations,
-            "violations": violations[:50],
-            "violation_count": len(violations),
-        }
-
+        report["checks"]["estimates"] = _listed(analysis.check_estimates(result, view))
     if "period" in checks:
         violations = analysis.period_consistency(result, view)
         expected_static = (cfg.perturbation is None and cfg.corruption is None
                            and all(b.periodic for b in cfg.placement.behaviors.values()))
-        report["checks"]["period"] = {
-            "passed": (not violations) if expected_static else True,
-            "violation_count": len(violations),
-            "violations": violations[:50],
-            "asserted": expected_static,
-        }
+        report["checks"]["period"] = dict(_listed(violations), asserted=expected_static,
+                                          passed=not violations or not expected_static)
 
     if "potentials" in checks:
         table = analysis.potentials(view, params.kappa, s_max=s_max)

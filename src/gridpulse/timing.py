@@ -27,10 +27,12 @@ __all__ = [
     "sample_clocks",
     "sample_delays",
     "validate_params",
+    "CLOCK_STRATEGIES",
     "DELAY_STRATEGIES",
 ]
 
 DELAY_STRATEGIES = ("uniform-random", "all-min", "all-max", "per-layer-alternating", "custom-map")
+CLOCK_STRATEGIES = ("uniform", "all-one", "all-max")
 
 
 def derive_kappa(d: float, u: float, theta: float, lam: float) -> float:

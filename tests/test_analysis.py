@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -504,6 +505,42 @@ def psi_bound_by_loop(table, kappa):
     return out
 
 
+def envelope_by_loop(res, view):
+    cfg = res.config
+    params = cfg.params
+    eps = 1e-9 * params.lam
+    out = []
+    L, K, _ = view.times.shape
+    for (fv, flayer) in sorted(cfg.placement.members):
+        succ_layer = flayer + 1
+        if succ_layer >= L:
+            continue
+        for v in (fv, *cfg.base.adjacency[fv]):
+            if not view.correct[succ_layer, v]:
+                continue
+            preds = [w for w in (v, *cfg.base.adjacency[v]) if view.correct[flayer, w]]
+            if not preds:
+                continue
+            for k in range(K):
+                tv = view.times[succ_layer, k, v]
+                if math.isnan(tv):
+                    continue
+                pred_times = view.times[flayer, k, preds]
+                if np.any(np.isnan(pred_times)):
+                    continue
+                t_min = float(np.min(pred_times))
+                t_max = float(np.max(pred_times))
+                lo = t_min + params.lam - 2 * params.kappa
+                hi = t_max + params.lam + 2 * params.kappa
+                if not (lo - eps <= tv <= hi + eps):
+                    out.append({
+                        "vertex": v, "layer": succ_layer, "pulse": k + 1,
+                        "time": tv, "window": [lo, hi],
+                        "faulty_predecessor": [fv, flayer],
+                    })
+    return out
+
+
 @pytest.fixture(scope="module")
 def scrambled():
     """A fully corrupted start, its clean reference, and a perturbed faulty run:
@@ -546,6 +583,31 @@ class TestArrayCheckersMatchLoops:
         corrupted_view = analysis.TraceView(scrambled[0])
         assert analysis.check_drift(scrambled[0], corrupted_view)
         assert analysis.check_estimates(scrambled[0], corrupted_view)
+
+    def test_fault_envelope(self, scrambled):
+        faulty = scrambled[2]
+        # adjacent faults off schedule (not a strict placement), with pulse
+        # times jittered by up to 3 kappa and some pulses missing; the faulty
+        # successor (4, 4) gets far-off times, which are neither checked nor
+        # part of any window
+        placement = FaultPlacement(behaviors={
+            (4, 3): FaultBehavior(kind="fixed_offset", offset=0.3),
+            (5, 3): FaultBehavior(kind="burst", count=2, spacing=0.05),
+            (4, 4): FaultBehavior(kind="silent"),
+            (2, 6): FaultBehavior(kind="silent"),
+        }, strict=False)
+        adjacent = run(dataclasses.replace(faulty.config, perturbation=None, placement=placement))
+        rng = np.random.default_rng(7)
+        times = adjacent.times + rng.uniform(-3 * KAPPA, 3 * KAPPA, adjacent.times.shape)
+        times[rng.random(times.shape) < 0.05] = np.nan
+        times[4, :, 4] = 100.0
+        jittered = dataclasses.replace(adjacent, times=times)
+        for res in (faulty, jittered):
+            view = analysis.TraceView(res)
+            got = analysis.check_fault_envelope(res, view)
+            assert json.dumps(got) == json.dumps(envelope_by_loop(res, view))
+        assert len(got) > 20
+        assert {w["faulty_predecessor"][0] for w in got} == {2, 4, 5}
 
     def test_stabilization(self, scrambled):
         corrupted, clean, _ = scrambled

@@ -91,14 +91,6 @@ class TestRun:
         assert code == 2
         assert "period margin" in capsys.readouterr().err
 
-    def test_force_overrides_validation(self, tmp_path):
-        doc = dict(BASE_DOC, params=dict(BASE_DOC["params"], Lambda=1.5))
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(cfg), "--out", str(out), "--force"])
-        assert (out / "report.json").exists()
-        assert code in (0, 1)
-
     def test_unreadable_config_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -297,6 +289,20 @@ class TestConfigErrors:
             args = ["--config", str(write_config(tmp_path, {"run": self.BAD_RUN, "seeds": [1]}))]
         assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", ["--jobs", "2"]), ("verify", ["--jobs", "2"]),
+        ("stabilize", ["--checks", "skew"]), ("faults-mc", ["--checks", "skew"]),
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, tmp_path, capsys, command, flag):
+        """--jobs belongs to the batch commands and --checks to those that
+        build reports; argparse rejects either elsewhere."""
+        args = ([str(tmp_path)] if command == "verify"
+                else ["--config", str(write_config(tmp_path, BASE_DOC))])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestSweep:

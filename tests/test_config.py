@@ -196,6 +196,33 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
         "kind": "fixed_offset", "offset": 0.1, "recipients": [6]}}]}},
      r"faults.placement\[0\].behavior.recipients"),
+    # one entry per faulty node
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {"kind": "silent"}},
+                               {"vertex": 2, "layer": 1, "behavior": {
+                                   "kind": "fixed_offset", "offset": 0.1}}]}},
+     r"faults.placement\[1\]"),
+    ({"clocks": {"strategy": "bogus", "seed": 13}}, "clocks.strategy"),
+    # booleans are YAML booleans, integers are integers
+    ({"faults": {"strict": "no", "placement": []}}, "faults.strict"),
+    ({"faults": {"strict": 0, "placement": []}}, "faults.strict"),
+    ({"corruption": {"enabled": "no", "node_fraction": 1.0}}, "corruption.enabled"),
+    ({"enforce_alignment": "no"}, "enforce_alignment"),
+    ({"enforce_alignment": 1}, "enforce_alignment"),
+    ({"pulses": 3.9}, "pulses"),
+    ({"pulses": "3"}, "pulses"),
+    ({"layers": True}, "layers"),
+    ({"source": dict(DOC["source"], seed="3")}, "source.seed"),
+    ({"delays": dict(DOC["delays"], seed=1.5)}, "delays.seed"),
+    ({"clocks": dict(DOC["clocks"], seed=True)}, "clocks.seed"),
+    ({"faults": {"p": 0.1, "seed": 2.0}}, "faults.seed"),
+    ({"corruption": {"node_fraction": 1.0, "seed": "4"}}, "corruption.seed"),
+    ({"corruption": {"node_fraction": 1.0, "max_spurious_messages": 2.5}},
+     "corruption.max_spurious_messages"),
+    ({"perturbation": {"delay_magnitude": 1e-4, "seed": 1.0}}, "perturbation.seed"),
+    ({"faults": {"placement": [{"vertex": "2", "layer": 1, "behavior": {"kind": "silent"}}]}},
+     r"faults.placement\[0\].vertex"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1.0, "behavior": {"kind": "silent"}}]}},
+     r"faults.placement\[0\].layer"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):

@@ -208,7 +208,7 @@ class TestArrayForms:
 
 
 def feed(state, params, arrivals, packed=True):
-    """Drive a node with (sender, local time) message arrivals; returns what
+    """Drive a node with (slot, local time) message arrivals; returns what
     each step returned.
 
     With ``packed`` the quiet clock is kept fresh between arrivals so the
@@ -217,18 +217,19 @@ def feed(state, params, arrivals, packed=True):
     """
     results = []
     quiet = params.lam / 10.0
-    for index, (sender, h) in enumerate(arrivals):
+    for index, (slot, h) in enumerate(arrivals):
         if packed and index and h - state.last_accept >= quiet:
             state.last_accept = h - quiet / 2
-        results.append(gcs_step(state, None, sender, state.layer - 1, h, params))
+        results.append(gcs_step(state, None, slot, h, params))
     return results
 
 
 class TestFullMachine:
-    """Worked examples for the full node: neighbors are vertices 1 and 2, self 0."""
+    """Worked examples for the full node: neighbors are vertices 1 and 2, self 0,
+    so each sender's vertex is also its slot."""
 
     def make(self):
-        return GcsState(vertex=0, layer=1, neighbors=(1, 2))
+        return GcsState(own=0, inputs=3)
 
     def test_symmetric_pulse_schedule(self):
         # all three at local 100 with kappa=1, theta=1.2, lam=2, d=1:
@@ -242,7 +243,7 @@ class TestFullMachine:
         assert results == [math.inf, pytest.approx(102.0), pytest.approx(101.7)]
         # exit happens at the threshold timer, not at the messages
         t_exit = results[-1]
-        target = gcs_step(st_, "threshold", None, None, t_exit, params)
+        target = gcs_step(st_, "threshold", None, t_exit, params)
         assert st_.pending_snapshot.correction == 0.0
         nominal = st_.h_own + params.lam - params.d - st_.pending_snapshot.correction
         assert nominal == pytest.approx(101.0)
@@ -262,7 +263,7 @@ class TestFullMachine:
         # threshold arm: 50 + kappa/2 + theta*kappa = 51.7
         assert feed(st_, params, [(1, 49.9), (2, 50.0)]) == [math.inf, pytest.approx(51.7)]
         assert st_.h_own is None and st_.h_max == 50.0
-        target = gcs_step(st_, "threshold", None, None, 51.7, params)
+        target = gcs_step(st_, "threshold", None, 51.7, params)
         assert st_.pending_snapshot.arm == "timeout"
         assert target == pytest.approx(50.0 + 1.5 + 2.0 - 1.0)
 
@@ -272,7 +273,7 @@ class TestFullMachine:
         # loop exits at 2*10 - 8 + 2 = 14, last neighbor treated as absent;
         # the below-zero branch clamps at 0
         assert feed(st_, params, [(1, 8.0), (0, 10.0)]) == [math.inf, 14.0]
-        target = gcs_step(st_, "threshold", None, None, 14.0, params)
+        target = gcs_step(st_, "threshold", None, 14.0, params)
         assert st_.pending_snapshot.arm == "corrected"
         assert st_.pending_snapshot.correction == 0.0
         nominal = 10.0 + 2.0 - 1.0
@@ -283,15 +284,15 @@ class TestFullMachine:
         st_ = self.make()
         assert feed(st_, params, [(1, 10.0), (1, 10.05)]) == [math.inf, None]
         assert st_.h_min == 10.0
-        assert st_.rmask == 0b01
+        assert st_.rmask == 0b010
         assert st_.h_max is None
 
     def test_pulse_resets_iteration_state(self):
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
         st_ = self.make()
         feed(st_, params, [(0, 100.0), (1, 100.0), (2, 100.0)])
-        gcs_step(st_, "threshold", None, None, 101.7, params)
-        assert gcs_step(st_, "pulse", None, None, 101.0, params) is None
+        gcs_step(st_, "threshold", None, 101.7, params)
+        assert gcs_step(st_, "pulse", None, 101.0, params) is None
         assert st_.iteration == 2  # the engine emits pulse iteration - 1 = 1
         assert st_.phase is Phase.GAP
         assert st_.h_own is None and st_.rmask == 0
@@ -311,30 +312,24 @@ class TestFullMachine:
         # next message after more than lam/10 quiet opens a fresh phase
         assert feed(st_, params, [(2, 11.0)]) == [math.inf]
         assert st_.h_min == 11.0
-        assert st_.rmask == 0b10
-
-    def test_message_from_non_predecessor_rejected(self):
-        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        st_ = self.make()
-        with pytest.raises(ProtocolError):
-            gcs_step(st_, None, 7, 0, 5.0, params)
+        assert st_.rmask == 0b100
 
     def test_step_results(self):
         """A step returns inf on a phase's first input (self-copy or
         neighbor), None on a rate-filtered message and on a pulse, and the
         pulse's local time on the step that commits."""
         params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
-        for sender in (0, 1):
+        for slot in (0, 1):
             st_ = self.make()
-            assert gcs_step(st_, None, sender, 0, 10.0, params) == math.inf
+            assert gcs_step(st_, None, slot, 10.0, params) == math.inf
             assert st_.phase is Phase.LISTENING
-            assert gcs_step(st_, None, sender, 0, 10.1, params) is None  # rate-filtered
+            assert gcs_step(st_, None, slot, 10.1, params) is None  # rate-filtered
         st_ = self.make()
         # an input past the armed threshold (14) commits on the message itself,
         # and the pulse is due at once: max(10 + 2 - 1 - 0, 14.05)
         assert feed(st_, params, [(1, 8.0), (0, 10.0), (2, 14.05)]) == [math.inf, 14.0, 14.05]
         assert st_.phase is Phase.WAITING and st_.pending_snapshot is not None
-        assert gcs_step(st_, "pulse", None, None, 14.05, params) is None
+        assert gcs_step(st_, "pulse", None, 14.05, params) is None
         assert st_.iteration == 2
 
 
