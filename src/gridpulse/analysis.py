@@ -170,27 +170,22 @@ def skew_vs_potential_violations(view: TraceView, table: PotentialTable,
     return out
 
 
-def psi_bound_violations(table: PotentialTable, kappa: float,
-                         layer_pairs: list | None = None) -> list:
+def psi_bound_violations(table: PotentialTable, kappa: float) -> list:
     """Layer-window recursion: Psi^s(top) bounded via Xi^s(bottom).
 
     Checks Psi^s(l2) <= max(0, Xi^s(l1) - (l2-l1+1)*kappa) + (l2-l1)*kappa/2
     for sampled layer pairs l1 <= l2, per pulse, for s >= 1.
     """
     s_count, L, K = table.psi.shape
-    if layer_pairs is None:
-        gaps = [1, 2, 5, 10, L - 1]
-        layer_pairs = sorted({
-            (l1, min(l1 + g, L - 1))
-            for g in gaps
-            for l1 in range(0, L, max(1, L // 6))
-            if g >= 1
-        })
+    layer_pairs = sorted({
+        (l1, min(l1 + g, L - 1))
+        for g in (1, 2, 5, 10, L - 1)
+        for l1 in range(0, L, max(1, L // 6))
+        if g >= 1
+    })
     out = []
     for s in range(1, s_count):
         for l1, l2 in layer_pairs:
-            if not 0 <= l1 <= l2 < L:
-                continue
             psi = table.psi[s, l2]
             bound = (np.maximum(0.0, table.xi[s, l1] - (l2 - l1 + 1) * kappa)
                      + (l2 - l1) * kappa / 2.0)
@@ -366,22 +361,19 @@ def check_estimates(result: RunResult, view: TraceView) -> list:
     ]
 
 
-def period_consistency(result: RunResult, view: TraceView,
-                       tolerance: float | None = None) -> list:
+def period_consistency(result: RunResult, view: TraceView) -> list:
     """In a static run every correct node repeats with exactly the period."""
-    params = result.config.params
-    tol = 1e-9 * params.lam if tolerance is None else tolerance
-    dev = np.abs(view.times[:, 1:] - view.times[:, :-1] - params.lam)
+    lam = result.config.params.lam
+    dev = np.abs(view.times[:, 1:] - view.times[:, :-1] - lam)
     with np.errstate(invalid="ignore"):
-        bad = view.correct[:, None, :] & (dev > tol)
+        bad = view.correct[:, None, :] & (dev > 1e-9 * lam)
     return [
         {"vertex": v, "layer": layer, "pulse": k + 1, "deviation": float(dev[layer, k, v])}
         for layer, v, k in _layer_vertex_pulse(bad)
     ]
 
 
-def stabilization_pulse(result: RunResult, reference: RunResult,
-                        tolerance: float | None = None) -> float:
+def stabilization_pulse(result: RunResult, reference: RunResult) -> float:
     """Smallest pulse index from which every correct node tracks the clean
     run's periodic orbit (per-node integer index shifts allowed).
 
@@ -389,7 +381,6 @@ def stabilization_pulse(result: RunResult, reference: RunResult,
     the UNSTABILIZED sentinel (inf) when some node never locks on.
     """
     lam = result.config.params.lam
-    tol = 1e-9 * lam if tolerance is None else tolerance
     counts = result.counts
     # nodes that pulsed in the reference run and are correct in this one
     nodes = (reference.counts > 0) & _correct_mask(result)
@@ -400,7 +391,7 @@ def stabilization_pulse(result: RunResult, reference: RunResult,
     # |IEEE remainder| of the offset by lam: fmod is exact, and so is
     # lam - r for r >= lam/2 (Sterbenz)
     r = np.abs(np.fmod(result.times - anchor, lam))
-    aligned = np.minimum(r, lam - r) <= tol
+    aligned = np.minimum(r, lam - r) <= 1e-9 * lam
     k = np.arange(result.times.shape[1])[None, :, None]
     emitted = k < counts[:, None, :]
     last_aligned = np.take_along_axis(aligned, np.maximum(counts - 1, 0)[:, None, :], axis=1)

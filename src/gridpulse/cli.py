@@ -13,17 +13,18 @@ import dataclasses
 import json
 import math
 import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, report as report_mod
 from .config import MC_BEHAVIORS, build_run_config, load_config, load_experiment
-from .engine import run
+from .engine import RunConfig, run
 from .errors import AlignmentError, ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
 from .report import ALL_CHECKS, build_report, render_text, write_outputs
-from .timing import local_skew_budget, validate_params
+from .timing import validate_params
 from .topology import build_layered
 
 OUT_ENV = "GRIDPULSE_OUT"
@@ -32,12 +33,7 @@ __all__ = ["main"]
 
 
 def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUT_ENV)
-    if env:
-        return Path(env)
-    return Path("gridpulse-out")
+    return Path(args.out or os.environ.get(OUT_ENV) or "gridpulse-out")
 
 
 def _parse_checks(raw: str | None) -> tuple[str, ...]:
@@ -56,7 +52,7 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigurationError(f"sweep axis {dotted!r} does not address a mapping")
+            raise ConfigurationError(f"{dotted}: {part!r} is not a mapping in the run config")
     node[parts[-1]] = value
 
 
@@ -75,6 +71,16 @@ def _derive_seeds(doc: dict, seed: int) -> None:
         section = doc.get(stream)
         if isinstance(section, dict) and (stream != "faults" or "p" in section):
             section["seed"] = seed + SEED_OFFSETS[stream]
+
+
+def _trial_config(doc: dict, seed: int, edits: dict) -> RunConfig:
+    """A batch trial's config: the experiment's run document with ``edits``
+    (dotted key -> value) set and every stream seeded from the row seed."""
+    doc, edits = json.loads(json.dumps([doc, edits]))  # deep copy, keeps plain types
+    for key, value in edits.items():
+        _set_path(doc, key, value)
+    _derive_seeds(doc, seed)
+    return build_run_config(doc)
 
 
 def cmd_run(args) -> int:
@@ -117,19 +123,11 @@ def _axis_points(axes: dict) -> list[dict]:
 
 def _sweep_trial(payload) -> dict:
     doc, point, seed, checks = payload
-    doc = json.loads(json.dumps(doc))  # deep copy, keeps plain types
-    for key, value in point.items():
-        _set_path(doc, key, value)
-    _derive_seeds(doc, seed)
-    cfg = build_run_config(doc)
-    result = run(cfg)
+    result = run(_trial_config(doc, seed, point))
     rep = build_report(result, checks=checks)
     skew = rep["skew"]
     row = {f"axis:{k}": v for k, v in sorted(point.items())}
-    max_layer = None
-    defined = [x for x in skew["per_layer"] if x is not None]
-    if defined:
-        max_layer = max(defined)
+    max_layer = max((x for x in skew["per_layer"] if x is not None), default=None)
     row.update({
         "seed": seed,
         "diameter": rep["diameter"],
@@ -188,11 +186,7 @@ def _aggregate(rows: list[dict], group_keys: list[str], value_key: str) -> list[
 def _write_rows(rows: list[dict], out: Path, stem: str,
                 aggregates: list[dict] | None = None) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    keys: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
     with (out / f"{stem}.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
@@ -221,15 +215,10 @@ def cmd_sweep(args) -> int:
 
 def _stabilize_trial(payload) -> dict:
     doc, seed, corruption = payload
-    doc = json.loads(json.dumps(doc))
-    doc["corruption"] = dict(corruption)
-    _derive_seeds(doc, seed)
-    clean_doc = json.loads(json.dumps(doc))
-    clean_doc.pop("corruption")
-    cfg = build_run_config(doc)
-    ref_cfg = build_run_config(clean_doc)
+    cfg = _trial_config(doc, seed, {"corruption": corruption})
     result = run(cfg)
-    reference = run(ref_cfg)
+    # the same trial without the corrupted start: faults and perturbation stay
+    reference = run(dataclasses.replace(cfg, corruption=None))
     stab = analysis.stabilization_pulse(result, reference)
     n = cfg.base.num_vertices * cfg.layers
     limit = 4.0 * math.sqrt(n)
@@ -258,12 +247,7 @@ def cmd_stabilize(args) -> int:
 
 def _mc_trial(payload) -> dict:
     doc, seed, p, mix, changes = payload
-    import random as _random
-
-    doc = json.loads(json.dumps(doc))
-    _derive_seeds(doc, seed)
-    doc.pop("faults", None)
-    cfg = build_run_config(doc)
+    cfg = _trial_config(doc, seed, {"faults": None})
     graph = build_layered(cfg.base, cfg.layers)
     placement = sample_placement(graph, p, seed + SEED_OFFSETS["faults"])
     violating = validate_placement(graph, placement)
@@ -278,7 +262,7 @@ def _mc_trial(payload) -> dict:
         row.update({"max_layer_skew": None, "envelope_violations": None,
                     "period_violations": None, "within_budget": None})
         return row
-    rng = _random.Random(seed + SEED_OFFSETS["fault_behaviors"])
+    rng = random.Random(seed + SEED_OFFSETS["fault_behaviors"])
     behaviors = {}
     changing = 0
     for node in sorted(placement.members):
@@ -295,33 +279,25 @@ def _mc_trial(payload) -> dict:
             # past the cap a per_pulse_offset draw falls back to silent
             behaviors[node] = MC_BEHAVIORS.get(name, MC_BEHAVIORS["silent"])(cfg.params.lam)
     cfg = dataclasses.replace(cfg, placement=FaultPlacement(behaviors=behaviors, strict=True))
-    result = run(cfg)
-    view = analysis.TraceView(result)
-    skew = analysis.local_skew(view)
-    envelope = analysis.check_fault_envelope(result, view)
-    period = analysis.period_consistency(result, view)
-    budget = local_skew_budget(cfg.params, cfg.base.diameter)
-    max_layer = skew.max_layer_skew()
+    rep = build_report(run(cfg), checks=("skew", "envelope", "period"))
+    max_layer = rep["checks"]["skew"]["max_layer_skew"]
+    envelope = rep["checks"].get("envelope")  # absent when no fault was drawn
     row.update({
         "max_layer_skew": max_layer,
-        "envelope_violations": len(envelope),
-        "period_violations": (len(period) if all(b.periodic for b in behaviors.values())
-                              else None),
-        "within_budget": None if max_layer is None else max_layer <= budget,
+        "envelope_violations": envelope["violation_count"] if envelope else 0,
+        "period_violations": (rep["checks"]["period"]["violation_count"]
+                              if all(b.periodic for b in behaviors.values()) else None),
+        "within_budget": (None if max_layer is None
+                          else max_layer <= rep["skew"]["budget_fault_free"]),
     })
     return row
 
 
 def cmd_faults_mc(args) -> int:
     spec = load_experiment(args.config)
-    seeds = spec.seeds
-    if spec.trials:
-        seeds = tuple(range(spec.seeds[0], spec.seeds[0] + spec.trials))
-    trials = [
-        (spec.run, seed, spec.fault_probability, spec.behavior_mix,
-         spec.behavior_changes_per_pulse)
-        for seed in seeds
-    ]
+    seeds = range(spec.seeds[0], spec.seeds[0] + spec.trials) if spec.trials else spec.seeds
+    trials = [(spec.run, seed, spec.fault_probability, spec.behavior_mix,
+               spec.behavior_changes_per_pulse) for seed in seeds]
     rows = _run_batch(trials, _mc_trial, args.jobs)
     aggregates = _aggregate(rows, [], "max_layer_skew")
     aggregates += _aggregate(rows, [], "envelope_violations")

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import yaml
 
-from .engine import CorruptionSpec, PerturbationSpec, RunConfig
+from .engine import MACHINES, CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
-from .protocol import SourceMode
+from .protocol import SOURCE_KINDS, SourceMode
 from .timing import CLOCK_STRATEGIES, DELAY_STRATEGIES, Params, delay_keys
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
@@ -80,7 +80,9 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if not self.seeds:
-            raise ConfigurationError("seed list must be non-empty")
+            raise ConfigurationError("seeds: the seed list must be non-empty")
+        if self.trials < 0:
+            raise ConfigurationError(f"trials: must be >= 0, got {self.trials}")
 
 
 def _mapping(node, path: str, keys) -> dict:
@@ -102,6 +104,17 @@ def _list(node, path: str) -> list:
     return node
 
 
+def _entries(node, path: str, kind) -> tuple:
+    """The list ``node`` with each entry read as ``kind``; an error names ``path[i]``."""
+    out = []
+    for i, x in enumerate(_list(node, path)):
+        try:
+            out.append(kind(x))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}[{i}]: {exc}") from exc
+    return tuple(out)
+
+
 def _value(section: dict, path: str, kind, default=_REQUIRED):
     """The entry of ``section`` named by the last part of ``path``, as ``kind``."""
     key = path.rsplit(".", 1)[-1]
@@ -119,6 +132,12 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"must be an integer, got {x!r}")
     return x
+
+
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"must be a number, got {x!r}")
+    return float(x)
 
 
 def _boolean(x) -> bool:
@@ -157,11 +176,11 @@ def _base_graph(doc: dict) -> BaseGraph:
 def _params(doc: dict) -> Params:
     section = _mapping(doc.get("params"), "params", SECTION_KEYS["params"])
     return Params.derive(
-        d=_value(section, "params.d", float),
-        u=_value(section, "params.u", float),
-        theta=_value(section, "params.theta", float),
-        lam=_value(section, "params.Lambda", float),
-        validation_constant=_value(section, "params.C", float, 2.0),
+        d=_value(section, "params.d", _real),
+        u=_value(section, "params.u", _real),
+        theta=_value(section, "params.theta", _real),
+        lam=_value(section, "params.Lambda", _real),
+        validation_constant=_value(section, "params.C", _real, 2.0),
     )
 
 
@@ -195,17 +214,20 @@ def _delay_map(rows, strategy: str, base: BaseGraph, layers: int) -> dict | None
 def _behavior(node, path: str) -> FaultBehavior:
     spec = _mapping(node, path, BEHAVIOR_KEYS)
     recipients = spec.get("recipients")
+    if recipients is not None:
+        recipients = _entries(recipients, f"{path}.recipients", _integer)
+    fields = dict(
+        kind=spec.get("kind"),
+        offset=_value(spec, f"{path}.offset", _real, 0.0),
+        times=_entries(spec.get("times", []), f"{path}.times", _real),
+        offsets=_entries(spec.get("offsets", []), f"{path}.offsets", _real),
+        count=_value(spec, f"{path}.count", _integer, 0),
+        spacing=_value(spec, f"{path}.spacing", _real, 0.0),
+        recipients=recipients,
+    )
     try:
-        return FaultBehavior(
-            kind=spec.get("kind"),
-            offset=float(spec.get("offset", 0.0)),
-            times=tuple(float(x) for x in spec.get("times", ())),
-            offsets=tuple(float(x) for x in spec.get("offsets", ())),
-            count=int(spec.get("count", 0)),
-            spacing=float(spec.get("spacing", 0.0)),
-            recipients=tuple(int(x) for x in recipients) if recipients is not None else None,
-        )
-    except (TypeError, ValueError, ConfigurationError) as exc:
+        return FaultBehavior(**fields)
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -218,7 +240,7 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
     strict = _value(section, "faults.strict", _boolean, True)
     graph = build_layered(base, layers)
     if "p" in section:
-        placement = sample_placement(graph, _value(section, "faults.p", float),
+        placement = sample_placement(graph, _value(section, "faults.p", _real),
                                      _value(section, "faults.seed", _integer, 0))
         placement = FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
     else:
@@ -274,7 +296,7 @@ def build_run_config(doc: dict) -> RunConfig:
     corruption = None
     if corr and _value(corr, "corruption.enabled", _boolean, True):
         corruption = CorruptionSpec(
-            node_fraction=_value(corr, "corruption.node_fraction", float, 0.0),
+            node_fraction=_value(corr, "corruption.node_fraction", _real, 0.0),
             max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
         )
 
@@ -282,8 +304,8 @@ def build_run_config(doc: dict) -> RunConfig:
     perturbation = None
     if pert:
         perturbation = PerturbationSpec(
-            delay_magnitude=_value(pert, "perturbation.delay_magnitude", float, 0.0),
-            rate_magnitude=_value(pert, "perturbation.rate_magnitude", float, 0.0),
+            delay_magnitude=_value(pert, "perturbation.delay_magnitude", _real, 0.0),
+            rate_magnitude=_value(pert, "perturbation.rate_magnitude", _real, 0.0),
             seed=_value(pert, "perturbation.seed", _integer, 0),
         )
 
@@ -295,8 +317,8 @@ def build_run_config(doc: dict) -> RunConfig:
         layers=layers,
         params=_params(doc),
         source=SourceMode(
-            kind=source.get("kind", "ideal"),
-            jitter=_value(source, "source.jitter", float, 0.0),
+            kind=_choice(source, "source.kind", SOURCE_KINDS, "ideal"),
+            jitter=_value(source, "source.jitter", _real, 0.0),
             seed=_value(source, "source.seed", _integer, 0),
         ),
         pulses=_value(doc, "pulses", _integer),
@@ -306,7 +328,7 @@ def build_run_config(doc: dict) -> RunConfig:
         clock_strategy=_choice(clocks, "clocks.strategy", CLOCK_STRATEGIES, "uniform"),
         clock_seed=_value(clocks, "clocks.seed", _integer, 0),
         placement=_placement(doc, base, layers),
-        machine=doc.get("machine", "full"),
+        machine=_choice(doc, "machine", MACHINES, "full"),
         corruption=corruption,
         corruption_seed=_value(corr, "corruption.seed", _integer, 0),
         perturbation=perturbation,
@@ -368,35 +390,36 @@ def load_config(path: str | Path) -> RunConfig:
     return build_run_config(load_document(path))
 
 
+def _mc_behavior(name) -> str:
+    if name not in MC_BEHAVIORS and name != "per_pulse_offset":
+        raise ValueError(f"unknown behavior {name!r}; valid: "
+                         f"{sorted([*MC_BEHAVIORS, 'per_pulse_offset'])}")
+    return name
+
+
 def load_experiment(path: str | Path) -> ExperimentSpec:
+    """A batch config: the run document under ``run`` and the batch keys,
+    each read strictly and rejected with its key path."""
     doc = _mapping(load_document(path), "", EXPERIMENT_KEYS)
-    run_doc = doc.get("run")
-    if not isinstance(run_doc, dict):
-        raise ConfigurationError("experiment config needs a 'run' section")
+    if not isinstance(doc.get("run"), dict):
+        raise ConfigurationError(f"run: need a run config mapping, got {doc.get('run')!r}")
     seeds_spec = doc.get("seeds", [0])
     if isinstance(seeds_spec, dict):
         seeds_spec = _mapping(seeds_spec, "seeds", ("start", "count"))
-        start = _value(seeds_spec, "seeds.start", int, 0)
-        seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", int, 1)))
+        start = _value(seeds_spec, "seeds.start", _integer, 0)
+        seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", _integer, 1)))
     else:
-        seeds = tuple(int(s) for s in seeds_spec)
-    axes = doc.get("sweep", {}) or {}
+        seeds = _entries(seeds_spec, "seeds", _integer)
+    axes = doc.get("sweep") or {}
     if not isinstance(axes, dict):
-        raise ConfigurationError("'sweep' must map axis names to value lists")
-    mix = tuple(str(b) for b in doc.get("behavior_mix", ["silent"]))
-    for i, name in enumerate(mix):
-        if name not in MC_BEHAVIORS and name != "per_pulse_offset":
-            raise ConfigurationError(
-                f"behavior_mix[{i}]: unknown behavior {name!r}; valid: "
-                f"{sorted([*MC_BEHAVIORS, 'per_pulse_offset'])}"
-            )
+        raise ConfigurationError(f"sweep: must map axis names to value lists, got {axes!r}")
     return ExperimentSpec(
-        run=run_doc,
+        run=doc["run"],
         seeds=seeds,
-        axes={str(k): list(v) for k, v in axes.items()},
-        trials=int(doc.get("trials", 0)),
-        fault_probability=float(doc.get("fault_probability", 0.0)),
-        behavior_mix=mix,
-        behavior_changes_per_pulse=int(doc.get("behavior_changes_per_pulse", 1)),
-        corruption=doc.get("corruption", {}) or {},
+        axes={str(k): _list(v, f"sweep.{k}") for k, v in axes.items()},
+        trials=_value(doc, "trials", _integer, 0),
+        fault_probability=_value(doc, "fault_probability", _real, 0.0),
+        behavior_mix=_entries(doc.get("behavior_mix", ["silent"]), "behavior_mix", _mc_behavior),
+        behavior_changes_per_pulse=_value(doc, "behavior_changes_per_pulse", _integer, 1),
+        corruption=_mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"]),
     )

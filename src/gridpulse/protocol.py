@@ -90,6 +90,9 @@ class IterationSnapshot(NamedTuple):
     exit_local: float
 
 
+SOURCE_KINDS = ("ideal", "chain")
+
+
 @dataclass(frozen=True)
 class SourceMode:
     """Layer-0 drive: 'ideal' well-synchronized emitters or the 'chain' forwarder."""
@@ -99,7 +102,7 @@ class SourceMode:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ideal", "chain"):
+        if self.kind not in SOURCE_KINDS:
             raise ConfigurationError(f"unknown source kind {self.kind!r}")
         if self.jitter < 0.0:
             raise ConfigurationError("jitter bound must be >= 0")

@@ -95,14 +95,14 @@ def local_skew_budget(params: Params, diameter: int) -> float:
     return 4.0 * params.kappa * (2.0 + math.log2(diameter))
 
 
-def validate_params(params: Params, diameter: int, skew_budget: float | None = None) -> list[str]:
+def validate_params(params: Params, diameter: int) -> list[str]:
     """Check the two operating-regime constraints; returns violation messages.
 
     The period must leave room for one full exchange (lam - d large against
     the worst local skew) and the end-to-end delay must dominate skews plus
-    granularity. ``skew_budget`` defaults to the fault-free bound.
+    granularity, with the skew at its fault-free bound.
     """
-    budget = local_skew_budget(params, diameter) if skew_budget is None else skew_budget
+    budget = local_skew_budget(params, diameter)
     c = params.validation_constant
     violations: list[str] = []
     period_need = c * params.theta * (budget + params.u) + params.d

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -305,6 +306,37 @@ class TestConfigErrors:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command,edit,path", [
+        ("sweep", {"seeds": ["3", 4, 5]}, "seeds[0]"),
+        ("sweep", {"seeds": [3, 4.7]}, "seeds[1]"),
+        ("sweep", {"seeds": [True]}, "seeds[0]"),
+        ("sweep", {"seeds": 3}, "seeds"),
+        ("sweep", {"seeds": {"start": "1", "count": 2}}, "seeds.start"),
+        ("sweep", {"seeds": {"start": 1, "count": 2.0}}, "seeds.count"),
+        ("sweep", {"seeds": {"start": 1, "count": 0}}, "seeds"),
+        ("sweep", {"sweep": {"topology.m": 8}}, "sweep.topology.m"),
+        ("sweep", {"sweep": ["topology.m"]}, "sweep"),
+        ("sweep", {"sweep": {"layers.count": [2]}}, "layers.count"),
+        ("faults-mc", {"trials": 2.9}, "trials"),
+        ("faults-mc", {"trials": -3}, "trials"),
+        ("faults-mc", {"fault_probability": "0.1"}, "fault_probability"),
+        ("faults-mc", {"fault_probability": True}, "fault_probability"),
+        ("faults-mc", {"behavior_changes_per_pulse": "2"}, "behavior_changes_per_pulse"),
+        ("faults-mc", {"behavior_mix": "silent"}, "behavior_mix"),
+        ("stabilize", {"corruption": [1, 2]}, "corruption"),
+        ("stabilize", {"corruption": {"node_fraction": "1.0"}}, "corruption.node_fraction"),
+        ("stabilize", {"corruption": {"fraction": 1.0}}, "corruption.fraction"),
+        ("stabilize", {"run": [BASE_DOC]}, "run"),
+    ])
+    def test_malformed_batch_value_exit_two(self, tmp_path, capsys, command, edit, path):
+        """Batch values are read as strictly as run values, and a malformed
+        one exits 2 naming its key path."""
+        doc = dict({"run": BASE_DOC, "seeds": [1]}, **edit)
+        assert main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 class TestSweep:
     def test_rows_and_determinism(self, tmp_path):
         doc = {
@@ -466,3 +498,48 @@ class TestVaryingFaults:
         static = [r for r in ran if not r["n_faults"]]
         assert static  # probability is low enough that some trials are clean
         assert all(r["period_violations"] == 0 for r in static)
+
+
+BATCH_RUNS = {
+    "sweep": {"run": dict(BASE_DOC), "sweep": {"topology.m": [3, 4]}, "seeds": [1, 2]},
+    "stabilize": {"run": dict(BASE_DOC, layers=6, pulses=10), "seeds": [1, 2],
+                  "corruption": {"node_fraction": 1.0, "max_spurious_messages": 4}},
+    "stabilize_faulty": {
+        "run": dict(BASE_DOC, layers=6, pulses=10, faults={"placement": [
+            {"vertex": 2, "layer": 2, "behavior": {"kind": "fixed_offset", "offset": 0.3}}]}),
+        "seeds": [1, 2, 3], "corruption": {"node_fraction": 0.5, "max_spurious_messages": 2}},
+    "faults-mc": {"run": dict(BASE_DOC, layers=6, pulses=5), "seeds": [0], "trials": 6,
+                  "fault_probability": 0.05, "behavior_changes_per_pulse": 1,
+                  "behavior_mix": ["silent", "fixed_offset_plus", "burst", "per_pulse_offset"]},
+}
+
+# SHA-256 of every file each batch run writes, recorded before the batch
+# trials were built by one trial builder and judged by build_report.
+BATCH_DIGESTS = {
+    "faults-mc": {
+        "faults_mc.csv": "7d1942755c6fffa4c752cb3141b64ed11a16ab33998b9318d1fe933b5a0286c9",
+        "faults_mc.json": "407cda5bbed7ceff7a901cfe245361ac9a2d6d00c43b5ea37340f1599c5b78e2",
+    },
+    "stabilize": {
+        "stabilize.csv": "5c8e43dca5c69deab0e992202c1ad8fd1f0a646e8ce7b1bd3e1a688372b748aa",
+        "stabilize.json": "6c719db81266758c624417c2e92d181686c291c001c20a59f6ebbc9fbddb4175",
+    },
+    "stabilize_faulty": {
+        "stabilize.csv": "43c9b39ddf06151ac619e4f5d10d531af8732042b1e0ad19e2c6981aa9929bac",
+        "stabilize.json": "93226c23af0047941a5393b9390fcb83e9e4060df7ebb575ba54f4bfc7d39a4f",
+    },
+    "sweep": {
+        "sweep.csv": "fec683d2e4d4cf32e612a51503e6a44e2229717420ba07aef5fc8e07c9849a25",
+        "sweep.json": "bdd2763d3e96ba84b3518351487b7b18d733ad433c58d15f6f8f3c1f911aa1ee",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_RUNS))
+def test_batch_outputs_pinned(tmp_path, name):
+    command = name.split("_")[0]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, BATCH_RUNS[name], "batch.yaml")),
+                 "--out", str(out)]) == 0
+    digests = {file: hashlib.sha256(data).hexdigest() for file, data in read_all(out).items()}
+    assert digests == BATCH_DIGESTS[name]

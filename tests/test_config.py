@@ -223,10 +223,55 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"faults.placement\[0\].vertex"),
     ({"faults": {"placement": [{"vertex": 2, "layer": 1.0, "behavior": {"kind": "silent"}}]}},
      r"faults.placement\[0\].layer"),
+    # reals are YAML numbers, and choices come from their list
+    ({"params": dict(DOC["params"], Lambda="2.0")}, "params.Lambda"),
+    ({"params": dict(DOC["params"], Lambda=True)}, "params.Lambda"),
+    ({"params": dict(DOC["params"], C="2")}, "params.C"),
+    ({"source": dict(DOC["source"], jitter="0")}, "source.jitter"),
+    ({"source": dict(DOC["source"], kind="ideel")}, "source.kind"),
+    ({"machine": "fast"}, "machine"),
+    ({"faults": {"p": "0.1"}}, "faults.p"),
+    ({"corruption": {"node_fraction": "1.0"}}, "corruption.node_fraction"),
+    ({"perturbation": {"delay_magnitude": "1e-4"}}, "perturbation.delay_magnitude"),
+    ({"perturbation": {"rate_magnitude": False}}, "perturbation.rate_magnitude"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "burst", "count": 2, "spacing": "0.1"}}]}},
+     r"faults.placement\[0\].behavior.spacing"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "burst", "count": 2.9, "spacing": 0.1}}]}},
+     r"faults.placement\[0\].behavior.count"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": "0.1"}}]}},
+     r"faults.placement\[0\].behavior.offset"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "scripted", "times": ["1.0"]}}]}},
+     r"faults.placement\[0\].behavior.times\[0\]"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "per_pulse_offset", "offsets": [0.1, True]}}]}},
+     r"faults.placement\[0\].behavior.offsets\[1\]"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": ["3", 2.0]}}]}},
+     r"faults.placement\[0\].behavior.recipients\[0\]"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": [3, 2.0]}}]}},
+     r"faults.placement\[0\].behavior.recipients\[1\]"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "fixed_offset", "offset": 0.1, "recipients": 3}}]}},
+     r"faults.placement\[0\].behavior.recipients"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
         build_run_config(dict(DOC, **edit))
+
+
+def test_integer_reals_echo_as_floats():
+    """A real written as a YAML integer loads and echoes as its float."""
+    ints = dict(DOC, params={"d": 1, "u": 0.002, "theta": 1.0002, "Lambda": 2},
+                source=dict(DOC["source"], jitter=0))
+    echoed = run_document(build_run_config(ints))
+    assert json.dumps(echoed) == json.dumps(run_document(build_run_config(
+        dict(ints, params=dict(DOC["params"]), source=dict(DOC["source"], jitter=0.0)))))
+    assert echoed["params"]["d"] == 1.0 and isinstance(echoed["params"]["d"], float)
 
 
 @pytest.mark.parametrize("node", [(7, 1), (-1, 1), (2, 4), (2, -1)])

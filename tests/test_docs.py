@@ -1,5 +1,6 @@
 """Every run config documented in the README and the config reference loads
-and runs, and the README's library example executes."""
+and runs, the reference's batch config loads, and the README's library
+example executes."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gridpulse import engine
-from gridpulse.config import load_config
+from gridpulse.config import build_run_config, load_config, load_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "docs/config.md")
@@ -47,6 +48,18 @@ def test_documented_run_config_runs(tmp_path, block):
     result = engine.run(cfg)
     assert result.completed
     assert result.counts.shape == (cfg.layers, cfg.base.num_vertices)
+
+
+def test_documented_batch_config_loads(tmp_path):
+    blocks = [block for block in re.findall(r"```yaml\n(.*?)```", (ROOT / DOCS[1]).read_text(),
+                                            re.S) if block.startswith("run:")]
+    assert len(blocks) == 1
+    path = tmp_path / "batch.yaml"
+    path.write_text(blocks[0])
+    spec = load_experiment(path)
+    assert spec.seeds == (1, 2, 3) and spec.axes == {"topology.m": [8, 16], "layers": [6, 10]}
+    assert spec.trials == 200 and len(spec.behavior_mix) == 5
+    assert build_run_config(spec.run).layers == 10
 
 
 def test_readme_library_example_runs(capsys):
