@@ -22,7 +22,7 @@ from . import analysis, report as report_mod
 from .config import MC_BEHAVIORS, build_run_config, load_config, load_experiment
 from .engine import RunConfig, run
 from .errors import AlignmentError, ConfigurationError
-from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
+from .faults import FaultBehavior, FaultPlacement, validate_placement
 from .report import ALL_CHECKS, build_report, render_text, write_outputs
 from .timing import validate_params
 from .topology import build_layered
@@ -247,14 +247,15 @@ def cmd_stabilize(args) -> int:
 
 def _mc_trial(payload) -> dict:
     doc, seed, p, mix, changes = payload
-    cfg = _trial_config(doc, seed, {"faults": None})
-    graph = build_layered(cfg.base, cfg.layers)
-    placement = sample_placement(graph, p, seed + SEED_OFFSETS["faults"])
-    violating = validate_placement(graph, placement)
+    cfg = _trial_config(doc, seed, {"faults": {"p": p, "strict": False}})
+    if cfg.corruption is not None:
+        raise ConfigurationError("run.corruption: faults-mc trials start from a clean state; "
+                                 "`gridpulse stabilize` runs corrupted starts")
+    violating = validate_placement(build_layered(cfg.base, cfg.layers), cfg.placement)
     row = {
         "seed": seed,
         "p": p,
-        "n_faults": len(placement),
+        "n_faults": len(cfg.placement),
         "constraint_violations": len(violating),
         "rejected": bool(violating),
     }
@@ -265,7 +266,7 @@ def _mc_trial(payload) -> dict:
     rng = random.Random(seed + SEED_OFFSETS["fault_behaviors"])
     behaviors = {}
     changing = 0
-    for node in sorted(placement.members):
+    for node in sorted(cfg.placement.members):
         name = mix[rng.randrange(len(mix))]
         if name == "per_pulse_offset" and changing < changes:
             # at most `changes` faults vary their timing between pulses
@@ -282,11 +283,11 @@ def _mc_trial(payload) -> dict:
     rep = build_report(run(cfg), checks=("skew", "envelope", "period"))
     max_layer = rep["checks"]["skew"]["max_layer_skew"]
     envelope = rep["checks"].get("envelope")  # absent when no fault was drawn
+    period = rep["checks"]["period"]
     row.update({
         "max_layer_skew": max_layer,
         "envelope_violations": envelope["violation_count"] if envelope else 0,
-        "period_violations": (rep["checks"]["period"]["violation_count"]
-                              if all(b.periodic for b in behaviors.values()) else None),
+        "period_violations": period["violation_count"] if period["asserted"] else None,
         "within_budget": (None if max_layer is None
                           else max_layer <= rep["skew"]["budget_fault_free"]),
     })

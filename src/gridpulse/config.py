@@ -140,6 +140,12 @@ def _real(x) -> float:
     return float(x)
 
 
+def _probability(x) -> float:
+    if not 0.0 <= _real(x) <= 1.0:
+        raise ValueError(f"fault probability must be in [0, 1], got {x!r}")
+    return float(x)
+
+
 def _boolean(x) -> bool:
     if not isinstance(x, bool):
         raise TypeError(f"must be true or false, got {x!r}")
@@ -240,7 +246,7 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
     strict = _value(section, "faults.strict", _boolean, True)
     graph = build_layered(base, layers)
     if "p" in section:
-        placement = sample_placement(graph, _value(section, "faults.p", _real),
+        placement = sample_placement(graph, _value(section, "faults.p", _probability),
                                      _value(section, "faults.seed", _integer, 0))
         placement = FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
     else:
@@ -418,7 +424,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         seeds=seeds,
         axes={str(k): _list(v, f"sweep.{k}") for k, v in axes.items()},
         trials=_value(doc, "trials", _integer, 0),
-        fault_probability=_value(doc, "fault_probability", _real, 0.0),
+        fault_probability=_value(doc, "fault_probability", _probability, 0.0),
         behavior_mix=_entries(doc.get("behavior_mix", ["silent"]), "behavior_mix", _mc_behavior),
         behavior_changes_per_pulse=_value(doc, "behavior_changes_per_pulse", _integer, 1),
         corruption=_mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"]),

@@ -60,7 +60,6 @@ __all__ = [
     "RunResult",
     "SNAPSHOT_FIELDS",
     "empty_arrays",
-    "incomplete_nodes",
     "run",
     "run_events",
 ]
@@ -146,6 +145,14 @@ class RunConfig:
             raise ConfigurationError(
                 "machine 'simplified' needs an ideal source and no faults, corruption "
                 "or perturbation")
+        if self.perturbation is not None:
+            try:
+                caps = perturbation_caps(n * self.layers, self.base.diameter, self.params)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"perturbation: {exc}") from None
+            for key, cap in zip(("delay_magnitude", "rate_magnitude"), caps):
+                if (value := getattr(self.perturbation, key)) > cap:
+                    raise ConfigurationError(f"perturbation.{key}: {value!r} exceeds cap {cap!r}")
 
 
 def _clean_ideal(config: RunConfig) -> bool:
@@ -202,33 +209,41 @@ class RunResult:
     exit_local: np.ndarray
     arm: np.ndarray  # 'corrected' | 'timeout' | 'corrupted'; "" without a snapshot
     diagnostics: Diagnostics
-    validation: list[str]
-    completed: bool
-    incomplete_nodes: list
+
+    @property
+    def validation(self) -> list[str]:
+        """The operating-regime violations of the config's params."""
+        return validate_params(self.config.params, self.config.base.diameter)
+
+    @property
+    def incomplete_nodes(self) -> list:
+        """The correct nodes, as sorted (vertex, layer) pairs, that emitted fewer
+        than ``config.pulses`` pulses; on a chain source only layer 0 is held
+        to that count."""
+        config = self.config
+        rows = config.layers if config.source.kind == "ideal" else 1
+        members = config.placement.members
+        return sorted((v, layer) for layer, v
+                      in np.argwhere(self.counts[:rows] < config.pulses).tolist()
+                      if (v, layer) not in members)
+
+    @property
+    def completed(self) -> bool:
+        return not self.incomplete_nodes
 
     def pulse_times(self, vertex: int, layer: int) -> list[float]:
         return self.times[layer, : self.counts[layer, vertex], vertex].tolist()
-
-
-def incomplete_nodes(config: RunConfig, counts: np.ndarray) -> list:
-    """The correct nodes, as sorted (vertex, layer) pairs, that emitted fewer
-    than ``config.pulses`` pulses by the [layer, vertex] ``counts``; on a chain
-    source only layer 0 is held to that count."""
-    rows = config.layers if config.source.kind == "ideal" else 1
-    members = config.placement.members
-    return sorted((v, layer) for layer, v in np.argwhere(counts[:rows] < config.pulses).tolist()
-                  if (v, layer) not in members)
 
 
 def _needs_twin(placement: FaultPlacement) -> bool:
     return any(b.needs_nominal for b in placement.behaviors.values())
 
 
-def _auto_alignment(config: RunConfig, validation: list[str]) -> bool:
+def _auto_alignment(config: RunConfig) -> bool:
     """Alignment is enforced on clean ideal validated runs unless the config says."""
     if config.enforce_alignment is not None:
         return bool(config.enforce_alignment)
-    return _clean_ideal(config) and not validation
+    return _clean_ideal(config) and not validate_params(config.params, config.base.diameter)
 
 
 def _first_bad(bad: np.ndarray, layer: int) -> str:
@@ -241,7 +256,6 @@ class _Inputs(NamedTuple):
     and a fault-free twin all run on the same delays and clocks."""
 
     graph: LayeredGraph
-    validation: list[str]
     dag: np.ndarray  # [layer, vertex, slot] delays, as sample_delays returns them
     chain: np.ndarray  # the chain hops' delays
     rate: np.ndarray  # [layer, vertex]
@@ -251,7 +265,6 @@ class _Inputs(NamedTuple):
 
 def _sample_inputs(config: RunConfig) -> _Inputs:
     graph = build_layered(config.base, config.layers)
-    validation = validate_params(config.params, config.base.diameter)
     dag, chain = sample_delays(graph, config.params, config.delay_strategy,
                                seed=config.delay_seed, custom=config.custom_delays)
     rate, offset = sample_clocks(graph, config.params, config.clock_strategy,
@@ -259,7 +272,7 @@ def _sample_inputs(config: RunConfig) -> _Inputs:
     source = config.source
     times = (ideal_source_times(config.base, config.params.lam, source.jitter, source.seed,
                                 config.pulses) if source.kind == "ideal" else None)
-    return _Inputs(graph, validation, dag, chain, rate, offset, times)
+    return _Inputs(graph, dag, chain, rate, offset, times)
 
 
 def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
@@ -289,7 +302,7 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     """
     full = config.machine == "full"
     base, params = config.base, config.params
-    validation, dag, rate, offset = inputs.validation, inputs.dag, inputs.rate, inputs.offset
+    dag, rate, offset = inputs.dag, inputs.rate, inputs.offset
     L, K, n = config.layers, config.pulses, base.num_vertices
     # (slot[v, j], l) feeds (v, l+1): the inputs of v are its own slots
     slot, real = base.padded_slots
@@ -390,13 +403,10 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
         events=messages + pushes + waves, messages=messages,
         stale_timers=pushes - pushed_waves, stragglers_dropped=stragglers,
         reopens=waves, early_second_arm_exits=early_exits,
-        alignment_enforced=_auto_alignment(config, validation),
+        alignment_enforced=_auto_alignment(config),
     )
-    return RunResult(
-        config=config, counts=np.full((L, n), K, dtype=np.int64), **arrays,
-        diagnostics=diagnostics, validation=validation,
-        completed=True, incomplete_nodes=[],
-    )
+    return RunResult(config=config, counts=np.full((L, n), K, dtype=np.int64), **arrays,
+                     diagnostics=diagnostics)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -442,7 +452,6 @@ class _Engine:
     def __init__(self, config: RunConfig, inputs: _Inputs, nominal: RunResult | None):
         self.cfg = config
         self.params = config.params
-        self.validation = inputs.validation
         self.nominal = nominal
         n = self.nv = config.base.num_vertices
         nodes = n * config.layers
@@ -458,7 +467,7 @@ class _Engine:
         self.slots = config.base.slots
         self.successors = self._successors(width)
 
-        self.enforce_alignment = _auto_alignment(config, self.validation)
+        self.enforce_alignment = _auto_alignment(config)
         self.heap: list = []
         self.next_seq = itertools.count(1).__next__
         self.machines = [self._machine(i) for i in range(nodes)]
@@ -468,12 +477,6 @@ class _Engine:
         self.arrays = empty_arrays(config.layers, config.pulses, n)  # the RunResult's
         self.wave_next = 1  # the perturbation wave that waits for every correct node
         if config.perturbation is not None:
-            caps = perturbation_caps(nodes, config.base.diameter, config.params)
-            if (config.perturbation.delay_magnitude > caps[0]
-                    or config.perturbation.rate_magnitude > caps[1]):
-                raise ConfigurationError(
-                    f"perturbation magnitudes exceed caps {caps}"
-                )
             # the draw order: chain hops, then the real slots and the rates,
             # both vertex-major
             slots, layers = self.slots, range(config.layers)
@@ -728,19 +731,10 @@ class _Engine:
                 heappush(heap, ((armed - offset[i]) / rate[i], i, i % n, _KIND_TIMER,
                                 next_seq(), (timer, version, armed)))
 
-        counts = np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n)
-        incomplete = incomplete_nodes(cfg, counts)
         diagnostics = Diagnostics(
             events=events, messages=messages, stale_timers=stale, rate_filtered=filtered,
             stragglers_dropped=stragglers, reopens=reopens, timeouts_first_arm=timeouts,
             early_second_arm_exits=early_exits, alignment_enforced=self.enforce_alignment,
         )
-        return RunResult(
-            config=cfg,
-            counts=counts,
-            **self.arrays,
-            diagnostics=diagnostics,
-            validation=self.validation,
-            completed=not incomplete,
-            incomplete_nodes=incomplete,
-        )
+        counts = np.array(self.emitted, dtype=np.int64).reshape(cfg.layers, n)
+        return RunResult(config=cfg, counts=counts, **self.arrays, diagnostics=diagnostics)

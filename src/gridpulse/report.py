@@ -17,9 +17,9 @@ import numpy as np
 
 from . import analysis
 from .config import build_run_config, run_document
-from .engine import Diagnostics, RunResult, empty_arrays, incomplete_nodes
+from .engine import Diagnostics, RunResult, empty_arrays
 from .errors import ConfigurationError
-from .timing import local_skew_budget, validate_params
+from .timing import local_skew_budget
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -61,15 +61,13 @@ def _listed(violations: list) -> dict:
             "violation_count": len(violations)}
 
 
-def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS,
-                 s_max: int | None = None) -> dict:
+def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS) -> dict:
     """Run the requested checkers over a finished run and assemble verdicts."""
     cfg = result.config
     params = cfg.params
     view = analysis.TraceView(result)
     diameter = cfg.base.diameter
-    if s_max is None:
-        s_max = math.ceil(math.log2(diameter)) + 1
+    s_max = math.ceil(math.log2(diameter)) + 1
     fault_free = not cfg.placement.members
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -295,19 +293,15 @@ def result_from_files(out_dir: Path) -> RunResult:
     for name, value in zip(_SNAPSHOT_ARRAYS, values):
         arrays[name][layer, pulse - 1, v] = value
 
-    incomplete = incomplete_nodes(cfg, counts)
+    result = RunResult(config=cfg, counts=counts, **arrays, diagnostics=Diagnostics())
     stored = (meta.get("completed"), meta.get("incomplete_nodes"))
-    derived = (not incomplete, [list(node) for node in incomplete])
+    derived = (result.completed, [list(node) for node in result.incomplete_nodes])
     if stored != derived:
         raise ConfigurationError(
             f"{run_path}: completed and incomplete_nodes are {stored[0]!r} and {stored[1]!r}, "
             f"but the pulse counts of trace.csv give {derived[0]!r} and {derived[1]!r}")
-    validation = validate_params(cfg.params, cfg.base.diameter)
-    if meta.get("validation_violations") != validation:
+    if meta.get("validation_violations") != result.validation:
         raise ConfigurationError(
             f"{run_path}: validation_violations is {meta.get('validation_violations')!r}, "
-            f"but the config's params give {validation!r}")
-    return RunResult(
-        config=cfg, counts=counts, **arrays, diagnostics=Diagnostics(),
-        validation=validation, completed=not incomplete, incomplete_nodes=incomplete,
-    )
+            f"but the config's params give {result.validation!r}")
+    return result

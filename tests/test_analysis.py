@@ -39,10 +39,7 @@ def synthetic_result(layer_times: dict, m=4, pulses=1, placement=None) -> RunRes
             counts[layer, v] = len(times)
             arrays["times"][layer, : len(times), v] = times
             arrays["local_times"][layer, : len(times), v] = times
-    return RunResult(
-        config=cfg, counts=counts, **arrays,
-        diagnostics=None, validation=[], completed=True, incomplete_nodes=[],
-    )
+    return RunResult(config=cfg, counts=counts, **arrays, diagnostics=None)
 
 
 class TestLocalSkew:

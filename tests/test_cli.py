@@ -327,6 +327,7 @@ class TestConfigErrors:
         ("stabilize", {"corruption": {"node_fraction": "1.0"}}, "corruption.node_fraction"),
         ("stabilize", {"corruption": {"fraction": 1.0}}, "corruption.fraction"),
         ("stabilize", {"run": [BASE_DOC]}, "run"),
+        ("faults-mc", {"fault_probability": 1.5}, "fault_probability"),
     ])
     def test_malformed_batch_value_exit_two(self, tmp_path, capsys, command, edit, path):
         """Batch values are read as strictly as run values, and a malformed
@@ -420,6 +421,36 @@ class TestFaultsMc:
         code = main(["faults-mc", "--config", str(cfg), "--out", str(tmp_path / "mc")])
         assert code == 2
         assert "behavior_mix[1]" in capsys.readouterr().err
+
+    def test_corrupted_start_points_to_stabilize(self, tmp_path, capsys):
+        """faults-mc trials start clean: an enabled run.corruption exits 2
+        and names stabilize; a disabled one loads."""
+        doc = {"run": dict(BASE_DOC, corruption={"node_fraction": 0.5}), "seeds": [0],
+               "fault_probability": 0.02}
+        cfg = write_config(tmp_path, doc, "mc.yaml")
+        assert main(["faults-mc", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.corruption: ") and "stabilize" in err
+        doc["run"]["corruption"]["enabled"] = False
+        cfg = write_config(tmp_path, doc, "mc.yaml")
+        assert main(["faults-mc", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 0
+
+    def test_perturbed_trials_leave_the_period_unasserted(self, tmp_path):
+        """build_report asserts the period check only on static delays, so a
+        perturbed trial that ran has no period_violations count."""
+        doc = {
+            "run": dict(BASE_DOC, layers=6, pulses=5,
+                        perturbation={"delay_magnitude": 1e-5, "seed": 1}),
+            "seeds": [0],
+            "trials": 4,
+            "fault_probability": 0.1,
+        }
+        cfg = write_config(tmp_path, doc, "mc.yaml")
+        out = tmp_path / "mc"
+        assert main(["faults-mc", "--config", str(cfg), "--out", str(out)]) == 0
+        ran = [r for r in json.loads((out / "faults_mc.json").read_text())["rows"]
+               if not r["rejected"]]
+        assert ran and all(r["period_violations"] is None for r in ran)
 
     def test_probability_zero_reduces_to_fault_free(self, tmp_path):
         doc = {

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gridpulse.config import build_run_config, run_document
 from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig
 from gridpulse.errors import ConfigurationError
-from gridpulse.faults import FaultBehavior, FaultPlacement, validate_placement
+from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps, validate_placement
 from gridpulse.protocol import SourceMode
 from gridpulse.timing import DELAY_STRATEGIES, Params, delay_keys
 from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
@@ -95,9 +95,13 @@ def run_configs(draw):
         assume(not validate_placement(build_layered(base, layers), placement))
     corruption = None if simplified else draw(
         st.none() | st.builds(CorruptionSpec, st.floats(0.0, 1.0), st.integers(0, 8)))
-    perturbation = None if simplified else draw(
-        st.none() | st.builds(PerturbationSpec, st.floats(0.0, 1e-3), st.floats(0.0, 1e-5),
-                              st.integers(0, 2**31)))
+    # perturbation magnitudes are fractions of their caps, which need diameter >= 2
+    perturbation = None
+    if not simplified and base.diameter >= 2:
+        caps = perturbation_caps(base.num_vertices * layers, base.diameter, params)
+        perturbation = draw(st.none() | st.builds(
+            PerturbationSpec, st.floats(0.0, 1.0).map(caps[0].__mul__),
+            st.floats(0.0, 1.0).map(caps[1].__mul__), st.integers(0, 2**31)))
     return RunConfig(
         base=base, layers=layers, params=params, source=source,
         pulses=draw(st.integers(1, 6)),
@@ -258,6 +262,17 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
         "kind": "fixed_offset", "offset": 0.1, "recipients": 3}}]}},
      r"faults.placement\[0\].behavior.recipients"),
+    # probabilities are in [0, 1]
+    ({"faults": {"p": 1.5}}, "faults.p"),
+    # two faulty predecessors of one node break a strict placement
+    ({"topology": {"kind": "line_replicated", "m": 8}, "faults": {"placement": [
+        {"vertex": 4, "layer": 2, "behavior": {"kind": "silent"}},
+        {"vertex": 5, "layer": 2, "behavior": {"kind": "silent"}}]}}, "faults"),
+    # perturbation magnitudes stay within their caps, which need diameter >= 2
+    ({"perturbation": {"delay_magnitude": 1.0}}, "perturbation.delay_magnitude"),
+    ({"perturbation": {"rate_magnitude": 1.0}}, "perturbation.rate_magnitude"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [0, 2]]},
+      "perturbation": {"delay_magnitude": 0.0}}, "perturbation"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):

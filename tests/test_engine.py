@@ -294,11 +294,10 @@ class TestPerturbation:
         cfg0 = base_config()
         n = cfg0.base.num_vertices * cfg0.layers
         caps = perturbation_caps(n, cfg0.base.diameter, PARAMS)
-        cfg = dataclasses.replace(
-            cfg0, perturbation=PerturbationSpec(delay_magnitude=caps[0] * 2)
-        )
         with pytest.raises(ConfigurationError):
-            run(cfg)
+            dataclasses.replace(
+                cfg0, perturbation=PerturbationSpec(delay_magnitude=caps[0] * 2)
+            )
 
 
 class TestChainMode:
