@@ -137,20 +137,35 @@ class PotentialTable:
 
 
 def potentials(view: TraceView, kappa: float, s_max: int) -> PotentialTable:
-    """Exact pair maxima over correct nodes, diagonal included (so psi >= 0)."""
+    """Exact pair maxima over correct nodes, diagonal included (so psi >= 0).
+
+    The pairs are grouped by hop distance d once per call. Each layer's
+    offsets t_v - t_w are reduced to one maximum per distance class, and
+    level s takes the maximum over the classes of that top offset less
+    c = 4*s*kappa*d (psi) or (4*s-2)*kappa*d (xi). Rounding x - c is
+    monotone in x, so this equals the maximum over the pairs of the rounded
+    x - c, bit for bit; NaN offsets are skipped at both steps.
+    """
     if s_max < 0:
         raise ConfigurationError("s_max must be >= 0")
-    L, K, _ = view.times.shape
-    s_values = list(range(s_max + 1))
+    L, K, n = view.times.shape
+    order = np.argsort(view.dist, axis=None, kind="stable")
+    dist = view.dist.reshape(-1)[order]
+    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
+    s = np.arange(s_max + 1)[:, None, None]
+    hops = dist[starts]  # [class]
+    psi_terms, xi_terms = 4.0 * s * kappa * hops, (4.0 * s - 2.0) * kappa * hops
     psi = np.empty((s_max + 1, L, K))
     xi = np.empty((s_max + 1, L, K))
     for layer in range(L):
         t = np.where(view.correct[layer], view.times[layer], np.nan)  # [pulse, vertex]
-        diff = t[:, :, None] - t[:, None, :]  # diff[k, v, w] = t_v - t_w
-        for s in s_values:
-            psi[s, layer] = _nanmax(diff - 4.0 * s * kappa * view.dist, axis=(1, 2))
-            xi[s, layer] = _nanmax(diff - (4.0 * s - 2.0) * kappa * view.dist, axis=(1, 2))
-    return PotentialTable(s_values=s_values, psi=psi, xi=xi)
+        diff = (t[:, :, None] - t[:, None, :]).reshape(K, n * n)  # diff[k, v*n + w] = t_v - t_w
+        # np.take, not diff[:, order]: reduceat is several times faster on
+        # the C-ordered copy that take returns
+        top = np.fmax.reduceat(np.take(diff, order, axis=1), starts, axis=1)  # [pulse, class]
+        psi[:, layer] = _nanmax(top - psi_terms, axis=-1)
+        xi[:, layer] = _nanmax(top - xi_terms, axis=-1)
+    return PotentialTable(s_values=list(range(s_max + 1)), psi=psi, xi=xi)
 
 
 def skew_vs_potential_violations(view: TraceView, table: PotentialTable,

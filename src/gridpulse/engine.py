@@ -283,18 +283,26 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     wave is one listening phase of the node: its arrivals less than lam/10
     apart, at least lam/10 after the previous wave and strictly after the
     node's previous pulse. Each wave's arrivals are sorted as the event queue
-    pops them (real time, then sender) and the listening phase is replayed
-    over them, tracking h_own, h_min, h_max and the inner-loop threshold.
+    pops them (real time, then sender) into [pulse, vertex, position] arrays.
 
-    The full machine commits on the first arrival at or past the threshold,
-    else at a threshold timer due strictly before the next arrival, else at
-    the last threshold; later arrivals are stragglers. On the first wave the
-    replay cannot reproduce (an exact tie between arrivals or between a timer
-    and an arrival, a timeout commit without h_own, an arrival not strictly
+    h_own, h_min and h_max each hold from their arrival's position on, so the
+    inner-loop threshold after arrival j, ``thr[j]``, is one array. A finite
+    threshold never becomes infinite again within a phase, so the timer armed
+    before arrival j is ``thr[j-1]`` (none before arrival 0). The full
+    machine's checks follow the event queue's order: check 2j, that timer due
+    strictly before arrival j (commit at the timer, having heard up to arrival
+    j-1), and check 2j+1, ``h_j >= thr[j]`` (commit at arrival j). The first
+    true check commits; with none, the node commits at the last threshold.
+    The thresholds before the commit position were pushed, and the arrivals
+    from it on are stragglers.
+
+    On the first wave the closed form cannot reproduce (an exact tie between
+    arrivals, a timer due exactly at a checked arrival, a commit at an
+    arrival while a timer is armed, a timeout, an arrival not strictly
     between the node's previous pulse and this one, or a wave outside one
     listening phase) it returns None: the run belongs to the event engine.
-    The simplified machine commits at the last arrival and raises
-    ConfigurationError outside the regime.
+    The simplified machine commits at the last arrival, having heard all
+    three values, and raises ConfigurationError outside the regime.
 
     Diagnostics are the event engine's counts for the same run: one reopen
     and one pulse timer per wave, one event per threshold push, and every
@@ -314,7 +322,12 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     # sender's slot of v
     back = (slot[slot] == vertex[..., None]).argmax(axis=-1)
     delays = dag.reshape(L - 1, n * width)[:, slot * width + back]
-    last_slot = np.broadcast_to(degree[:, None], (K, n, 1))
+    # flat offsets of each [pulse, vertex] cell's first and last real position
+    cell = np.arange(K * n).reshape(K, n) * width
+    last = cell + degree
+    position = np.arange(width)
+    checked = np.repeat(real, 2, axis=1)  # checks 2j and 2j+1 exist while j <= degree
+    no_timer = np.full((K, n, 1), np.inf)  # before the first arrival
     quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
 
     arrays = empty_arrays(L, K, n)
@@ -325,12 +338,12 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
     for layer in range(1, L):
         off, rt = offset[layer], rate[layer]
         arrival = np.where(real, times[layer - 1][:, slot] + delays[layer - 1], np.inf)
-        order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, slot]
-        a = np.take_along_axis(arrival, order, axis=-1)
+        order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, position]
+        a = arrival.reshape(-1)[cell[..., None] + order]
         # padding repeats the last arrival: no gap, minimum or maximum moves
-        a = np.where(real, a, np.take_along_axis(a, last_slot, axis=-1))
+        a = np.where(real, a, a.reshape(-1)[last][..., None])
         h = off[:, None] + rt[:, None] * a
-        split = (np.diff(h, axis=-1) >= quiet).any(axis=-1)
+        split = (h[..., 1:] - h[..., :-1] >= quiet).any(axis=-1)
         split[1:] |= h[1:, :, 0] - h[:-1, :, -1] < quiet
         if split.any():
             if full:
@@ -339,45 +352,43 @@ def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
                 f"machine 'simplified': the wave of {_first_bad(split, layer)} is not one "
                 f"listening phase (two arrivals lam/10 or more apart, or less than "
                 f"lam/10 after the previous wave)")
-        tie = ((np.diff(a, axis=-1) == 0) & real[:, 1:]).any(axis=-1)
 
-        h_own, h_min, h_max = (np.full((K, n), np.nan) for _ in range(3))
-        exit_local = np.full((K, n), np.nan)  # NaN until the node commits
-        timer = np.full((K, n), np.inf)  # armed threshold timer, local time
-        seen = np.zeros((K, n), dtype=np.int64)
-        for j in range(width):
-            aj, hj = a[..., j], h[..., j]
-            listening = real[:, j] & np.isnan(exit_local)
-            if full:
-                due = (timer - off) / rt
-                tie |= listening & (due == aj)
-                fired = listening & (due < aj)
-                exit_local[fired] = timer[fired]
-                listening &= ~fired
-                stragglers += int((real[:, j] & ~listening).sum())
-            own = listening & (order[..., j] == own_slot)
-            neighbor = listening & ~own
-            seen += neighbor
-            h_own[own] = hj[own]
-            h_min = np.where(neighbor & (seen == 1), hj, h_min)
-            h_max = np.where(neighbor & (seen == degree), hj, h_max)
-            if full:
-                threshold = inner_loop_threshold_array(h_own, h_min, h_max, kappa, theta)
-                commit = listening & (hj >= threshold)
-                push = listening & ~commit & (threshold < np.inf)
-                exit_local[commit] = hj[commit]
-                # only rounding puts an arrival past a threshold whose timer is not due
-                tie |= commit & (timer < np.inf)
-                timer[push] = threshold[push]
-                pushes += int(push.sum())
-                stragglers += int(commit.sum())
+        # (position, value) of the own copy, the first and the last neighbor
+        own = (order == own_slot[:, None]).argmax(axis=-1)
+        flat = h.reshape(-1)
+        heard = ((own, flat[cell + own]), (own == 0, flat[cell + (own == 0)]),
+                 (degree - (own == degree), flat[last - (own == degree)]))
         if full:
-            pushed_waves += int((timer < np.inf).sum())
-            exit_local = np.where(np.isnan(exit_local), timer, exit_local)
-            if (tie | np.isinf(exit_local) | np.isnan(h_own)).any():
+            thr = inner_loop_threshold_array(
+                *(np.where(at[..., None] <= position, value[..., None], np.nan)
+                  for at, value in heard), kappa, theta)
+            timer = np.concatenate((no_timer, thr[..., :-1]), axis=-1)
+            due = (timer - off[:, None]) / rt[:, None]
+            checks = np.stack((due < a, h >= thr), axis=-1).reshape(K, n, 2 * width) & checked
+            # the first true check commits; check 0 is never true (no timer is
+            # armed before the first arrival), so an argmax of 0 means that the
+            # node commits at the last threshold
+            check = checks.argmax(axis=-1)
+            check = np.where(check > 0, check, 2 * degree + 2)
+            commit, seen = check // 2, (check - 1) // 2  # first arrival unheard, last heard
+            at_seen = cell + seen
+            exit_local = np.where(check % 2 == 1, flat[at_seen], thr.reshape(-1)[at_seen])
+            h_own, h_min, h_max = (np.where(at <= seen, value, np.nan) for at, value in heard)
+            # ties, a commit at an arrival while a timer is armed (only rounding
+            # puts an arrival past a threshold whose timer is not due), a
+            # timeout, or no commit at all
+            if (((a[..., 1:] == a[..., :-1]) & real[:, 1:]).any()
+                    or ((due == a) & real & (2 * position <= check[..., None])).any()
+                    or ((check % 2 == 1) & (timer.reshape(-1)[at_seen] < np.inf)).any()
+                    or np.isinf(exit_local).any() or np.isnan(h_own).any()):
                 return None
+            pushed = (thr < np.inf) & (position < commit[..., None])
+            pushes += int(np.count_nonzero(pushed))
+            pushed_waves += int(np.count_nonzero(pushed.any(axis=-1)))
+            stragglers += int((degree + 1 - commit).sum())
             early_exits += int(np.isnan(h_max).sum())
         else:
+            h_own, h_min, h_max = (value for _, value in heard)
             exit_local = h[..., -1]
             stragglers += K * n  # the engine counts the arrival it commits on
         correction = compute_correction_array(h_own, h_min, h_max, kappa, theta)

@@ -13,8 +13,10 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
-from .timing import Params
+from .timing import Params, _draws, _uniform
 from .topology import LayeredGraph
 
 __all__ = [
@@ -188,13 +190,24 @@ def perturb_between_pulses(
 
     ``delays[e]`` for each e in ``delay_order``, then ``rates[i]`` for each i
     in ``rate_order``, moves by a uniform draw in +-magnitude and is clamped
-    back into [d-u, d] and [1, theta]. The draws come from one stream per
-    (seed, pulse_index), in that order.
+    back into [d-u, d] and [1, theta], as ``min(max(x, lo), hi)`` would. The
+    draws come from one stream per (seed, pulse_index), in that order, one
+    ``random()`` per value as ``Random.uniform`` takes them. Each order must
+    hold an index at most once, as the engine's do: the values of one order
+    move together, each from its value before the call.
     """
-    delay_mag, rate_mag = magnitudes
-    rng = random.Random(seed * 1_000_003 + pulse_index)
-    lo, hi = params.d - params.u, params.d
-    for e in delay_order:
-        delays[e] = min(max(delays[e] + rng.uniform(-delay_mag, delay_mag), lo), hi)
-    for i in rate_order:
-        rates[i] = min(max(rates[i] + rng.uniform(-rate_mag, rate_mag), 1.0), params.theta)
+    draws = _draws(seed * 1_000_003 + pulse_index, len(delay_order) + len(rate_order))
+    split = len(delay_order)
+    _move(delays, delay_order, magnitudes[0], params.d - params.u, params.d, draws[:split])
+    _move(rates, rate_order, magnitudes[1], 1.0, params.theta, draws[split:])
+
+
+def _move(values: list, order: list, magnitude: float, lo: float, hi: float,
+          draws: np.ndarray) -> None:
+    """``values[i] = min(max(values[i] + uniform(-magnitude, magnitude), lo), hi)``
+    for each i in ``order``, with the uniforms from ``draws``."""
+    moved = np.array([values[i] for i in order]) + _uniform(-magnitude, magnitude, draws)
+    moved = np.where(lo > moved, lo, moved)
+    moved = np.where(hi < moved, hi, moved)
+    for i, x in zip(order, moved.tolist()):
+        values[i] = x

@@ -118,22 +118,33 @@ def validate_params(params: Params, diameter: int) -> list[str]:
     return violations
 
 
+def _draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` values of ``Random(seed).random()``."""
+    draw = random.Random(seed).random
+    return np.array([draw() for _ in range(count)])
+
+
+def _uniform(a: float, b: float, draws: np.ndarray) -> np.ndarray:
+    """``random.uniform(a, b)`` over an array of ``random()`` draws: CPython
+    computes ``a + (b - a) * random()``, so the values are bit-identical."""
+    return a + (b - a) * draws
+
+
 def sample_clocks(graph: LayeredGraph, params: Params, strategy: str,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One affine clock H(t) = offset + rate*t per node, deterministic in the seed.
 
     Returns ``rate`` and ``offset`` as [layer, vertex] arrays. Strategies:
     'uniform' draws a rate in [1, theta] and then an offset in [0, lam) per
-    node, in (layer, vertex) order; 'all-one' is the identity clock;
-    'all-max' runs every clock at theta with zero offset.
+    node, in (layer, vertex) order, as ``Random(seed).uniform`` would: one
+    ``random()`` per value, scaled by ``_uniform``; 'all-one' is the identity
+    clock; 'all-max' runs every clock at theta with zero offset.
     """
     shape = (graph.num_layers, graph.base.num_vertices)
     if strategy == "uniform":
-        rng = random.Random(seed)
-        draws = [(rng.uniform(1.0, params.theta), rng.uniform(0.0, params.lam))
-                 for _ in range(shape[0] * shape[1])]
-        rate, offset = np.array(draws).reshape(*shape, 2).transpose(2, 0, 1)
-        return rate, offset
+        draws = _draws(seed, 2 * shape[0] * shape[1]).reshape(*shape, 2)
+        return (_uniform(1.0, params.theta, draws[..., 0]),
+                _uniform(0.0, params.lam, draws[..., 1]))
     if strategy == "all-one":
         return np.ones(shape), np.zeros(shape)
     if strategy == "all-max":
@@ -170,27 +181,31 @@ def sample_delays(
     custom: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one fixed delay per edge, in ``delay_keys`` order; deterministic
-    for a given seed.
+    for a given seed. 'uniform-random' takes the values that
+    ``Random(seed).uniform(d - u, d)`` would return, one ``random()`` each.
 
     Returns ``dag``, a [layer, vertex, slot] array whose entry [l, v, j] is
     the delay from (v, l) to (slots[v][j], l+1) (NaN past slot deg(v)), and
     ``chain``, the chain hops' delays in ``chain_edges`` order.
     """
-    keys = delay_keys(graph)
     lo, hi = params.d - params.u, params.d
+    real = graph.base.padded_slots[1]  # [vertex, slot]
+    real = np.broadcast_to(real, (graph.num_layers - 1, *real.shape))
+    count = int(real.sum())
+    size = count + len(chain_edges(graph))
     if strategy == "uniform-random":
-        rng = random.Random(seed)
-        values = [rng.uniform(lo, hi) for _ in keys]
+        values = _uniform(lo, hi, _draws(seed, size))
     elif strategy == "all-min":
-        values = [lo] * len(keys)
+        values = np.full(size, lo)
     elif strategy == "all-max":
-        values = [hi] * len(keys)
+        values = np.full(size, hi)
     elif strategy == "per-layer-alternating":
-        values = [lo if (key[2] if key[0] == "dag" else key[1]) % 2 == 0 else hi
-                  for key in keys]
+        values = np.array([lo if (key[2] if key[0] == "dag" else key[1]) % 2 == 0 else hi
+                           for key in delay_keys(graph)])
     elif strategy == "custom-map":
         if custom is None:
             raise ConfigurationError("custom-map strategy needs an explicit delay map")
+        keys = delay_keys(graph)
         missing = [key for key in keys if key not in custom]
         if missing:
             raise ConfigurationError(f"custom delay map misses {len(missing)} edges, e.g. {missing[0]}")
@@ -201,10 +216,6 @@ def sample_delays(
                                      f"outside [{lo!r}, {hi!r}]")
     else:
         raise ConfigurationError(f"unknown delay strategy {strategy!r}")
-    values = np.array(values, dtype=float)
-    real = graph.base.padded_slots[1]  # [vertex, slot]
-    real = np.broadcast_to(real, (graph.num_layers - 1, *real.shape))
-    count = int(real.sum())
     dag = np.full(real.shape, np.nan)
     dag[real] = values[:count]
     return dag, values[count:]

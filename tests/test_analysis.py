@@ -538,6 +538,24 @@ def envelope_by_loop(res, view):
     return out
 
 
+def potentials_by_pairs(view, kappa, s_max):
+    """(psi, xi) in the former whole-array form: per layer and level, the
+    NaN-skipping max over every ordered pair of t_v - t_w less the level's
+    term times the pair's hop distance."""
+    L, K, _ = view.times.shape
+    psi = np.empty((s_max + 1, L, K))
+    xi = np.empty((s_max + 1, L, K))
+    for layer in range(L):
+        t = np.where(view.correct[layer], view.times[layer], np.nan)
+        diff = t[:, :, None] - t[:, None, :]
+        for s in range(s_max + 1):
+            psi[s, layer] = np.fmax.reduce(diff - 4.0 * s * kappa * view.dist, axis=(1, 2),
+                                           initial=np.nan)
+            xi[s, layer] = np.fmax.reduce(diff - (4.0 * s - 2.0) * kappa * view.dist,
+                                          axis=(1, 2), initial=np.nan)
+    return psi, xi
+
+
 @pytest.fixture(scope="module")
 def scrambled():
     """A fully corrupted start, its clean reference, and a perturbed faulty run:
@@ -641,3 +659,34 @@ class TestArrayCheckersMatchLoops:
         corrupted_view = analysis.TraceView(scrambled[0])
         assert analysis.psi_bound_violations(
             analysis.potentials(corrupted_view, KAPPA, s_max=s_max), KAPPA)
+
+    def test_potentials_by_distance_class(self, scrambled):
+        """The class-maximum form equals the pair form bit for bit: on clean
+        acceptance-battery-shaped runs, a corrupted start, a faulty perturbed
+        run and a jittered view with NaN holes, at every level count up to 7."""
+        battery = [run(RunConfig(
+            base=build_line_with_replicated_ends(m), layers=40, params=PARAMS,
+            source=SourceMode(kind="ideal", jitter=KAPPA / 4, seed=seed + 20_000_033),
+            pulses=20, delay_seed=seed, clock_seed=seed + 10_000_019,
+        )) for m, seed in ((8, 1), (32, 1001))]
+        corrupted, _, faulty = scrambled
+        # on a wide graph, offsets a_k * sqrt(hops from vertex 0) with a_k
+        # rising over the pulses, and 3 kappa of jitter: the distance class
+        # that sets a maximum moves with the pulse and the level, so the
+        # rounding of every level term shows
+        rng = np.random.default_rng(3)
+        wide = battery[1]
+        ramp = np.linspace(0.05, 1.0, 20)[:, None] * np.sqrt(wide.config.base.distance_table[0])
+        times = wide.times + ramp + rng.uniform(-3 * KAPPA, 3 * KAPPA, wide.times.shape)
+        times[rng.random(times.shape) < 0.2] = np.nan
+        times[2, :, :] = np.nan  # a layer without a pulse
+        jittered = dataclasses.replace(wide, times=times)
+        for res in (*battery, corrupted, faulty, jittered):
+            view = analysis.TraceView(res)
+            for s_max in range(7):
+                table = analysis.potentials(view, KAPPA, s_max)
+                psi, xi = potentials_by_pairs(view, KAPPA, s_max)
+                assert table.s_values == list(range(s_max + 1))
+                assert table.psi.tobytes() == psi.tobytes()
+                assert table.xi.tobytes() == xi.tobytes()
+        assert np.isnan(analysis.potentials(analysis.TraceView(jittered), KAPPA, 2).psi).any()

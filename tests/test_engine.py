@@ -483,6 +483,16 @@ class TestLayerKernel:
         assert kernel.diagnostics.stragglers_dropped == 40
         assert_same_run(kernel, run_events(cfg))
 
+    @pytest.mark.parametrize("m, seed", [(8, 1), (8, 1001), (32, 1), (32, 1001)])
+    def test_battery_configs_stay_in_closed_form(self, m, seed):
+        """``test_equals_event_engine`` passes even when the kernel always
+        falls back, so the acceptance battery's configs are pinned to the
+        closed form."""
+        cfg = a1_shaped(m, seed)
+        kernel = _layer_kernel(cfg, _sample_inputs(cfg))
+        assert kernel is not None
+        assert_same_run(kernel, run_events(cfg))
+
     def test_threshold_timer_fires_between_arrivals(self):
         """Node (2, 7) commits at its second-arm timer in all four waves,
         before its last neighbor arrives; that arrival is a straggler."""

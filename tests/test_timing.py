@@ -228,3 +228,30 @@ class TestMeasurementErrorBound:
         bound = (p.theta - 1.0) * (budget + p.u) + p.u
         assert abs(measured - true) <= bound + 1e-12
         assert bound <= p.kappa / 2 + 1e-15
+
+
+RING = from_edges([(i, (i + 1) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("base, layers, seed", [
+    (build_line_with_replicated_ends(3), 1, 0),  # the chain source's hops alone
+    (build_line_with_replicated_ends(8), 6, 1),
+    (build_line_with_replicated_ends(33), 4, 2**31 - 1),
+    (RING, 3, 1001),  # no chain hops
+], ids=["line3-chain-only", "line8", "line33", "ring5"])
+def test_uniform_strategies_pinned_to_random_uniform(base, layers, seed):
+    """'uniform-random' delays and 'uniform' clocks are, bit for bit, the
+    values of one ``Random(seed).uniform`` call each, in draw order."""
+    graph = build_layered(base, layers)
+    params = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
+    rng = random.Random(seed)
+    expected = [rng.uniform(params.d - params.u, params.d) for _ in delay_keys(graph)]
+    dag, chain = sample_delays(graph, params, "uniform-random", seed=seed)
+    assert np.concatenate((dag[~np.isnan(dag)], chain)).tobytes() == np.array(expected).tobytes()
+    assert (chain.size == 0) == (base is RING)
+    rng = random.Random(seed)
+    expected = [(rng.uniform(1.0, params.theta), rng.uniform(0.0, params.lam))
+                for _ in range(layers * base.num_vertices)]
+    rate, offset = sample_clocks(graph, params, "uniform", seed=seed)
+    assert rate.tobytes() == np.array([r for r, _ in expected]).tobytes()
+    assert offset.tobytes() == np.array([o for _, o in expected]).tobytes()
