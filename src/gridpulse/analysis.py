@@ -56,17 +56,10 @@ class TraceView:
         cfg = result.config
         self.base = cfg.base
         self.times = result.times[:, : cfg.pulses]
-        self.correct = _correct_mask(result)
+        self.correct = ~cfg.faulty
         self.slot, real = cfg.base.padded_slots
         self.neighbor = real & (self.slot != np.arange(len(self.slot))[:, None])
         self.dist = np.asarray(cfg.base.distance_table, dtype=float)
-
-
-def _correct_mask(result: RunResult) -> np.ndarray:
-    correct = np.ones(result.counts.shape, dtype=bool)
-    for v, layer in result.config.placement.members:
-        correct[layer, v] = False
-    return correct
 
 
 def _nanmax(x: np.ndarray, axis) -> np.ndarray:
@@ -398,7 +391,7 @@ def stabilization_pulse(result: RunResult, reference: RunResult) -> float:
     lam = result.config.params.lam
     counts = result.counts
     # nodes that pulsed in the reference run and are correct in this one
-    nodes = (reference.counts > 0) & _correct_mask(result)
+    nodes = (reference.counts > 0) & ~result.config.faulty
     if np.any(nodes & (counts == 0)):
         return UNSTABILIZED
     last = np.maximum(reference.counts - 1, 0)[:, None, :]

@@ -159,6 +159,14 @@ def _choice(section: dict, path: str, choices: tuple, default: str) -> str:
     return value
 
 
+def _built(path: str, make, **kwargs):
+    """``make(**kwargs)``, with any ConfigurationError it raises prefixed by ``path``."""
+    try:
+        return make(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
 def _base_graph(doc: dict) -> BaseGraph:
     section = _mapping(doc.get("topology"), "topology", ("kind", "m", "edges"))
     kind = section.get("kind", "line_replicated")
@@ -166,22 +174,21 @@ def _base_graph(doc: dict) -> BaseGraph:
         raise ConfigurationError(f"topology.kind: unknown kind {kind!r}")
     _mapping(section, "topology", TOPOLOGY_KEYS[kind])
     if kind == "line_replicated":
-        m = section.get("m")
-        if not isinstance(m, int) or m < 2:
-            raise ConfigurationError("topology.m: need an integer >= 2")
-        return build_line_with_replicated_ends(m)
+        return _built("topology.m", build_line_with_replicated_ends,
+                      m=_value(section, "topology.m", _integer))
     edges = _list(section.get("edges"), "topology.edges")
     for i, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2
                 and all(isinstance(v, int) for v in edge)):
             raise ConfigurationError(f"topology.edges[{i}]: expected [u, v] with integer "
                                      f"vertices, got {edge!r}")
-    return from_edges([tuple(edge) for edge in edges])
+    return _built("topology.edges", from_edges, edges=[tuple(edge) for edge in edges])
 
 
 def _params(doc: dict) -> Params:
     section = _mapping(doc.get("params"), "params", SECTION_KEYS["params"])
-    return Params.derive(
+    return _built(
+        "params", Params,
         d=_value(section, "params.d", _real),
         u=_value(section, "params.u", _real),
         theta=_value(section, "params.theta", _real),
@@ -231,10 +238,7 @@ def _behavior(node, path: str) -> FaultBehavior:
         spacing=_value(spec, f"{path}.spacing", _real, 0.0),
         recipients=recipients,
     )
-    try:
-        return FaultBehavior(**fields)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    return _built(path, FaultBehavior, **fields)
 
 
 def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
@@ -301,7 +305,8 @@ def build_run_config(doc: dict) -> RunConfig:
     corr = _mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"])
     corruption = None
     if corr and _value(corr, "corruption.enabled", _boolean, True):
-        corruption = CorruptionSpec(
+        corruption = _built(
+            "corruption", CorruptionSpec,
             node_fraction=_value(corr, "corruption.node_fraction", _real, 0.0),
             max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
         )
@@ -309,7 +314,8 @@ def build_run_config(doc: dict) -> RunConfig:
     pert = _mapping(doc.get("perturbation"), "perturbation", SECTION_KEYS["perturbation"])
     perturbation = None
     if pert:
-        perturbation = PerturbationSpec(
+        perturbation = _built(
+            "perturbation", PerturbationSpec,
             delay_magnitude=_value(pert, "perturbation.delay_magnitude", _real, 0.0),
             rate_magnitude=_value(pert, "perturbation.rate_magnitude", _real, 0.0),
             seed=_value(pert, "perturbation.seed", _integer, 0),
@@ -322,7 +328,8 @@ def build_run_config(doc: dict) -> RunConfig:
         base=base,
         layers=layers,
         params=_params(doc),
-        source=SourceMode(
+        source=_built(
+            "source", SourceMode,
             kind=_choice(source, "source.kind", SOURCE_KINDS, "ideal"),
             jitter=_value(source, "source.jitter", _real, 0.0),
             seed=_value(source, "source.seed", _integer, 0),

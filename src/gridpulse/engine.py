@@ -35,7 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, ProtocolError
-from .faults import FaultPlacement, faulty_emissions, perturb_between_pulses, perturbation_caps
+from .faults import (
+    FaultPlacement,
+    fault_mask,
+    faulty_emissions,
+    perturb_between_pulses,
+    perturbation_caps,
+)
 from .protocol import (
     QUIET_DIVISOR,
     ChainState,
@@ -119,15 +125,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.pulses < 1:
-            raise ConfigurationError("need at least one pulse")
+            raise ConfigurationError("pulses: need at least one pulse")
         if self.layers < 1:
-            raise ConfigurationError("need at least one layer")
-        n = self.base.num_vertices
+            raise ConfigurationError("layers: need at least one layer")
+        self.faulty  # rejects a faulty node outside the grid
         for (v, layer), behavior in sorted(self.placement.behaviors.items()):
-            if not (0 <= v < n and 0 <= layer < self.layers):
-                raise ConfigurationError(
-                    f"faulty node (v={v}, layer={layer}) is outside the grid of "
-                    f"{n} vertices and {self.layers} layers")
             if not set(behavior.recipients or ()) <= set(self.base.slots[v]):
                 raise ConfigurationError(
                     f"faulty node (v={v}, layer={layer}) has recipients "
@@ -136,7 +138,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown machine {self.machine!r}")
         if self.source.kind == "ideal" and self.source.jitter > self.params.kappa / 4:
             raise ConfigurationError(
-                f"ideal-source jitter {self.source.jitter!r} exceeds kappa/4 = "
+                f"source.jitter: ideal-source jitter {self.source.jitter!r} exceeds kappa/4 = "
                 f"{self.params.kappa / 4!r}"
             )
         if self.source.kind == "chain" and self.base.line_info is None:
@@ -147,12 +149,18 @@ class RunConfig:
                 "or perturbation")
         if self.perturbation is not None:
             try:
-                caps = perturbation_caps(n * self.layers, self.base.diameter, self.params)
+                caps = perturbation_caps(self.base.num_vertices * self.layers,
+                                         self.base.diameter, self.params)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"perturbation: {exc}") from None
             for key, cap in zip(("delay_magnitude", "rate_magnitude"), caps):
                 if (value := getattr(self.perturbation, key)) > cap:
                     raise ConfigurationError(f"perturbation.{key}: {value!r} exceeds cap {cap!r}")
+
+    @property
+    def faulty(self) -> np.ndarray:
+        """The [layer, vertex] mask of the faulty nodes."""
+        return fault_mask(self.placement.members, self.layers, self.base.num_vertices)
 
 
 def _clean_ideal(config: RunConfig) -> bool:
@@ -222,10 +230,8 @@ class RunResult:
         to that count."""
         config = self.config
         rows = config.layers if config.source.kind == "ideal" else 1
-        members = config.placement.members
-        return sorted((v, layer) for layer, v
-                      in np.argwhere(self.counts[:rows] < config.pulses).tolist()
-                      if (v, layer) not in members)
+        short = (self.counts < config.pulses) & ~config.faulty
+        return sorted((v, layer) for layer, v in np.argwhere(short[:rows]).tolist())
 
     @property
     def completed(self) -> bool:
@@ -466,8 +472,7 @@ class _Engine:
         self.nominal = nominal
         n = self.nv = config.base.num_vertices
         nodes = n * config.layers
-        members = config.placement.members
-        self.faulty = [(i % n, i // n) in members for i in range(nodes)]
+        self.faulty = config.faulty.ravel().tolist()
         self.delay = inputs.dag.ravel().tolist() + inputs.chain.tolist()
         # (edge index, hop, target) of each chain hop
         self.chain = [(e, hop, w) for e, (_, hop, w)
@@ -711,8 +716,6 @@ class _Engine:
                 timer, version, h = payload
                 if version != (threshold_version if timer == "threshold" else pulse_version)[i]:
                     stale += 1
-                    continue
-                if st is None:
                     continue
                 if st.__class__ is GcsState:
                     armed = gcs_step(st, timer, None, h, params)

@@ -10,7 +10,6 @@ predecessors.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .topology import LayeredGraph
 __all__ = [
     "FaultBehavior",
     "FaultPlacement",
+    "fault_mask",
     "faulty_emissions",
     "perturbation_caps",
     "perturb_between_pulses",
@@ -139,33 +139,38 @@ class FaultPlacement:
         return cls(behaviors={})
 
 
+def fault_mask(members, layers: int, vertices: int) -> np.ndarray:
+    """The [layer, vertex] mask of the faulty nodes ``members``, given as
+    (vertex, layer) pairs; a node outside the grid is an error that names it."""
+    mask = np.zeros((layers, vertices), dtype=bool)
+    for v, layer in sorted(members):
+        if not (0 <= v < vertices and 0 <= layer < layers):
+            raise ConfigurationError(f"faulty node (v={v}, layer={layer}) is outside the grid "
+                                     f"of {vertices} vertices and {layers} layers")
+        mask[layer, v] = True
+    return mask
+
+
 def validate_placement(graph: LayeredGraph, fault_set) -> list[tuple[int, int]]:
-    """Successor nodes with two or more faulty predecessors (empty = constraint holds)."""
-    members = set(fault_set.members if isinstance(fault_set, FaultPlacement) else fault_set)
-    violating: list[tuple[int, int]] = []
-    layers_hit = {layer for _, layer in members}
-    for layer in sorted(layers_hit):
-        succ_layer = layer + 1
-        if succ_layer >= graph.num_layers:
-            continue
-        for v in graph.base.vertices:
-            preds = {(v, layer)} | {(w, layer) for w in graph.base.adjacency[v]}
-            if len(preds & members) >= 2:
-                violating.append((v, succ_layer))
-    return sorted(set(violating))
+    """Successor nodes with two or more faulty predecessors, as sorted
+    (vertex, layer) pairs (empty = constraint holds)."""
+    members = fault_set.members if isinstance(fault_set, FaultPlacement) else fault_set
+    faulty = fault_mask(members, graph.num_layers, graph.base.num_vertices)
+    # (slot[v, j], l) feeds (v, l+1): count each node's faulty inputs
+    slot, real = graph.base.padded_slots
+    layer, v = np.nonzero((faulty[:-1, slot] & real).sum(axis=-1) >= 2)
+    return sorted(zip(v.tolist(), (layer + 1).tolist()))
 
 
 def sample_placement(graph: LayeredGraph, p: float, seed: int) -> FaultPlacement:
-    """Bernoulli(p) per node excluding layer 0; members default to silent behavior."""
+    """Bernoulli(p) per node excluding layer 0, one ``Random(seed).random()``
+    draw per node in (layer, vertex) order; members default to silent behavior."""
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"fault probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    behaviors: dict = {}
-    for layer in range(1, graph.num_layers):
-        for v in graph.base.vertices:
-            if rng.random() < p:
-                behaviors[(v, layer)] = FaultBehavior(kind="silent")
-    return FaultPlacement(behaviors=behaviors, strict=False)
+    n = graph.base.num_vertices
+    hits = np.flatnonzero(_draws(seed, (graph.num_layers - 1) * n) < p).tolist()
+    return FaultPlacement(behaviors={(i % n, i // n + 1): FaultBehavior(kind="silent")
+                                     for i in hits}, strict=False)
 
 
 def perturbation_caps(n: int, diameter: int, params: Params) -> tuple[float, float]:

@@ -174,19 +174,20 @@ def compute_correction_array(h_own: np.ndarray, h_min: np.ndarray, h_max: np.nda
     if (h_max < h_min).any():
         raise ProtocolError("last-neighbor timestamp precedes first-neighbor timestamp")
     half = kappa / 2
-    low = h_own - h_min + 3 * half
-    catch_down = np.where(0 * half < low, 0 * half, low)
     a = h_own - h_max
     b = h_own - h_min
+    low = b + 3 * half
+    catch_down = np.where(0 * half < low, 0 * half, low)
     # _discretized_offset: s = 0, then s in (floor(s*), ceil(s*)) when s > 0
     best = np.where(b >= a, b, a)
     s_star = (b - a) / (8 * kappa)
     for s in (np.floor(s_star), np.ceil(s_star)):
-        up, down = a + 4 * s * kappa, b - 4 * s * kappa
+        step = 4 * s * kappa
+        up, down = a + step, b - step
         val = np.where(down > up, down, up)
         best = np.where((s > 0) & (val < best), val, best)
     delta = best - half
-    high = h_own - h_max - 3 * half
+    high = a - 3 * half
     catch_up = np.where(theta * kappa > high, theta * kappa, high)
     return np.where(np.isnan(h_max) | (delta < 0), catch_down,
                     np.where(delta > theta * kappa, catch_up, delta))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,32 +37,23 @@ CLOCK_STRATEGIES = ("uniform", "all-one", "all-max")
 
 def derive_kappa(d: float, u: float, theta: float, lam: float) -> float:
     """Observed-skew granularity: 2*(u + (1 - 1/theta)*(lam - d))."""
-    if u < 0 or d <= 0 or theta < 1 or lam < d:
-        raise ConfigurationError(
-            f"bad timing constants: d={d}, u={u}, theta={theta}, lam={lam}"
-        )
-    kappa = 2.0 * (u + (1.0 - 1.0 / theta) * (lam - d))
-    if kappa <= 0.0:
-        raise ConfigurationError(
-            "kappa would be non-positive (u=0 with theta=1 and lam=d); "
-            "the protocol divides observed skews by kappa"
-        )
-    return kappa
+    return 2.0 * (u + (1.0 - 1.0 / theta) * (lam - d))
 
 
 @dataclass(frozen=True)
 class Params:
     """Protocol timing constants and the derived granularity kappa.
 
-    Build via :meth:`derive` so that kappa always matches its defining
-    formula; the constructor re-checks every invariant.
+    The constructor checks the timing rules 0 < u <= d, theta > 1, lam > d
+    and C >= 0 and then sets kappa from ``derive_kappa``; under those rules
+    kappa >= 2*u > 0.
     """
 
     d: float
     u: float
     theta: float
     lam: float
-    kappa: float
+    kappa: float = field(init=False)
     validation_constant: float = 2.0
 
     def __post_init__(self) -> None:
@@ -74,18 +65,13 @@ class Params:
             raise ConfigurationError(f"need lam > d, got lam={self.lam}, d={self.d}")
         if self.validation_constant < 0.0:
             raise ConfigurationError("validation constant must be >= 0")
-        expected = derive_kappa(self.d, self.u, self.theta, self.lam)
-        if self.kappa != expected:
-            raise ConfigurationError(
-                f"kappa={self.kappa!r} does not match its formula value {expected!r}"
-            )
+        object.__setattr__(self, "kappa", derive_kappa(self.d, self.u, self.theta, self.lam))
 
     @classmethod
     def derive(cls, d: float, u: float, theta: float, lam: float,
                validation_constant: float = 2.0) -> "Params":
-        return cls(d=d, u=u, theta=theta, lam=lam,
-                   kappa=derive_kappa(d, u, theta, lam),
-                   validation_constant=validation_constant)
+        """The constructor under its older name."""
+        return cls(d=d, u=u, theta=theta, lam=lam, validation_constant=validation_constant)
 
 
 def local_skew_budget(params: Params, diameter: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,40 +52,53 @@ class LineInfo:
 class BaseGraph:
     """Simple connected undirected graph with minimum degree 2.
 
-    Distances are all-pairs hop counts; ``diameter`` is their maximum.
+    Everything else is computed from the adjacency once, on first use:
+    distances are all-pairs hop counts and ``diameter`` is their maximum.
+    Equality compares the adjacency and ``line_info`` alone.
     """
 
-    vertices: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    distance_table: tuple[tuple[int, ...], ...]
-    diameter: int
     line_info: LineInfo | None = None
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.adjacency)
 
-    @property
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(range(self.num_vertices))
+
+    @cached_property
+    def distance_table(self) -> tuple[tuple[int, ...], ...]:
+        """Hop counts, -1 between vertices that are not connected."""
+        return tuple(tuple(_bfs_distances(self.adjacency, v)) for v in self.vertices)
+
+    @cached_property
+    def diameter(self) -> int:
+        return max(map(max, self.distance_table))
+
+    @cached_property
     def slots(self) -> tuple[tuple[int, ...], ...]:
         """The slot table: ``slots[v] = sorted((v, *adjacency[v]))``. Node
         (v, l) feeds (w, l+1) exactly for w in ``slots[v]``, and slot j of its
         delay row is the edge to ``slots[v][j]``."""
         return tuple(tuple(sorted((v, *nbrs))) for v, nbrs in enumerate(self.adjacency))
 
-    @property
+    @cached_property
     def padded_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The slot table as a [vertex, slot] int array, each row padded to the
-        widest by repeating its last entry, and ``real``, the mask of the
-        slots that ``slots`` has. The padding leaves a row's minimum and
-        maximum unchanged."""
+        """The slot table as a read-only [vertex, slot] int array, each row
+        padded to the widest by repeating its last entry, and ``real``, the
+        mask of the slots that ``slots`` has. The padding leaves a row's
+        minimum and maximum unchanged."""
         slots = self.slots
         width = max(map(len, slots))
         table = np.array([row + row[-1:] * (width - len(row)) for row in slots])
         real = np.arange(width) < np.array([len(row) for row in slots])[:, None]
+        table.flags.writeable = real.flags.writeable = False
         return table, real
 
 
-def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
+def _bfs_distances(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
@@ -102,26 +116,14 @@ def _finalize(n: int, edges: set[tuple[int, int]], line_info: LineInfo | None) -
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    for nbrs in adjacency:
-        nbrs.sort()
-
     for v, nbrs in enumerate(adjacency):
+        nbrs.sort()
         if len(nbrs) < 2:
             raise ConfigurationError(f"vertex {v} has degree {len(nbrs)} < 2")
-
-    table = [_bfs_distances(adjacency, v) for v in range(n)]
-    for v in range(n):
-        if min(table[v]) < 0:
-            raise ConfigurationError("base graph is not connected")
-    diameter = max(max(row) for row in table)
-
-    return BaseGraph(
-        vertices=tuple(range(n)),
-        adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
-        distance_table=tuple(tuple(row) for row in table),
-        diameter=diameter,
-        line_info=line_info,
-    )
+    graph = BaseGraph(adjacency=tuple(map(tuple, adjacency)), line_info=line_info)
+    if min(map(min, graph.distance_table)) < 0:
+        raise ConfigurationError("base graph is not connected")
+    return graph
 
 
 def build_line_with_replicated_ends(m: int) -> BaseGraph:

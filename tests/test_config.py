@@ -273,6 +273,21 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"perturbation": {"rate_magnitude": 1.0}}, "perturbation.rate_magnitude"),
     ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [0, 2]]},
       "perturbation": {"delay_magnitude": 0.0}}, "perturbation"),
+    # the checks of the objects a section builds name the section
+    ({"params": dict(DOC["params"], theta=0.9)}, "params"),
+    ({"params": dict(DOC["params"], theta=1.0)}, "params"),
+    ({"params": dict(DOC["params"], u=0.0)}, "params"),
+    ({"params": dict(DOC["params"], Lambda=0.5)}, "params"),
+    ({"source": dict(DOC["source"], jitter=-1.0)}, "source"),
+    ({"source": dict(DOC["source"], jitter=1.0)}, "source.jitter"),
+    ({"corruption": {"node_fraction": 1.5}}, "corruption"),
+    ({"perturbation": {"delay_magnitude": -1.0}}, "perturbation"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2]]}}, "topology.edges"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 0]]}}, "topology.edges"),
+    ({"topology": {"kind": "line_replicated", "m": 1}}, "topology.m"),
+    ({"topology": {"kind": "line_replicated"}}, "topology.m"),
+    ({"layers": 0}, "layers"),
+    ({"pulses": 0}, "pulses"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):

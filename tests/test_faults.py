@@ -102,6 +102,12 @@ class TestPlacementValidation:
                     expected.append((v, layer))
         assert got == sorted(expected)
 
+    @pytest.mark.parametrize("node", [(10, 3), (-1, 3), (4, 10), (4, -1)])
+    def test_node_outside_the_grid_rejected(self, node):
+        # 10 vertices, 10 layers
+        with pytest.raises(ConfigurationError, match=rf"\(v={node[0]}, layer={node[1]}\)"):
+            validate_placement(self.graph, {(4, 3), node})
+
 
 class TestSamplePlacement:
     def setup_method(self):
@@ -120,6 +126,18 @@ class TestSamplePlacement:
         a = sample_placement(self.graph, 0.3, seed=9)
         b = sample_placement(self.graph, 0.3, seed=9)
         assert a.members == b.members
+
+    @pytest.mark.parametrize("layers", [1, 2, 10])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    def test_matches_one_draw_per_node_in_layer_vertex_order(self, layers, p):
+        graph = build_layered(self.graph.base, layers)
+        for seed in (0, 1, 9, 12345):
+            rng = random.Random(seed)
+            expected = [(v, layer) for layer in range(1, layers)
+                        for v in graph.base.vertices if rng.random() < p]
+            placement = sample_placement(graph, p, seed)
+            assert list(placement.behaviors) == expected
+            assert set(placement.behaviors.values()) <= {FaultBehavior(kind="silent")}
 
 
 class TestPerturbation:

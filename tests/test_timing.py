@@ -34,10 +34,6 @@ class TestDeriveKappa:
     def test_rate_one_leaves_uncertainty_only(self):
         assert derive_kappa(1.0, 0.01, 1.0, 7.0) == pytest.approx(0.02)
 
-    def test_zero_kappa_rejected(self):
-        with pytest.raises(ConfigurationError):
-            derive_kappa(1.0, 0.0, 1.0, 1.0)
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=0.1, max_value=100),
@@ -57,9 +53,35 @@ class TestParams:
         p = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
         assert p.kappa == derive_kappa(1.0, 0.002, 1.0002, 2.0)
 
-    def test_mismatched_kappa_rejected(self):
-        with pytest.raises(ConfigurationError):
+    def test_kappa_is_not_settable(self):
+        with pytest.raises(TypeError):
             Params(d=1.0, u=0.002, theta=1.0002, lam=2.0, kappa=0.123)
+
+    @pytest.mark.parametrize("message,edits", [
+        ("need 0 < u <= d", ({"u": -0.001}, {"u": 0.0}, {"u": 1.5})),
+        ("need theta > 1", ({"theta": 0.9}, {"theta": 1.0})),
+        ("need lam > d", ({"lam": 0.5}, {"lam": 1.0})),
+        ("validation constant must be >= 0",
+         ({"validation_constant": -1.0}, {"validation_constant": -1e-12})),
+    ], ids=["u", "theta", "lam", "validation_constant"])
+    def test_each_timing_rule_has_one_message(self, message, edits):
+        """Values on either side of where the kappa formula degenerates break
+        the same rule, with the same message."""
+        for edit in edits:
+            with pytest.raises(ConfigurationError, match=rf"^{message}"):
+                Params(**{"d": 1.0, "u": 0.002, "theta": 1.0002, "lam": 2.0, **edit})
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=100),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+        st.floats(min_value=1e-6, max_value=100),
+    )
+    def test_kappa_is_its_formula_and_positive(self, d, u_share, theta_, extra):
+        p = Params(d=d, u=u_share * d, theta=theta_, lam=d + extra)
+        assert p.kappa == derive_kappa(p.d, p.u, p.theta, p.lam)
+        assert p.kappa > 0.0
 
     def test_u_above_d_rejected(self):
         with pytest.raises(ConfigurationError):
