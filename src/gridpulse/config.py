@@ -18,9 +18,9 @@ import yaml
 
 from .engine import MACHINES, CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
-from .faults import FaultBehavior, FaultPlacement, sample_placement, validate_placement
+from .faults import FaultBehavior, FaultPlacement, sample_placement
 from .protocol import SOURCE_KINDS, SourceMode
-from .timing import CLOCK_STRATEGIES, DELAY_STRATEGIES, Params, delay_keys
+from .timing import CLOCK_STRATEGIES, DELAY_STRATEGIES, Params
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
 __all__ = [
@@ -79,8 +79,11 @@ class ExperimentSpec:
     corruption: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("seeds: the seed list must be non-empty")
+        lists = {"seeds": self.seeds, "behavior_mix": self.behavior_mix,
+                 **{f"sweep.{axis}": values for axis, values in self.axes.items()}}
+        for path, values in lists.items():
+            if not values:
+                raise ConfigurationError(f"{path}: the list must be non-empty")
         if self.trials < 0:
             raise ConfigurationError(f"trials: must be >= 0, got {self.trials}")
 
@@ -197,17 +200,10 @@ def _params(doc: dict) -> Params:
     )
 
 
-def _delay_map(rows, strategy: str, base: BaseGraph, layers: int) -> dict | None:
-    """``delays.map`` rows [*edge key, delay], e.g. [dag, v, layer, w, delay]:
-    read under custom-map only, at most one row per edge of the layered graph."""
-    if strategy != "custom-map":
-        if rows is not None:
-            raise ConfigurationError(f"delays.map: read only under strategy custom-map, "
-                                     f"not {strategy!r}")
-        return None
+def _delay_map(rows) -> dict | None:
+    """``delays.map`` rows [*edge key, delay], at most one per edge, as a dict in row order."""
     if rows is None:
-        raise ConfigurationError("delays.map: required by strategy custom-map")
-    edges = set(delay_keys(build_layered(base, layers)))
+        return None
     delays = {}
     for i, row in enumerate(_list(rows, "delays.map")):
         if not (isinstance(row, list) and len(row) in (4, 5) and row[0] in ("dag", "chain")
@@ -216,8 +212,6 @@ def _delay_map(rows, strategy: str, base: BaseGraph, layers: int) -> dict | None
             raise ConfigurationError(f"delays.map[{i}]: expected [dag, v, layer, w, delay] or "
                                      f"[chain, hop, w, delay], got {row!r}")
         key = tuple(row[:-1])
-        if key not in edges:
-            raise ConfigurationError(f"delays.map[{i}]: the layered graph has no edge {key}")
         if key in delays:
             raise ConfigurationError(f"delays.map[{i}]: a second row for edge {key}")
         delays[key] = float(row[-1])
@@ -242,45 +236,27 @@ def _behavior(node, path: str) -> FaultBehavior:
 
 
 def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
+    """The ``faults`` section in document order; ``RunConfig`` checks its nodes."""
     section = _mapping(doc.get("faults"), "faults", SECTION_KEYS["faults"])
     if not section:
         return FaultPlacement.empty()
     if "p" in section and "placement" in section:
         raise ConfigurationError("faults: give either p or placement, not both")
     strict = _value(section, "faults.strict", _boolean, True)
-    graph = build_layered(base, layers)
     if "p" in section:
+        graph = _built("layers", build_layered, base=base, layers=layers)
         placement = sample_placement(graph, _value(section, "faults.p", _probability),
                                      _value(section, "faults.seed", _integer, 0))
-        placement = FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
-    else:
-        behaviors = {}
-        for i, entry in enumerate(_list(section.get("placement", []), "faults.placement")):
-            path = f"faults.placement[{i}]"
-            entry = _mapping(entry, path, PLACEMENT_KEYS)
-            node = (_value(entry, f"{path}.vertex", _integer),
-                    _value(entry, f"{path}.layer", _integer))
-            if not (0 <= node[0] < base.num_vertices and 0 <= node[1] < layers):
-                raise ConfigurationError(f"{path}: node (vertex, layer) = {node} is outside the "
-                                         f"grid of {base.num_vertices} vertices and {layers} "
-                                         f"layers")
-            if node in behaviors:
-                raise ConfigurationError(f"{path}: a second entry for node (vertex, layer) = "
-                                         f"{node}")
-            behavior = behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
-            if not set(behavior.recipients or ()) <= set(base.slots[node[0]]):
-                raise ConfigurationError(f"{path}.behavior.recipients: {list(behavior.recipients)} "
-                                         f"names a vertex outside the node's successors "
-                                         f"{list(base.slots[node[0]])}")
-        placement = FaultPlacement(behaviors=behaviors, strict=strict)
-    if strict and placement:
-        bad = validate_placement(graph, placement)
-        if bad:
-            raise ConfigurationError(
-                f"faults: strict placement violated; nodes with two faulty "
-                f"predecessors: {bad[:5]}{'...' if len(bad) > 5 else ''}"
-            )
-    return placement
+        return FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
+    behaviors = {}
+    for i, entry in enumerate(_list(section.get("placement", []), "faults.placement")):
+        path = f"faults.placement[{i}]"
+        entry = _mapping(entry, path, PLACEMENT_KEYS)
+        node = (_value(entry, f"{path}.vertex", _integer), _value(entry, f"{path}.layer", _integer))
+        if node in behaviors:
+            raise ConfigurationError(f"{path}: a second entry for node (vertex, layer) = {node}")
+        behaviors[node] = _behavior(entry.get("behavior"), f"{path}.behavior")
+    return FaultPlacement(behaviors=behaviors, strict=strict)
 
 
 def build_run_config(doc: dict) -> RunConfig:
@@ -302,14 +278,15 @@ def build_run_config(doc: dict) -> RunConfig:
     strategy = _choice(delays, "delays.strategy", DELAY_STRATEGIES, "uniform-random")
     clocks = _mapping(doc.get("clocks"), "clocks", SECTION_KEYS["clocks"])
 
+    # a disabled section is read as strictly as an enabled one, then dropped
     corr = _mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"])
-    corruption = None
-    if corr and _value(corr, "corruption.enabled", _boolean, True):
-        corruption = _built(
-            "corruption", CorruptionSpec,
-            node_fraction=_value(corr, "corruption.node_fraction", _real, 0.0),
-            max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
-        )
+    corruption = _built(
+        "corruption", CorruptionSpec,
+        node_fraction=_value(corr, "corruption.node_fraction", _real, 0.0),
+        max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
+    )
+    if not (corr and _value(corr, "corruption.enabled", _boolean, True)):
+        corruption = None
 
     pert = _mapping(doc.get("perturbation"), "perturbation", SECTION_KEYS["perturbation"])
     perturbation = None
@@ -337,7 +314,7 @@ def build_run_config(doc: dict) -> RunConfig:
         pulses=_value(doc, "pulses", _integer),
         delay_strategy=strategy,
         delay_seed=_value(delays, "delays.seed", _integer, 0),
-        custom_delays=_delay_map(delays.get("map"), strategy, base, layers),
+        custom_delays=_delay_map(delays.get("map")),
         clock_strategy=_choice(clocks, "clocks.strategy", CLOCK_STRATEGIES, "uniform"),
         clock_seed=_value(clocks, "clocks.seed", _integer, 0),
         placement=_placement(doc, base, layers),

@@ -41,6 +41,7 @@ from .faults import (
     faulty_emissions,
     perturb_between_pulses,
     perturbation_caps,
+    validate_placement,
 )
 from .protocol import (
     QUIET_DIVISOR,
@@ -55,7 +56,8 @@ from .protocol import (
     inner_loop_threshold_array,
     layer0_step,
 )
-from .timing import Params, chain_edges, sample_clocks, sample_delays, validate_params
+from .timing import (Params, chain_edges, delay_keys, sample_clocks, sample_delays,
+                     validate_params)
 from .topology import BaseGraph, LayeredGraph, build_layered
 
 __all__ = [
@@ -124,33 +126,61 @@ class RunConfig:
     enforce_alignment: bool | None = None  # None: auto-enable on clean ideal validated runs
 
     def __post_init__(self) -> None:
+        """Check each rule that joins fields or needs the graph; a message
+        starts with its key path in the config document."""
         if self.pulses < 1:
             raise ConfigurationError("pulses: need at least one pulse")
         if self.layers < 1:
             raise ConfigurationError("layers: need at least one layer")
-        self.faulty  # rejects a faulty node outside the grid
-        for (v, layer), behavior in sorted(self.placement.behaviors.items()):
+        if self.machine not in MACHINES:
+            raise ConfigurationError(f"machine: unknown machine {self.machine!r}")
+        n, placement, custom = self.base.num_vertices, self.placement, self.custom_delays
+        for i, ((v, layer), behavior) in enumerate(placement.behaviors.items()):
+            node = f"faulty node (v={v}, layer={layer})"
+            if not (0 <= v < n and 0 <= layer < self.layers):
+                raise ConfigurationError(f"faults.placement[{i}]: {node} is outside the grid of "
+                                         f"{n} vertices and {self.layers} layers")
             if not set(behavior.recipients or ()) <= set(self.base.slots[v]):
                 raise ConfigurationError(
-                    f"faulty node (v={v}, layer={layer}) has recipients "
+                    f"faults.placement[{i}].behavior.recipients: {node} has recipients "
                     f"{list(behavior.recipients)} outside its successors {self.base.slots[v]}")
-        if self.machine not in MACHINES:
-            raise ConfigurationError(f"unknown machine {self.machine!r}")
+        strict = placement.strict and bool(placement)
+        graph = build_layered(self.base, self.layers) if strict or custom is not None else None
+        if strict and (bad := validate_placement(graph, placement)):
+            raise ConfigurationError(f"faults: strict placement violated; nodes with two faulty "
+                                     f"predecessors: {bad[:5]}{'...' if len(bad) > 5 else ''}")
+        if (custom is None) == (self.delay_strategy == "custom-map"):
+            raise ConfigurationError("delays.map: required by strategy custom-map" if custom is None
+                                     else f"delays.map: read only under strategy custom-map, "
+                                     f"not {self.delay_strategy!r}")
+        if custom is not None:  # row i of the document is the map's i-th entry
+            keys, lo, hi = delay_keys(graph), self.params.d - self.params.u, self.params.d
+            known = set(keys)
+            for i, (key, delay) in enumerate(custom.items()):
+                if key not in known:
+                    raise ConfigurationError(f"delays.map[{i}]: no edge {key} in the layered graph")
+                if not lo <= delay <= hi:
+                    raise ConfigurationError(f"delays.map[{i}]: delay {delay!r} for edge {key} "
+                                             f"outside [{lo!r}, {hi!r}]")
+            if len(custom) < len(keys):
+                missing = [key for key in keys if key not in custom]
+                raise ConfigurationError(f"delays.map: misses {len(missing)} edges, "
+                                         f"e.g. {missing[0]}")
         if self.source.kind == "ideal" and self.source.jitter > self.params.kappa / 4:
             raise ConfigurationError(
                 f"source.jitter: ideal-source jitter {self.source.jitter!r} exceeds kappa/4 = "
                 f"{self.params.kappa / 4!r}"
             )
         if self.source.kind == "chain" and self.base.line_info is None:
-            raise ConfigurationError("chain source needs the replicated-ends line topology")
+            raise ConfigurationError(
+                "source.kind: chain source needs the replicated-ends line topology")
         if self.machine == "simplified" and not _clean_ideal(self):
             raise ConfigurationError(
-                "machine 'simplified' needs an ideal source and no faults, corruption "
+                "machine: machine 'simplified' needs an ideal source and no faults, corruption "
                 "or perturbation")
         if self.perturbation is not None:
             try:
-                caps = perturbation_caps(self.base.num_vertices * self.layers,
-                                         self.base.diameter, self.params)
+                caps = perturbation_caps(n * self.layers, self.base.diameter, self.params)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"perturbation: {exc}") from None
             for key, cap in zip(("delay_magnitude", "rate_magnitude"), caps):

@@ -328,6 +328,8 @@ class TestConfigErrors:
         ("stabilize", {"corruption": {"fraction": 1.0}}, "corruption.fraction"),
         ("stabilize", {"run": [BASE_DOC]}, "run"),
         ("faults-mc", {"fault_probability": 1.5}, "fault_probability"),
+        ("faults-mc", {"behavior_mix": []}, "behavior_mix"),
+        ("sweep", {"sweep": {"topology.m": []}}, "sweep.topology.m"),
     ])
     def test_malformed_batch_value_exit_two(self, tmp_path, capsys, command, edit, path):
         """Batch values are read as strictly as run values, and a malformed

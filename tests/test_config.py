@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gridpulse.config import build_run_config, run_document
-from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig
+from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig, run
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps, validate_placement
 from gridpulse.protocol import SourceMode
@@ -288,6 +288,24 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"topology": {"kind": "line_replicated"}}, "topology.m"),
     ({"layers": 0}, "layers"),
     ({"pulses": 0}, "pulses"),
+    # a delay map is complete and in [d-u, d] when the config is built, not at run time
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 0.999]]}}, "delays.map"),
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 5.0]]}}, r"delays.map\[0\]"),
+    # the rules that join keys name a key, whatever else the document holds
+    ({"layers": 0, "faults": {"placement": [{"vertex": 2, "layer": 1,
+                                             "behavior": {"kind": "silent"}}]}}, "layers"),
+    ({"layers": 0, "faults": {"p": 0.1}}, "layers"),
+    ({"layers": 0, "delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 0.999]]}},
+     "layers"),
+    ({"machine": "simplified", "faults": {"placement": [{"vertex": 2, "layer": 1,
+                                                         "behavior": {"kind": "silent"}}]}},
+     "machine"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [0, 2]]},
+      "source": dict(DOC["source"], kind="chain")}, "source.kind"),
+    # a disabled corruption section is read as strictly as an enabled one
+    ({"corruption": {"enabled": False, "node_fraction": "x"}}, "corruption.node_fraction"),
+    ({"corruption": {"enabled": False, "max_spurious_messages": -3}}, "corruption"),
+    ({"corruption": {"enabled": False, "node_fraction": 1.5}}, "corruption"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
@@ -319,3 +337,31 @@ def test_run_config_rejects_recipients_outside_the_grid(recipients):
     placement = FaultPlacement(behaviors={(2, 1): behavior})
     with pytest.raises(ConfigurationError, match=r"\(v=2, layer=1\) has recipients"):
         RunConfig(**{**vars(cfg), "placement": placement})
+
+
+def test_run_config_enforces_a_strict_placement():
+    """A library config is held to the strict rule as a document is: (4, 2)
+    and (5, 2) both feed (4, 3) and (5, 3) on m = 8. Without strict the same
+    placement runs."""
+    cfg = build_run_config(dict(DOC, topology={"kind": "line_replicated", "m": 8}))
+    behaviors = {(4, 2): FaultBehavior(kind="silent"), (5, 2): FaultBehavior(kind="silent")}
+    with pytest.raises(ConfigurationError, match=r"^faults: strict placement violated; "
+                                                 r"nodes with two faulty predecessors: "
+                                                 r"\[\(4, 3\), \(5, 3\)\]"):
+        RunConfig(**{**vars(cfg), "placement": FaultPlacement(behaviors=behaviors)})
+    loose = RunConfig(**{**vars(cfg), "placement": FaultPlacement(behaviors, strict=False)})
+    assert run(loose).counts.shape == (4, 12)
+
+
+def test_run_config_holds_a_delay_map_to_its_strategy():
+    """A map is given exactly under custom-map, and it names every edge."""
+    cfg = build_run_config(DOC)  # uniform-random
+    custom = {key: 1.0 for key in delay_keys(build_layered(cfg.base, cfg.layers))}
+    with pytest.raises(ConfigurationError, match=r"^delays.map: read only under strategy"):
+        RunConfig(**{**vars(cfg), "custom_delays": custom})
+    with pytest.raises(ConfigurationError, match=r"^delays.map: required by strategy"):
+        RunConfig(**{**vars(cfg), "delay_strategy": "custom-map"})
+    del custom[("dag", 0, 0, 0)]
+    with pytest.raises(ConfigurationError,
+                       match=r"^delays.map: misses 1 edges, e.g. \('dag', 0, 0, 0\)"):
+        RunConfig(**{**vars(cfg), "delay_strategy": "custom-map", "custom_delays": custom})

@@ -532,15 +532,16 @@ class TestLayerKernel:
     def test_samples_once(self, monkeypatch, edit):
         """A run samples its graph, delays, clocks and layer-0 times once,
         whether the kernel falls back to the event engine or a fault-free twin
-        runs first."""
+        runs first. The config is built first: a strict placement builds the
+        graph once more, to check the placement, before anything runs."""
+        cfg = base_config(m=3, layers=3, pulses=3, delay_seed=1,
+                          source=SourceMode(kind="ideal"), **edit)
         calls = Counter()
         for name in ("build_layered", "sample_delays", "sample_clocks", "ideal_source_times"):
             def counted(*args, _name=name, _sample=getattr(engine_module, name), **kwargs):
                 calls[_name] += 1
                 return _sample(*args, **kwargs)
             monkeypatch.setattr(engine_module, name, counted)
-        cfg = base_config(m=3, layers=3, pulses=3, delay_seed=1,
-                          source=SourceMode(kind="ideal"), **edit)
         run(cfg)
         assert calls == {"build_layered": 1, "sample_delays": 1, "sample_clocks": 1,
                          "ideal_source_times": 1}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +139,36 @@ class TestSamplePlacement:
             placement = sample_placement(graph, p, seed)
             assert list(placement.behaviors) == expected
             assert set(placement.behaviors.values()) <= {FaultBehavior(kind="silent")}
+
+
+class TestStrictAcceptance:
+    """How often the strict rule accepts a sampled placement, against its
+    exact value. A node's inputs are its vertex's closed neighborhood on the
+    layer below (``BaseGraph.slots``), so one layer's faults pass with the
+    probability q(p) that no neighborhood holds two of them, a sum over the
+    vertex subsets. Layers 1 .. L-2 each feed the next and are drawn
+    independently, so a run passes with probability q^(L-2)."""
+
+    @staticmethod
+    def exact(base, p: float, layers: int) -> float:
+        n = base.num_vertices
+        subsets = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        slot, real = base.padded_slots
+        ok = ((subsets[:, slot] & real).sum(axis=-1) <= 1).all(axis=-1)
+        k = subsets.sum(axis=1)
+        return float((ok * p**k * (1 - p) ** (n - k)).sum()) ** (layers - 2)
+
+    # (m, layers, p); the last p is 1/sqrt(n) for n = 12 * 10 nodes
+    @pytest.mark.parametrize("m,layers,p", [(4, 6, 0.1), (8, 10, 0.08),
+                                            (8, 10, 1 / math.sqrt(120))])
+    def test_sampled_acceptance_matches_the_exact_value(self, m, layers, p):
+        """Within 5 standard errors over 4,000 fixed seeds."""
+        graph = build_layered(build_line_with_replicated_ends(m), layers)
+        seeds = 4000
+        accepted = sum(not validate_placement(graph, sample_placement(graph, p, seed))
+                       for seed in range(seeds))
+        exact = self.exact(graph.base, p, layers)
+        assert abs(accepted / seeds - exact) <= 5 * math.sqrt(exact * (1 - exact) / seeds)
 
 
 class TestPerturbation:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridpulse.engine import RunConfig
 from gridpulse.errors import ConfigurationError
+from gridpulse.protocol import SourceMode
 from gridpulse.timing import (
     Params,
     chain_edges,
@@ -148,11 +150,15 @@ class TestDelays:
             assert value == expected
 
     def test_custom_out_of_range_rejected(self, small_world):
+        """The range of a custom map is checked when the config is built:
+        sample_delays reads a map that RunConfig has accepted."""
         graph, params = small_world
         bad = drawn(graph, params, "all-max")
         bad[next(iter(bad))] = params.d + 1.0
-        with pytest.raises(ConfigurationError, match="outside"):
-            sample_delays(graph, params, "custom-map", custom=bad)
+        with pytest.raises(ConfigurationError, match=r"^delays.map\[0\]: .* outside"):
+            RunConfig(base=graph.base, layers=graph.num_layers, params=params,
+                      source=SourceMode(kind="ideal"), pulses=2, delay_strategy="custom-map",
+                      custom_delays=bad)
 
     def test_custom_map_fills_the_slot_table(self):
         """Entry [l, v, j] is the edge from (v, l) to (slots[v][j], l+1); the
