@@ -37,12 +37,13 @@ def _out_dir(args) -> Path:
 
 
 def _parse_checks(raw: str | None) -> tuple[str, ...]:
-    if not raw:
+    """The checks ``--checks`` names, all of them when the flag is left out."""
+    if raw is None:
         return ALL_CHECKS
     names = tuple(x.strip() for x in raw.split(",") if x.strip())
-    unknown = [x for x in names if x not in ALL_CHECKS]
-    if unknown:
-        raise ConfigurationError(f"unknown checks {unknown}; valid: {ALL_CHECKS}")
+    if not names or not set(names) <= set(ALL_CHECKS):
+        raise ConfigurationError(f"--checks {raw!r}: name one or more of "
+                                 f"{', '.join(ALL_CHECKS)}, separated by commas")
     return names
 
 

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import yaml
 
-from .engine import MACHINES, CorruptionSpec, PerturbationSpec, RunConfig
+from .engine import CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement
 from .protocol import SOURCE_KINDS, SourceMode
-from .timing import CLOCK_STRATEGIES, DELAY_STRATEGIES, Params
+from .timing import Params
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
 __all__ = [
@@ -86,6 +86,9 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{path}: the list must be non-empty")
         if self.trials < 0:
             raise ConfigurationError(f"trials: must be >= 0, got {self.trials}")
+        if not 0.0 <= self.fault_probability <= 1.0:
+            raise ConfigurationError(f"fault_probability: must be in [0, 1], "
+                                     f"got {self.fault_probability!r}")
 
 
 def _mapping(node, path: str, keys) -> dict:
@@ -140,12 +143,6 @@ def _integer(x) -> int:
 def _real(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"must be a number, got {x!r}")
-    return float(x)
-
-
-def _probability(x) -> float:
-    if not 0.0 <= _real(x) <= 1.0:
-        raise ValueError(f"fault probability must be in [0, 1], got {x!r}")
     return float(x)
 
 
@@ -224,7 +221,7 @@ def _behavior(node, path: str) -> FaultBehavior:
     if recipients is not None:
         recipients = _entries(recipients, f"{path}.recipients", _integer)
     fields = dict(
-        kind=spec.get("kind"),
+        kind=_value(spec, f"{path}.kind", str),
         offset=_value(spec, f"{path}.offset", _real, 0.0),
         times=_entries(spec.get("times", []), f"{path}.times", _real),
         offsets=_entries(spec.get("offsets", []), f"{path}.offsets", _real),
@@ -245,8 +242,9 @@ def _placement(doc: dict, base: BaseGraph, layers: int) -> FaultPlacement:
     strict = _value(section, "faults.strict", _boolean, True)
     if "p" in section:
         graph = _built("layers", build_layered, base=base, layers=layers)
-        placement = sample_placement(graph, _value(section, "faults.p", _probability),
-                                     _value(section, "faults.seed", _integer, 0))
+        placement = _built("faults.p", sample_placement, graph=graph,
+                           p=_value(section, "faults.p", _real),
+                           seed=_value(section, "faults.seed", _integer, 0))
         return FaultPlacement(behaviors=dict(placement.behaviors), strict=strict)
     behaviors = {}
     for i, entry in enumerate(_list(section.get("placement", []), "faults.placement")):
@@ -275,7 +273,6 @@ def build_run_config(doc: dict) -> RunConfig:
     layers = _value(doc, "layers", _integer)
     source = _mapping(doc.get("source"), "source", SECTION_KEYS["source"])
     delays = _mapping(doc.get("delays"), "delays", SECTION_KEYS["delays"])
-    strategy = _choice(delays, "delays.strategy", DELAY_STRATEGIES, "uniform-random")
     clocks = _mapping(doc.get("clocks"), "clocks", SECTION_KEYS["clocks"])
 
     # a disabled section is read as strictly as an enabled one, then dropped
@@ -312,13 +309,13 @@ def build_run_config(doc: dict) -> RunConfig:
             seed=_value(source, "source.seed", _integer, 0),
         ),
         pulses=_value(doc, "pulses", _integer),
-        delay_strategy=strategy,
+        delay_strategy=delays.get("strategy", "uniform-random"),
         delay_seed=_value(delays, "delays.seed", _integer, 0),
         custom_delays=_delay_map(delays.get("map")),
-        clock_strategy=_choice(clocks, "clocks.strategy", CLOCK_STRATEGIES, "uniform"),
+        clock_strategy=clocks.get("strategy", "uniform"),
         clock_seed=_value(clocks, "clocks.seed", _integer, 0),
         placement=_placement(doc, base, layers),
-        machine=_choice(doc, "machine", MACHINES, "full"),
+        machine=doc.get("machine", "full"),
         corruption=corruption,
         corruption_seed=_value(corr, "corruption.seed", _integer, 0),
         perturbation=perturbation,
@@ -408,7 +405,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         seeds=seeds,
         axes={str(k): _list(v, f"sweep.{k}") for k, v in axes.items()},
         trials=_value(doc, "trials", _integer, 0),
-        fault_probability=_value(doc, "fault_probability", _probability, 0.0),
+        fault_probability=_value(doc, "fault_probability", _real, 0.0),
         behavior_mix=_entries(doc.get("behavior_mix", ["silent"]), "behavior_mix", _mc_behavior),
         behavior_changes_per_pulse=_value(doc, "behavior_changes_per_pulse", _integer, 1),
         corruption=_mapping(doc.get("corruption"), "corruption", SECTION_KEYS["corruption"]),

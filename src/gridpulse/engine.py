@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, ProtocolError
+from .errors import AlignmentError, ConfigurationError
 from .faults import (
     FaultPlacement,
     fault_mask,
@@ -56,8 +56,8 @@ from .protocol import (
     inner_loop_threshold_array,
     layer0_step,
 )
-from .timing import (Params, chain_edges, delay_keys, sample_clocks, sample_delays,
-                     validate_params)
+from .timing import (CLOCK_STRATEGIES, DELAY_STRATEGIES, Params, chain_edges, delay_keys,
+                     sample_clocks, sample_delays, validate_params)
 from .topology import BaseGraph, LayeredGraph, build_layered
 
 __all__ = [
@@ -126,14 +126,17 @@ class RunConfig:
     enforce_alignment: bool | None = None  # None: auto-enable on clean ideal validated runs
 
     def __post_init__(self) -> None:
-        """Check each rule that joins fields or needs the graph; a message
-        starts with its key path in the config document."""
+        """Check each choice, then each rule that joins fields or needs the
+        graph; a message starts with its key path in the config document."""
+        for path, value, choices in (("machine", self.machine, MACHINES),
+                                     ("delays.strategy", self.delay_strategy, DELAY_STRATEGIES),
+                                     ("clocks.strategy", self.clock_strategy, CLOCK_STRATEGIES)):
+            if value not in choices:
+                raise ConfigurationError(f"{path}: {value!r} not one of {choices}")
         if self.pulses < 1:
             raise ConfigurationError("pulses: need at least one pulse")
         if self.layers < 1:
             raise ConfigurationError("layers: need at least one layer")
-        if self.machine not in MACHINES:
-            raise ConfigurationError(f"machine: unknown machine {self.machine!r}")
         n, placement, custom = self.base.num_vertices, self.placement, self.custom_delays
         for i, ((v, layer), behavior) in enumerate(placement.behaviors.items()):
             node = f"faulty node (v={v}, layer={layer})"
@@ -600,11 +603,7 @@ class _Engine:
         cfg = self.cfg
         for v, layer in sorted(cfg.placement.members):
             behavior = cfg.placement.behaviors[v, layer]
-            nominal_times = None
-            if behavior.needs_nominal:
-                if self.nominal is None:
-                    raise ProtocolError("offset-anchored behavior without a twin execution")
-                nominal_times = self.nominal.pulse_times(v, layer)
+            nominal_times = self.nominal.pulse_times(v, layer) if behavior.needs_nominal else None
             for k in range(1, cfg.pulses + 1):
                 for t_emit, recipients in faulty_emissions(behavior, nominal_times, k):
                     self._push(t_emit, layer * self.nv + v, v, _KIND_FAULT_EMISSION,

@@ -105,12 +105,8 @@ def faulty_emissions(
     if behavior.kind == "per_pulse_offset":
         idx = min(k - 1, len(behavior.offsets) - 1)
         return [(nominal + behavior.offsets[idx], behavior.recipients)]
-    if behavior.kind == "burst":
-        return [
-            (nominal + i * behavior.spacing, behavior.recipients)
-            for i in range(behavior.count)
-        ]
-    raise ConfigurationError(f"unknown fault behavior {behavior.kind!r}")
+    return [(nominal + i * behavior.spacing, behavior.recipients)  # burst
+            for i in range(behavior.count)]
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,10 @@ def result_from_files(out_dir: Path) -> RunResult:
     if schema != RUN_SCHEMA:
         raise ConfigurationError(f"{run_path}: schema {schema!r} is not {RUN_SCHEMA!r}; "
                                  f"re-run `gridpulse run` to write this run in the current schema")
-    cfg = build_run_config(meta.get("config"))
+    try:
+        cfg = build_run_config(meta.get("config"))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{run_path}: {exc}") from exc
     L, n = cfg.layers, cfg.base.num_vertices
 
     layer, v, pulse, times, local_times = _read_columns(

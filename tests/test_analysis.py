@@ -13,6 +13,7 @@ from gridpulse import analysis
 from gridpulse.engine import (
     CorruptionSpec, PerturbationSpec, RunConfig, RunResult, empty_arrays, run,
 )
+from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
 from gridpulse.timing import Params, local_skew_budget
@@ -121,6 +122,24 @@ class TestPotentials:
         view = analysis.TraceView(res)
         table = analysis.potentials(view, kappa=0.0005, s_max=3)
         assert analysis.skew_vs_potential_violations(view, table, 0.0005) == []
+
+    def test_skew_above_a_forged_potential_reported(self):
+        """A table whose psi is forged to zero lies below the skew 0.1 of
+        vertex 3 against its neighbors at both levels: one row per level."""
+        times = {v: [0.0] for v in range(8)}
+        times[3] = [0.1]
+        view = analysis.TraceView(synthetic_result({0: times}))
+        table = analysis.potentials(view, kappa=0.01, s_max=1)
+        forged = dataclasses.replace(table, psi=np.zeros_like(table.psi))
+        assert analysis.skew_vs_potential_violations(view, forged, 0.01) == [
+            {"s": 0, "layer": 0, "pulse": 1, "skew": 0.1, "bound": 0.0},
+            {"s": 1, "layer": 0, "pulse": 1, "skew": 0.1, "bound": 0.04},
+        ]
+
+    def test_negative_level_rejected(self):
+        view = analysis.TraceView(synthetic_result({0: {v: [5.0] for v in range(8)}}))
+        with pytest.raises(ConfigurationError, match="s_max must be >= 0"):
+            analysis.potentials(view, kappa=0.01, s_max=-1)
 
 
 class TestConditions:
@@ -240,6 +259,12 @@ class TestStabilizationMetric:
         ref = synthetic_result({0: {v: [1.0, 3.0] for v in range(8)}}, pulses=2)
         wild = synthetic_result({0: {v: [1.0, 3.7] for v in range(8)}}, pulses=2)
         assert math.isinf(analysis.stabilization_pulse(wild, ref))
+
+    def test_node_silent_after_the_start_is_unstabilized(self):
+        """Vertex 5 pulses in the reference but never in this run."""
+        ref = synthetic_result({0: {v: [1.0, 3.0] for v in range(8)}}, pulses=2)
+        hushed = synthetic_result({0: {v: [1.0, 3.0] for v in range(8) if v != 5}}, pulses=2)
+        assert math.isinf(analysis.stabilization_pulse(hushed, ref))
 
 
 @pytest.fixture(scope="module")

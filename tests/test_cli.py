@@ -18,6 +18,7 @@ import gridpulse
 
 from gridpulse.cli import main
 from gridpulse.config import load_config, run_document
+from gridpulse.report import ALL_CHECKS
 from gridpulse.timing import delay_keys, sample_delays
 from gridpulse.topology import build_layered
 
@@ -119,6 +120,23 @@ class TestRun:
         assert main(args + ["--force"] * force) == 2
         assert "machine 'simplified'" in capsys.readouterr().err
 
+    def test_top_level_list_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- schema: 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "top level must be a mapping" in capsys.readouterr().err
+
+    def test_alignment_violation_exit_one(self, tmp_path, capsys):
+        """A chain source lets a predecessor's next pulse arrive within the
+        current iteration; with enforce_alignment the run stops with exit 1
+        and writes nothing."""
+        doc = dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=3, pulses=6,
+                   source={"kind": "chain"}, enforce_alignment=True)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("iteration alignment violated: ")
+        assert not out.exists()
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_DOC)
         out = tmp_path / "env-out"
@@ -186,9 +204,15 @@ class TestVerify:
         (("run.json",), lambda lines: [json.dumps(dict(json.loads("\n".join(lines)),
                                                        validation_violations=["tampered"]))],
          "run.json"),
+        (("run.json",), lambda lines: lines[:3], "run.json"),
+        (("run.json",), lambda lines: [json.dumps(dict(json.loads("\n".join(lines)), config=[]))],
+         "run.json"),
+        (("run.json",), lambda lines: [x.replace('"uniform-random"', '"fastest"') for x in lines],
+         "run.json: delays.strategy"),
     ], ids=["row_after_the_last", "pulse_gap", "duplicate_row", "rows_swapped",
             "snapshot_without_pulse", "snapshot_header", "snapshots_deleted", "arm_bogus",
-            "arm_empty", "node_deleted", "validation_tampered"])
+            "arm_empty", "node_deleted", "validation_tampered", "run_json_truncated",
+            "config_not_a_mapping", "strategy_unknown"])
     def test_files_run_never_writes_exit_two(self, tmp_path, capsys, names, edit, blamed):
         """verify reads the files in the layout that run writes (rows in
         (layer, vertex, pulse) order, each node's pulses 1..count, every
@@ -304,6 +328,38 @@ class TestConfigErrors:
             main([command, *args, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_checks_subset_written(self, tmp_path, command):
+        """--checks skew,drift writes those two checks, and only those."""
+        out, cfg = tmp_path / "out", write_config(tmp_path, BASE_DOC)
+        if command == "sweep":
+            cfg = write_config(tmp_path, {"run": BASE_DOC, "seeds": [1]}, "sweep.yaml")
+        if command == "verify":
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            args = [str(out)]
+        else:
+            args = ["--config", str(cfg), "--out", str(out)]
+        assert main([command, *args, "--checks", "skew,drift"]) == 0
+        if command == "sweep":
+            row, = json.loads((out / "sweep.json").read_text())["rows"]
+            assert sorted(k for k in row if k.startswith("check:")) == ["check:drift",
+                                                                         "check:skew"]
+        else:
+            name = {"run": "report.json", "verify": "verify.json"}[command]
+            report = json.loads((out / name).read_text())
+            assert report["checks_enabled"] == ["skew", "drift"]
+            assert sorted(report["checks"]) == ["drift", "skew"]
+
+    @pytest.mark.parametrize("value", ["bogus", "skew,bogus", ",", ""])
+    def test_unknown_or_no_check_exit_two(self, tmp_path, capsys, value):
+        """A --checks value names at least one check, and only known ones."""
+        args = ["--config", str(write_config(tmp_path, BASE_DOC)), "--out", str(tmp_path / "o")]
+        assert main(["run", *args, "--checks", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --checks ")
+        assert all(name in err for name in ALL_CHECKS)
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("command,edit,path", [
@@ -453,6 +509,20 @@ class TestFaultsMc:
         ran = [r for r in json.loads((out / "faults_mc.json").read_text())["rows"]
                if not r["rejected"]]
         assert ran and all(r["period_violations"] is None for r in ran)
+
+    def test_all_trials_rejected_write_null_aggregates(self, tmp_path, capsys):
+        """At p = 0.9 on m = 4 every sampled placement breaks the strict rule:
+        no trial runs, each aggregate is null, and the command exits 0."""
+        doc = {"run": dict(BASE_DOC, layers=6), "seeds": [0], "trials": 3,
+               "fault_probability": 0.9}
+        out = tmp_path / "mc"
+        assert main(["faults-mc", "--config", str(write_config(tmp_path, doc, "mc.yaml")),
+                     "--out", str(out)]) == 0
+        assert "3 trials, 3 rejected" in capsys.readouterr().out
+        aggregates = json.loads((out / "faults_mc.json").read_text())["aggregates"]
+        assert [entry["rows"] for entry in aggregates] == [3, 3]
+        assert all(value is None for entry in aggregates
+                   for key, value in entry.items() if key != "rows")
 
     def test_probability_zero_reduces_to_fault_free(self, tmp_path):
         doc = {

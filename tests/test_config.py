@@ -306,6 +306,21 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"corruption": {"enabled": False, "node_fraction": "x"}}, "corruption.node_fraction"),
     ({"corruption": {"enabled": False, "max_spurious_messages": -3}}, "corruption"),
     ({"corruption": {"enabled": False, "node_fraction": 1.5}}, "corruption"),
+    # a fault behavior names a kind of the list, with the fields that kind needs
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1}]}},
+     r"faults.placement\[0\].behavior.kind"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {"kind": "teleport"}}]}},
+     r"faults.placement\[0\].behavior"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1,
+                                "behavior": {"kind": "per_pulse_offset"}}]}},
+     r"faults.placement\[0\].behavior"),
+    ({"schema": 2}, "schema"),
+    # a topology is one of the two kinds, and an edge list is a simple graph
+    ({"topology": {"kind": "torus", "m": 3}}, "topology.kind"),
+    ({"topology": {"kind": "edge_list", "edges": []}}, "topology.edges"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, -2], [0, -2]]}}, "topology.edges"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [2, 0], [1, 0]]}},
+     "topology.edges"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
@@ -365,3 +380,16 @@ def test_run_config_holds_a_delay_map_to_its_strategy():
     with pytest.raises(ConfigurationError,
                        match=r"^delays.map: misses 1 edges, e.g. \('dag', 0, 0, 0\)"):
         RunConfig(**{**vars(cfg), "delay_strategy": "custom-map", "custom_delays": custom})
+
+
+@pytest.mark.parametrize("field,path,value", [
+    ("machine", "machine", "fast"),
+    ("delay_strategy", "delays.strategy", "fastest"),
+    ("clock_strategy", "clocks.strategy", "slow"),
+])
+def test_run_config_holds_each_choice_to_its_list(field, path, value):
+    """A library config with an unknown machine or strategy fails when it is
+    built, with the document's key path, not later inside a run."""
+    cfg = build_run_config(DOC)
+    with pytest.raises(ConfigurationError, match=rf"^{path}: '{value}' not one of \("):
+        RunConfig(**{**vars(cfg), field: value})

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import (
     FaultBehavior,
+    FaultPlacement,
     faulty_emissions,
     perturbation_caps,
     perturb_between_pulses,
@@ -58,6 +59,27 @@ class TestBehaviors:
     def test_zero_spacing_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultBehavior(kind="burst", count=2, spacing=0.0)
+
+    def test_pulse_index_is_one_based(self):
+        with pytest.raises(ConfigurationError, match="1-based"):
+            faulty_emissions(FaultBehavior(kind="silent"), [12.0], 0)
+
+    def test_no_twin_pulse_no_emission(self):
+        """An anchored behavior emits nothing for a pulse its twin never made."""
+        b = FaultBehavior(kind="fixed_offset", offset=0.4)
+        assert faulty_emissions(b, [12.0], 2) == []
+        assert faulty_emissions(b, None, 1) == []
+
+
+class TestFaultPlacement:
+    @pytest.mark.parametrize("behaviors,message", [
+        ({4: FaultBehavior(kind="silent")}, r"fault key must be \(vertex, layer\), got 4"),
+        ({(4, 2, 0): FaultBehavior(kind="silent")}, "fault key must be"),
+        ({(4, 2): "silent"}, r"behavior for \(4, 2\) is not a FaultBehavior"),
+    ])
+    def test_malformed_entry_rejected(self, behaviors, message):
+        with pytest.raises(ConfigurationError, match=message):
+            FaultPlacement(behaviors=behaviors)
 
 
 class TestPlacementValidation:

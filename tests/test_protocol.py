@@ -58,6 +58,10 @@ class TestComputeCorrection:
         with pytest.raises(ProtocolError):
             compute_correction(10, None, 12, 1, 1.2)
 
+    def test_nonpositive_kappa_rejected(self):
+        with pytest.raises(ProtocolError, match="kappa must be positive"):
+            compute_correction(10, 8, 12, 0.0, 1.2)
+
     def test_branch_adjustment_identity_exact(self):
         """-kappa/2+2*kappa and -kappa/2-kappa match the +-3*kappa/2 forms,
         checked in exact rational arithmetic."""
@@ -206,6 +210,11 @@ class TestArrayForms:
         with pytest.raises(ProtocolError):
             compute_correction_array(present, absent, h_max, 1, 1.2)
 
+    def test_nonpositive_kappa_rejected(self):
+        h = np.array([[10.0, 10.0]])
+        with pytest.raises(ProtocolError, match="kappa must be positive"):
+            compute_correction_array(h, h - 2.0, h + 2.0, -1.0, 1.2)
+
 
 def feed(state, params, arrivals, packed=True):
     """Drive a node with (slot, local time) message arrivals; returns what
@@ -332,6 +341,21 @@ class TestFullMachine:
         assert gcs_step(st_, "pulse", None, 14.05, params) is None
         assert st_.iteration == 2
 
+    def test_own_copy_alone_keeps_listening(self):
+        """A corrupted start can leave a node listening with only its own copy
+        heard. A second copy inside the quiet gap neither reopens the phase
+        nor arms a threshold: the step returns None."""
+        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
+        st_ = self.make()
+        st_.phase, st_.h_own, st_.last_accept = Phase.LISTENING, 10.0, 10.0
+        assert gcs_step(st_, None, 0, 10.05, params) is None
+        assert st_.phase is Phase.LISTENING and st_.h_min is None and st_.h_own == 10.0
+
+    def test_unknown_timer_rejected(self):
+        params = Params.derive(d=1.0, u=1.0 / 3.0, theta=1.2, lam=2.0)
+        with pytest.raises(ProtocolError, match="unknown timer kind 'alarm'"):
+            gcs_step(self.make(), "alarm", None, 10.0, params)
+
 
 class TestChainMachine:
     def test_reception_schedules_forward(self):
@@ -349,6 +373,10 @@ class TestChainMachine:
         st_ = ChainState()
         assert layer0_step(st_, "pulse", 51.0, params) is None
         assert st_.iteration == 2
+
+    def test_threshold_timer_rejected(self):
+        with pytest.raises(ProtocolError, match="only use pulse timers"):
+            layer0_step(ChainState(), "threshold", 51.0, PARAMS_TOY)
 
 
 class TestIdealSource:
@@ -379,3 +407,14 @@ class TestIdealSource:
     def test_source_mode_validation(self):
         with pytest.raises(ConfigurationError):
             SourceMode(kind="nonsense")
+
+    @pytest.mark.parametrize("jitter,pulses,message", [
+        (-0.001, 2, "jitter bound must be >= 0"),
+        (0.001, 0, "need at least one pulse"),
+    ])
+    def test_times_need_a_jitter_and_a_pulse(self, jitter, pulses, message):
+        from gridpulse.topology import build_line_with_replicated_ends
+
+        base = build_line_with_replicated_ends(3)
+        with pytest.raises(ConfigurationError, match=message):
+            ideal_source_times(base, 2.0, jitter, seed=5, pulses=pulses)

@@ -110,6 +110,11 @@ class TestValidateParams:
         p = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0, validation_constant=0.0)
         assert validate_params(p, 1000) == []
 
+    def test_budget_needs_a_diameter(self):
+        p = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
+        with pytest.raises(ConfigurationError, match="diameter must be >= 1, got 0"):
+            local_skew_budget(p, 0)
+
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -148,6 +153,11 @@ class TestDelays:
             layer = key[2] if key[0] == "dag" else key[1]
             expected = params.d - params.u if layer % 2 == 0 else params.d
             assert value == expected
+
+    def test_unknown_strategy_rejected(self, small_world):
+        graph, params = small_world
+        with pytest.raises(ConfigurationError, match="unknown delay strategy 'fastest'"):
+            sample_delays(graph, params, "fastest", seed=0)
 
     def test_custom_out_of_range_rejected(self, small_world):
         """The range of a custom map is checked when the config is built:
