@@ -26,7 +26,7 @@ from gridpulse.engine import (
 )
 from gridpulse.errors import ConfigurationError, ProtocolError
 from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps
-from gridpulse.protocol import SourceMode
+from gridpulse.protocol import QUIET_DIVISOR, SourceMode
 from gridpulse.timing import (DELAY_STRATEGIES, Params, delay_keys, sample_clocks,
                               sample_delays, validate_params)
 from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
@@ -431,6 +431,74 @@ def clean_configs(draw, machine="simplified", wide=False):
     )
 
 
+@st.composite
+def spread_configs(draw):
+    """Fault-free static ideal-source full-machine configs on the line with
+    replicated ends, m up to 64 and up to 16 layers, with a delay spread u up
+    to the lam/10 quiet window: deep and wide enough for skew to build up, so
+    that some nodes commit before their last arrival."""
+    d = draw(st.floats(0.5, 2.0))
+    lam = d * draw(st.floats(1.5, 3.0))
+    params = Params.derive(d=d, u=lam / QUIET_DIVISOR * draw(st.floats(1e-3, 1.0)),
+                           theta=1.0 + draw(st.floats(1e-6, 1e-3)), lam=lam)
+    return RunConfig(
+        base=build_line_with_replicated_ends(draw(st.integers(2, 64))),
+        layers=draw(st.integers(2, 16)), params=params,
+        source=SourceMode(kind="ideal", jitter=draw(st.floats(0.0, 1.0)) * params.kappa / 4,
+                          seed=draw(st.integers(0, 2**31))),
+        pulses=draw(st.integers(1, 5)),
+        delay_strategy=draw(st.sampled_from(["uniform-random", "per-layer-alternating"])),
+        delay_seed=draw(st.integers(0, 2**31)),
+        clock_strategy=draw(st.sampled_from(["uniform", "all-one", "all-max"])),
+        clock_seed=draw(st.integers(0, 2**31)),
+    )
+
+
+def spread_config(m, seed, spread):
+    """A run of m + 2 vertices, 16 layers and 5 pulses whose delays spread
+    over ``spread`` of the lam/10 quiet window."""
+    params = Params.derive(d=1.0, u=spread * 2.0 / QUIET_DIVISOR, theta=1.0002, lam=2.0)
+    return base_config(m=m, layers=16, pulses=5, params=params, delay_seed=seed,
+                       clock_seed=seed + 7,
+                       source=SourceMode(kind="ideal", jitter=params.kappa / 4, seed=seed))
+
+
+# Fixed before any kernel mutant was run against it. Together these take
+# every commit branch of COMMIT_BRANCHES in the kernel itself.
+SPREAD_CORPUS = {
+    "m64_seed1": (64, 1, 0.1),
+    "m64_seed2": (64, 2, 0.3),
+    "m64_seed3": (64, 3, 0.1),
+    "m32_seed1": (32, 1, 0.3),
+}
+
+COMMIT_BRANCHES = ("timer_between_arrivals", "arrival_before_last", "last_arrival",
+                   "last_threshold", "early_second_arm")
+
+
+def commit_branches(cfg, result) -> Counter:
+    """How each node-pulse of layers >= 1 committed, recomputed from the
+    local times of its arrivals: at a threshold timer before its last
+    arrival, at an arrival before the last, at the last arrival or at the
+    last threshold; ``early_second_arm`` counts in addition the commits
+    without h_max."""
+    inputs, base = _sample_inputs(cfg), cfg.base
+    branches = Counter()
+    for layer, k, v in np.ndindex(cfg.layers - 1, cfg.pulses, base.num_vertices):
+        heard = sorted(inputs.offset[layer + 1, v] + inputs.rate[layer + 1, v] * (
+            result.times[layer, k, w] + inputs.dag[layer, w, base.slots[w].index(v)])
+            for w in (v, *base.adjacency[v]))
+        exit_local = result.exit_local[layer + 1, k, v]
+        before_last = exit_local < heard[-1]
+        if exit_local in heard:
+            branches["arrival_before_last" if before_last else "last_arrival"] += 1
+        else:
+            branches["timer_between_arrivals" if before_last else "last_threshold"] += 1
+        if np.isnan(result.h_max[layer + 1, k, v]):
+            branches["early_second_arm"] += 1
+    return branches
+
+
 RUN_ARRAYS = ("counts", "times", "local_times", *SNAPSHOT_FIELDS, "arm")
 
 
@@ -471,6 +539,37 @@ class TestLayerKernel:
             assert kernel == engine
         else:
             assert_same_run(kernel, engine)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spread_configs())
+    def test_spread_equals_event_engine(self, cfg):
+        """As ``test_equals_event_engine``, on deeper and wider runs whose
+        delay spread reaches the quiet window."""
+        assert_same_run(run(cfg), run_events(cfg))
+
+    @pytest.mark.parametrize("name", sorted(SPREAD_CORPUS))
+    def test_spread_corpus_in_closed_form(self, name):
+        cfg = spread_config(*SPREAD_CORPUS[name])
+        kernel = _layer_kernel(cfg, _sample_inputs(cfg))
+        assert kernel is not None
+        assert_same_run(kernel, run_events(cfg))
+
+    def test_spread_corpus_takes_every_commit_branch(self):
+        """The kernel itself, not the event engine, commits nodes at a timer
+        between arrivals, at an arrival before the last (a straggler), on the
+        second arm without h_max, and at the last threshold."""
+        branches, stragglers, early_exits = Counter(), 0, 0
+        for m, seed, spread in SPREAD_CORPUS.values():
+            cfg = spread_config(m, seed, spread)
+            kernel = _layer_kernel(cfg, _sample_inputs(cfg))
+            assert kernel is not None
+            branches += commit_branches(cfg, kernel)
+            stragglers += kernel.diagnostics.stragglers_dropped
+            early_exits += kernel.diagnostics.early_second_arm_exits
+        assert set(branches) >= {"timer_between_arrivals", "arrival_before_last",
+                                 "last_threshold", "early_second_arm"}
+        assert early_exits == branches["early_second_arm"]
+        assert stragglers >= branches["timer_between_arrivals"] + branches["arrival_before_last"]
 
     def test_early_second_arm_exits_at_m64(self):
         """At m=64 (seed 1) 20 nodes commit on the second arm before their
