@@ -392,8 +392,6 @@ def stabilization_pulse(result: RunResult, reference: RunResult) -> float:
     counts = result.counts
     # nodes that pulsed in the reference run and are correct in this one
     nodes = (reference.counts > 0) & ~result.config.faulty
-    if np.any(nodes & (counts == 0)):
-        return UNSTABILIZED
     last = np.maximum(reference.counts - 1, 0)[:, None, :]
     anchor = np.take_along_axis(reference.times, last, axis=1)
     # |IEEE remainder| of the offset by lam: fmod is exact, and so is

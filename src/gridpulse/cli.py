@@ -37,10 +37,10 @@ def _out_dir(args) -> Path:
 
 
 def _parse_checks(raw: str | None) -> tuple[str, ...]:
-    """The checks ``--checks`` names, all of them when the flag is left out."""
+    """The checks ``--checks`` names, each once; all of them when the flag is left out."""
     if raw is None:
         return ALL_CHECKS
-    names = tuple(x.strip() for x in raw.split(",") if x.strip())
+    names = tuple(dict.fromkeys(x.strip() for x in raw.split(",") if x.strip()))
     if not names or not set(names) <= set(ALL_CHECKS):
         raise ConfigurationError(f"--checks {raw!r}: name one or more of "
                                  f"{', '.join(ALL_CHECKS)}, separated by commas")

@@ -6,21 +6,31 @@ order. Hardware-clock deadlines are converted to real time when armed
 (clocks are affine), and the requested local time is carried on the timer
 so targets are hit bit-exactly. Identical configurations, seeds
 included, yield bit-identical traces. ``run_events`` runs the full machine
-on this queue and is the reference semantics. ``run`` computes clean static
-ideal-source runs in closed form instead, one layer at a time, for both
-machines, and falls back to the event queue on the first wave the closed
-form cannot reproduce. Graph, delays and clocks are sampled once per call
-and shared by the kernel, the event queue and a fault-free twin.
+on this queue and is the reference semantics. Graph, delays and clocks are
+sampled once per call and shared by the closed form, the event queue and a
+fault-free twin.
 
-Inside the event queue, node (v, layer) is the integer id ``layer * n + v``.
-Clock rates and offsets, state machines, timer versions and pulse counts
-are flat lists indexed by it; each node's broadcast receivers are
-precomputed once per run, with their delays in a flat list indexed by edge:
-``i * width + j`` for slot j of node i, then the chain hops. A message
-carries its receiver's slot for the sender (``BaseGraph.slots``) and the
-pulse index. The main loop calls ``gcs_step`` and ``layer0_step`` with plain
-arguments and applies the one value they return: a cancelled threshold
-timer, an armed threshold or pulse timer, or, after a pulse timer, the pulse.
+``run`` computes clean static ideal-source runs in closed form instead, for
+both machines, one layer at a time. One step, ``_layer_step``, maps a
+layer's arrival times to its pulse times, snapshots and event counts, and to
+an ``out_of_regime[pulse, vertex]`` mask of the node-pulses that the closed
+form does not reproduce: a wave outside one listening phase (two arrivals
+lam/10 or more apart, or the first less than lam/10 after the previous
+wave's last) or an arrival at or before the node's previous pulse; on the
+full machine also an exact tie between arrivals, a threshold timer due
+exactly at a checked arrival, a commit at an arrival while a timer is armed,
+a timeout (a commit before the node's own copy arrives), or an arrival at or
+after the pulse. At the first layer with a marked node, the full machine
+falls back to the event queue and the simplified machine is a configuration
+error.
+
+Inside the event queue (``_Engine``), node (v, layer) is the integer id
+``layer * n + v``, which indexes flat lists of clocks, state machines, timer
+versions and pulse counts. A message carries its receiver's slot for the
+sender (``BaseGraph.slots``) and the pulse index. The main loop calls
+``gcs_step`` and ``layer0_step`` with plain arguments and applies the one
+value they return: a cancelled threshold timer, an armed threshold or pulse
+timer, or, after a pulse timer, the pulse.
 """
 
 from __future__ import annotations
@@ -274,10 +284,6 @@ class RunResult:
         return self.times[layer, : self.counts[layer, vertex], vertex].tolist()
 
 
-def _needs_twin(placement: FaultPlacement) -> bool:
-    return any(b.needs_nominal for b in placement.behaviors.values())
-
-
 def _auto_alignment(config: RunConfig) -> bool:
     """Alignment is enforced on clean ideal validated runs unless the config says."""
     if config.enforce_alignment is not None:
@@ -314,138 +320,161 @@ def _sample_inputs(config: RunConfig) -> _Inputs:
     return _Inputs(graph, dag, chain, rate, offset, times)
 
 
+class _Tables(NamedTuple):
+    """What every layer step of a run shares, computed once per run."""
+
+    real: np.ndarray  # [vertex, position]: a real input slot (``padded_slots``)
+    own_slot: np.ndarray  # [vertex]: the slot of the node's own copy
+    degree: np.ndarray  # [vertex]: the neighbor count, the last real position
+    cell: np.ndarray  # [pulse, vertex]: the flat offset of the cell's position 0
+    params: Params
+    full: bool
+
+
+# The bit of the simplified machine's out_of_regime that marks a wave outside
+# one listening phase, which it reports by name; any other cause sets bit 1.
+_SPLIT_WAVE = 2
+
+
+def _layer_step(tables: _Tables, arrival: np.ndarray, off: np.ndarray, rt: np.ndarray) -> tuple:
+    """One layer of a clean static ideal-source run in closed form, from the
+    real times ``arrival[pulse, vertex, slot]`` (inf on a padding slot) at
+    which its nodes receive their inputs, and its clock offsets and rates.
+    Returns [pulse, vertex] arrays: the times, the local times, the
+    SNAPSHOT_FIELDS as one tuple, the layer's counts (threshold pushes,
+    waves that push one, stragglers, early second-arm exits) and the
+    ``out_of_regime`` mask of the node-pulses that the module docstring
+    lists. A marked cell's values are meaningless; a node with no marked
+    pulse has the event engine's values wherever the layer below has them.
+
+    Each wave's arrivals are sorted as the event queue pops them (real time,
+    then sender) into [pulse, vertex, position] arrays. h_own, h_min and
+    h_max each hold from their arrival's position on, so the inner-loop
+    threshold after arrival j, ``thr[j]``, is one array. A finite threshold
+    never becomes infinite again within a phase, so the timer armed before
+    arrival j is ``thr[j-1]`` (none before arrival 0). The full machine's
+    checks follow the event queue's order: check 2j, that timer due strictly
+    before arrival j (commit at the timer, having heard up to arrival j-1),
+    and check 2j+1, ``h_j >= thr[j]`` (commit at arrival j). The first true
+    check commits; with none, the node commits at the last threshold. The
+    thresholds before the commit position were pushed, and the arrivals from
+    it on are stragglers. The simplified machine commits at the last
+    arrival, having heard all three values.
+    """
+    real, own_slot, degree, cell, params, full = tables
+    K, n, width = arrival.shape
+    last = cell + degree
+    position = np.arange(width)
+    quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
+    order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, position]
+    a = arrival.reshape(-1)[cell[..., None] + order]
+    # padding repeats the last arrival: no gap, minimum or maximum moves
+    a = np.where(real, a, a.reshape(-1)[last][..., None])
+    h = off[:, None] + rt[:, None] * a
+    # a wave outside one listening phase: its first arrival less than lam/10
+    # after the previous wave's last, or two arrivals lam/10 or more apart
+    out = np.zeros((K, n), dtype=bool)
+    out[1:] = h[1:, :, 0] - h[:-1, :, -1] < quiet
+    gap = h[..., 1:] - h[..., :-1] >= quiet
+
+    # (position, value) of the own copy, the first and the last neighbor
+    own = (order == own_slot[:, None]).argmax(axis=-1)
+    flat = h.reshape(-1)
+    heard = ((own, flat[cell + own]), (own == 0, flat[cell + (own == 0)]),
+             (degree - (own == degree), flat[last - (own == degree)]))
+    if full:
+        thr = inner_loop_threshold_array(
+            *(np.where(at[..., None] <= position, value[..., None], np.nan)
+              for at, value in heard), kappa, theta)
+        timer = np.concatenate((np.full((K, n, 1), np.inf), thr[..., :-1]), axis=-1)
+        due = (timer - off[:, None]) / rt[:, None]
+        # checks 2j and 2j+1 exist while j <= degree
+        checks = (np.stack((due < a, h >= thr), axis=-1).reshape(K, n, 2 * width)
+                  & np.repeat(real, 2, axis=1))
+        # the first true check commits; check 0 is never true (no timer is
+        # armed before the first arrival), so an argmax of 0 means that the
+        # node commits at the last threshold
+        check = checks.argmax(axis=-1)
+        check = np.where(check > 0, check, 2 * degree + 2)
+        commit, seen = check // 2, (check - 1) // 2  # first arrival unheard, last heard
+        at_seen, at_arrival = cell + seen, check % 2 == 1
+        exit_local = np.where(at_arrival, flat[at_seen], thr.reshape(-1)[at_seen])
+        h_own, h_min, h_max = (np.where(at <= seen, value, np.nan) for at, value in heard)
+        # per position: a gap, a tie, or a timer due exactly at a checked arrival
+        bad = (due == a) & real & (2 * position <= check[..., None])
+        bad[..., 1:] |= gap | ((a[..., 1:] == a[..., :-1]) & real[:, 1:])
+        # a timeout, or a commit at an arrival while a timer is armed (only
+        # rounding puts an arrival past a threshold whose timer is not due);
+        # a matrix product with ones is bad.any(axis=-1), at a third of its cost
+        timeout = np.isnan(h_own)
+        out |= (bad @ np.ones(width, dtype=bool) | timeout
+                | at_arrival & (timer.reshape(-1)[at_seen] < np.inf))
+        # in regime, a wave pushes a threshold unless it commits at an arrival
+        counts = np.array([np.count_nonzero((thr < np.inf) & (position < commit[..., None])),
+                           K * n - np.count_nonzero(at_arrival), (degree + 1 - commit).sum(),
+                           np.count_nonzero(np.isnan(h_max))])
+        h_correct = np.where(timeout, h_min, h_own)  # any value: the cell is out of regime
+    else:
+        h_own, h_min, h_max = (value for _, value in heard)
+        h_correct, exit_local = h_own, h[..., -1]
+        out = np.where(out | gap @ np.ones(width - 1, dtype=bool), _SPLIT_WAVE, 0)
+        counts = np.array([0, 0, K * n, 0])  # the engine counts the arrival it commits on
+    correction = compute_correction_array(h_correct, h_min, h_max, kappa, theta)
+    target = np.maximum(h_own + params.lam - params.d - correction, exit_local)
+    times = (target - off) / rt
+    out[1:] |= a[1:, :, 0] <= times[:-1]  # an arrival at or before the previous pulse
+    if full:
+        out |= a[..., -1] >= times  # or at or after this one
+    return times, target, (h_own, h_min, h_max, correction, exit_local), counts, out
+
+
 def _layer_kernel(config: RunConfig, inputs: _Inputs) -> RunResult | None:
-    """A clean static ideal-source run in closed form, one layer at a time.
-
-    With static delays and clocks, an ideal source and no faults, pulse k of
-    layer l is a function of pulse k of layer l-1 alone. That holds while each
-    wave is one listening phase of the node: its arrivals less than lam/10
-    apart, at least lam/10 after the previous wave and strictly after the
-    node's previous pulse. Each wave's arrivals are sorted as the event queue
-    pops them (real time, then sender) into [pulse, vertex, position] arrays.
-
-    h_own, h_min and h_max each hold from their arrival's position on, so the
-    inner-loop threshold after arrival j, ``thr[j]``, is one array. A finite
-    threshold never becomes infinite again within a phase, so the timer armed
-    before arrival j is ``thr[j-1]`` (none before arrival 0). The full
-    machine's checks follow the event queue's order: check 2j, that timer due
-    strictly before arrival j (commit at the timer, having heard up to arrival
-    j-1), and check 2j+1, ``h_j >= thr[j]`` (commit at arrival j). The first
-    true check commits; with none, the node commits at the last threshold.
-    The thresholds before the commit position were pushed, and the arrivals
-    from it on are stragglers.
-
-    On the first wave the closed form cannot reproduce (an exact tie between
-    arrivals, a timer due exactly at a checked arrival, a commit at an
-    arrival while a timer is armed, a timeout, an arrival not strictly
-    between the node's previous pulse and this one, or a wave outside one
-    listening phase) it returns None: the run belongs to the event engine.
-    The simplified machine commits at the last arrival, having heard all
-    three values, and raises ConfigurationError outside the regime.
-
-    Diagnostics are the event engine's counts for the same run: one reopen
-    and one pulse timer per wave, one event per threshold push, and every
-    push but the last of a wave going stale.
+    """A clean static ideal-source run in closed form, one ``_layer_step``
+    at a time: pulse k of layer l is a function of pulse k of layer l-1.
+    Returns None on the first layer with a node out of regime, where the
+    simplified machine raises ConfigurationError instead. Diagnostics are
+    the event engine's counts for the same run: one reopen and one pulse
+    timer per wave, one event per threshold push, and every push but the
+    last of a wave going stale.
     """
     full = config.machine == "full"
-    base, params = config.base, config.params
     dag, rate, offset = inputs.dag, inputs.rate, inputs.offset
-    L, K, n = config.layers, config.pulses, base.num_vertices
+    L, K, n = config.layers, config.pulses, config.base.num_vertices
     # (slot[v, j], l) feeds (v, l+1): the inputs of v are its own slots
-    slot, real = base.padded_slots
+    slot, real = config.base.padded_slots
     width = slot.shape[1]
     vertex = np.arange(n)[:, None]
-    own_slot = (slot == vertex).argmax(axis=1)
-    degree = real.sum(axis=1) - 1
     # delays[l, v, j]: the edge from (slot[v, j], l) to (v, l+1), read from the
     # sender's slot of v
     back = (slot[slot] == vertex[..., None]).argmax(axis=-1)
     delays = dag.reshape(L - 1, n * width)[:, slot * width + back]
-    # flat offsets of each [pulse, vertex] cell's first and last real position
-    cell = np.arange(K * n).reshape(K, n) * width
-    last = cell + degree
-    position = np.arange(width)
-    checked = np.repeat(real, 2, axis=1)  # checks 2j and 2j+1 exist while j <= degree
-    no_timer = np.full((K, n, 1), np.inf)  # before the first arrival
-    quiet, kappa, theta = params.lam / QUIET_DIVISOR, params.kappa, params.theta
+    tables = _Tables(real, (slot == vertex).argmax(axis=1), real.sum(axis=1) - 1,
+                     np.arange(K * n).reshape(K, n) * width, config.params, full)
 
     arrays = empty_arrays(L, K, n)
     times, local_times = arrays["times"], arrays["local_times"]
     times[0] = inputs.source_times
     local_times[0] = offset[0] + rate[0] * times[0]
-    pushes = pushed_waves = stragglers = early_exits = 0
+    counts = np.zeros(4, dtype=np.int64)
     for layer in range(1, L):
-        off, rt = offset[layer], rate[layer]
         arrival = np.where(real, times[layer - 1][:, slot] + delays[layer - 1], np.inf)
-        order = np.argsort(arrival, axis=-1, kind="stable")  # [pulse, vertex, position]
-        a = arrival.reshape(-1)[cell[..., None] + order]
-        # padding repeats the last arrival: no gap, minimum or maximum moves
-        a = np.where(real, a, a.reshape(-1)[last][..., None])
-        h = off[:, None] + rt[:, None] * a
-        split = (h[..., 1:] - h[..., :-1] >= quiet).any(axis=-1)
-        split[1:] |= h[1:, :, 0] - h[:-1, :, -1] < quiet
-        if split.any():
+        times[layer], local_times[layer], snapshot, layer_counts, out = _layer_step(
+            tables, arrival, offset[layer], rate[layer])
+        if out.any():
             if full:
                 return None
+            split = out & _SPLIT_WAVE
             raise ConfigurationError(
                 f"machine 'simplified': the wave of {_first_bad(split, layer)} is not one "
-                f"listening phase (two arrivals lam/10 or more apart, or less than "
-                f"lam/10 after the previous wave)")
-
-        # (position, value) of the own copy, the first and the last neighbor
-        own = (order == own_slot[:, None]).argmax(axis=-1)
-        flat = h.reshape(-1)
-        heard = ((own, flat[cell + own]), (own == 0, flat[cell + (own == 0)]),
-                 (degree - (own == degree), flat[last - (own == degree)]))
-        if full:
-            thr = inner_loop_threshold_array(
-                *(np.where(at[..., None] <= position, value[..., None], np.nan)
-                  for at, value in heard), kappa, theta)
-            timer = np.concatenate((no_timer, thr[..., :-1]), axis=-1)
-            due = (timer - off[:, None]) / rt[:, None]
-            checks = np.stack((due < a, h >= thr), axis=-1).reshape(K, n, 2 * width) & checked
-            # the first true check commits; check 0 is never true (no timer is
-            # armed before the first arrival), so an argmax of 0 means that the
-            # node commits at the last threshold
-            check = checks.argmax(axis=-1)
-            check = np.where(check > 0, check, 2 * degree + 2)
-            commit, seen = check // 2, (check - 1) // 2  # first arrival unheard, last heard
-            at_seen = cell + seen
-            exit_local = np.where(check % 2 == 1, flat[at_seen], thr.reshape(-1)[at_seen])
-            h_own, h_min, h_max = (np.where(at <= seen, value, np.nan) for at, value in heard)
-            # ties, a commit at an arrival while a timer is armed (only rounding
-            # puts an arrival past a threshold whose timer is not due), a
-            # timeout, or no commit at all
-            if (((a[..., 1:] == a[..., :-1]) & real[:, 1:]).any()
-                    or ((due == a) & real & (2 * position <= check[..., None])).any()
-                    or ((check % 2 == 1) & (timer.reshape(-1)[at_seen] < np.inf)).any()
-                    or np.isinf(exit_local).any() or np.isnan(h_own).any()):
-                return None
-            pushed = (thr < np.inf) & (position < commit[..., None])
-            pushes += int(np.count_nonzero(pushed))
-            pushed_waves += int(np.count_nonzero(pushed.any(axis=-1)))
-            stragglers += int((degree + 1 - commit).sum())
-            early_exits += int(np.isnan(h_max).sum())
-        else:
-            h_own, h_min, h_max = (value for _, value in heard)
-            exit_local = h[..., -1]
-            stragglers += K * n  # the engine counts the arrival it commits on
-        correction = compute_correction_array(h_own, h_min, h_max, kappa, theta)
-        target = np.maximum(h_own + params.lam - params.d - correction, exit_local)
-        times[layer] = (target - off) / rt
-        local_times[layer] = target
-        early = np.zeros((K, n), dtype=bool)
-        early[1:] = a[1:, :, 0] <= times[layer][:-1]
-        if full:
-            if (early | (a[..., -1] >= times[layer])).any():
-                return None
-        elif early.any():
-            raise ConfigurationError(
-                f"machine 'simplified': {_first_bad(early, layer)} receives an input "
-                f"no later than its previous pulse")
-        for name, value in zip(SNAPSHOT_FIELDS, (h_own, h_min, h_max, correction, exit_local)):
+                f"listening phase (two arrivals lam/10 or more apart, or less than lam/10 "
+                f"after the previous wave)" if split.any() else
+                f"machine 'simplified': {_first_bad(out, layer)} receives an input no later "
+                f"than its previous pulse")
+        for name, value in zip(SNAPSHOT_FIELDS, snapshot):
             arrays[name][layer] = value
+        counts += layer_counts
     arrays["arm"][1:] = "corrected"
+    pushes, pushed_waves, stragglers, early_exits = counts.tolist()
 
     waves = (L - 1) * n * K
     messages = (L - 1) * K * int(real.sum())
@@ -483,7 +512,7 @@ def run_events(config: RunConfig) -> RunResult:
 
 def _run_events(config: RunConfig, inputs: _Inputs) -> RunResult:
     nominal: RunResult | None = None
-    if config.placement and _needs_twin(config.placement):
+    if any(b.needs_nominal for b in config.placement.behaviors.values()):
         # _run, not run: a profiler that wraps run counts one call per run
         nominal = _run(replace(config, placement=FaultPlacement.empty(), corruption=None,
                                perturbation=None), inputs)

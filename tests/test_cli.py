@@ -351,6 +351,19 @@ class TestConfigErrors:
             assert report["checks_enabled"] == ["skew", "drift"]
             assert sorted(report["checks"]) == ["drift", "skew"]
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_repeated_check_listed_once(self, tmp_path, command):
+        """A name given twice is enabled once, at its first place."""
+        out, cfg = tmp_path / "out", write_config(tmp_path, BASE_DOC)
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--checks", "drift,skew,drift"]) == 0
+        if command == "verify":
+            assert main(["verify", str(out), "--checks", "drift,skew,drift"]) == 0
+        name = {"run": "report.json", "verify": "verify.json"}[command]
+        report = json.loads((out / name).read_text())
+        assert report["checks_enabled"] == ["drift", "skew"]
+        assert sorted(report["checks"]) == ["drift", "skew"]
+
     @pytest.mark.parametrize("value", ["bogus", "skew,bogus", ",", ""])
     def test_unknown_or_no_check_exit_two(self, tmp_path, capsys, value):
         """A --checks value names at least one check, and only known ones."""

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,8 +456,8 @@ def spread_configs(draw):
 
 
 def spread_config(m, seed, spread):
-    """A run of m + 2 vertices, 16 layers and 5 pulses whose delays spread
-    over ``spread`` of the lam/10 quiet window."""
+    """A run on the line of m with replicated ends, 16 layers and 5 pulses,
+    whose delays spread over ``spread`` of the lam/10 quiet window."""
     params = Params.derive(d=1.0, u=spread * 2.0 / QUIET_DIVISOR, theta=1.0002, lam=2.0)
     return base_config(m=m, layers=16, pulses=5, params=params, delay_seed=seed,
                        clock_seed=seed + 7,
@@ -497,6 +498,37 @@ def commit_branches(cfg, result) -> Counter:
         if np.isnan(result.h_max[layer + 1, k, v]):
             branches["early_second_arm"] += 1
     return branches
+
+
+# The configs of TestLayerKernel.test_fallback_equals_event_engine, by id.
+FALLBACK_CASES = {
+    "tie": (PARAMS, ("all-max", "all-one")),
+    "split_wave": (Params.derive(d=1.0, u=0.5, theta=1.0002, lam=2.0),
+                   ("uniform-random", "uniform")),
+    "input_before_previous_pulse": (Params.derive(d=0.15, u=0.15, theta=1.01, lam=2.76),
+                                    ("uniform-random", "all-one")),
+}
+
+
+def fallback_config(name):
+    params, (delays, clocks) = FALLBACK_CASES[name]
+    return base_config(m=3, layers=3, pulses=3, params=params, delay_seed=1,
+                       source=SourceMode(kind="ideal"), delay_strategy=delays,
+                       clock_strategy=clocks)
+
+
+def spied_steps(cfg):
+    """(what ``_layer_kernel`` returns on cfg, the value of each layer step
+    it took, in layer order)."""
+    steps, step = [], engine_module._layer_step
+
+    def spy(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    with mock.patch.object(engine_module, "_layer_step", spy):
+        kernel = _layer_kernel(cfg, _sample_inputs(cfg))
+    return kernel, steps
 
 
 RUN_ARRAYS = ("counts", "times", "local_times", *SNAPSHOT_FIELDS, "arm")
@@ -622,6 +654,63 @@ class TestLayerKernel:
                           delay_strategy=strategies[0], clock_strategy=strategies[1])
         assert _layer_kernel(cfg, _sample_inputs(cfg)) is None
         assert_same_run(run(cfg), run_events(cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(clean_configs(machine="full", wide=True))
+    def test_mask_contract(self, cfg):
+        """The kernel falls back exactly where a step marks a node out of
+        regime. In that first marked layer, every vertex with no marked pulse
+        has the event engine's times, local times and snapshot, bit for bit."""
+        kernel, steps = spied_steps(cfg)
+        marked = [bool(step[-1].any()) for step in steps]
+        assert marked == [False] * (len(steps) - 1) + [kernel is None]
+        if kernel is not None:
+            return
+        try:
+            engine = run_events(cfg)
+        except (ConfigurationError, ProtocolError):
+            return
+        times, local_times, snapshot, _, out = steps[-1]
+        keep = ~out.any(axis=0)
+        for name, value in zip(("times", "local_times", *SNAPSHOT_FIELDS),
+                               (times, local_times, *snapshot)):
+            expected = getattr(engine, name)[len(steps), : cfg.pulses][:, keep]
+            assert np.array_equal(value[:, keep].view(np.int64), expected.view(np.int64)), name
+
+    @pytest.mark.parametrize("m, seed", [(8, 1), (8, 1001), (32, 1), (32, 1001)])
+    def test_mask_empty_on_battery_configs(self, m, seed):
+        kernel, steps = spied_steps(a1_shaped(m, seed))
+        assert kernel is not None and len(steps) == 39
+        assert not any(step[-1].any() for step in steps)
+
+    @pytest.mark.parametrize("name, layer, marked", [
+        ("tie", 1, 21), ("split_wave", 1, 9), ("input_before_previous_pulse", 2, 2),
+    ])
+    def test_mask_marks_the_out_of_regime_cells(self, name, layer, marked):
+        """A tie marks every node-pulse of layer 1; a split wave and an input
+        before the previous pulse mark some of their layer's 21 cells."""
+        kernel, steps = spied_steps(fallback_config(name))
+        assert kernel is None and len(steps) == layer
+        assert np.count_nonzero(steps[-1][-1]) == marked
+
+    def test_timeout_is_marked_not_raised(self):
+        """An own copy that arrives after the first arm's threshold makes a
+        timeout, with no h_own to correct from: the step marks that cell and
+        computes the layer without raising."""
+        cfg = base_config(m=4, layers=2, pulses=2)
+        steps, step = [], engine_module._layer_step
+
+        def late_own_copy(tables, arrival, off, rt):
+            arrival = arrival.copy()
+            arrival[0, 3, cfg.base.slots[3].index(3)] += 3 * KAPPA
+            steps.append(step(tables, arrival, off, rt))
+            return steps[-1]
+
+        with mock.patch.object(engine_module, "_layer_step", late_own_copy):
+            assert _layer_kernel(cfg, _sample_inputs(cfg)) is None
+        times, _, (h_own, *_), _, out = steps[0]
+        assert np.argwhere(out).tolist() == [[0, 3]]
+        assert np.isnan(h_own[0, 3]) and np.isfinite(np.delete(times, 3, axis=1)).all()
 
     @pytest.mark.parametrize("edit", [
         {"delay_strategy": "all-max", "clock_strategy": "all-one"},  # the tie config
