@@ -659,3 +659,52 @@ def test_batch_outputs_pinned(tmp_path, name):
                  "--out", str(out)]) == 0
     digests = {file: hashlib.sha256(data).hexdigest() for file, data in read_all(out).items()}
     assert digests == BATCH_DIGESTS[name]
+
+
+# Runs whose report lists witnesses: out of the regime (forced), it lists
+# condition failures and drift, estimate and period violations; faulty and
+# perturbed (the CI console-fault.yaml), it runs the envelope check.
+WITNESS_RUNS = {
+    "out_of_regime": dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=8,
+                          pulses=6, params={"d": 1.0, "u": 0.3, "theta": 1.2, "Lambda": 3.5},
+                          source={"kind": "ideal", "jitter": 0.0, "seed": 3},
+                          delays={"strategy": "uniform-random", "seed": 1},
+                          clocks={"strategy": "uniform", "seed": 2}),
+    "faulty_perturbed": dict(BASE_DOC, topology={"kind": "line_replicated", "m": 8}, layers=6,
+                             delays={"strategy": "uniform-random", "seed": 1},
+                             clocks={"strategy": "uniform", "seed": 2},
+                             faults={"placement": [{"vertex": 4, "layer": 2, "behavior": {
+                                 "kind": "fixed_offset", "offset": 0.5}}]},
+                             perturbation={"delay_magnitude": 1.0e-4, "rate_magnitude": 1.0e-6,
+                                           "seed": 5}),
+}
+
+# SHA-256 of report.json and run.json, recorded before the condition
+# checker returned plain witness dicts.
+WITNESS_DIGESTS = {
+    "out_of_regime": {
+        "report.json": "4ada3ed988ba617989c48004bfa255e777fac43963f1de37cea7ed1f299e459e",
+        "run.json": "41c8463bdb4d8787a222f6dbbf1616bae8a69566a0742b89b55e1558247ca1b9",
+    },
+    "faulty_perturbed": {
+        "report.json": "d92d7ec180d78e69c182260bbb70c57dde9157b3bc55acdcd92f41033a220a44",
+        "run.json": "4de634efbc8c9ff5299be2cdb0298e0646d862a6a21de7fb495d6a4a17e2fa46",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_RUNS))
+def test_witness_reports_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    main(["run", "--config", str(write_config(tmp_path, WITNESS_RUNS[name])), "--out", str(out),
+          "--force"])
+    report = json.loads((out / "report.json").read_text())
+    if name == "out_of_regime":
+        counts = {k: v.get("failure_count", v.get("violation_count"))
+                  for k, v in report["checks"].items()}
+        assert {k: counts[k] for k in ("conditions", "drift", "estimates", "period")} == {
+            "conditions": 5, "drift": 28, "estimates": 11, "period": 24}
+    else:
+        assert "envelope" in report["checks"]
+    assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in ("report.json", "run.json")} == WITNESS_DIGESTS[name]
