@@ -19,7 +19,6 @@ from .errors import ConfigurationError
 from .timing import Params
 
 __all__ = [
-    "ConditionVerdict",
     "PotentialTable",
     "SkewSummary",
     "TraceView",
@@ -50,6 +49,7 @@ class TraceView:
     The neighbor layout is the base graph's padded slot table: slot[v, j]
     is v or one of its neighbors, ``neighbor[v, j]`` marks the real slots
     that hold a neighbor, and dist[v, w] is the hop distance.
+    at_slot[layer, pulse, v, j] is the time of slot[v, j] on the same layer.
     """
 
     def __init__(self, result: RunResult):
@@ -59,6 +59,7 @@ class TraceView:
         self.correct = ~cfg.faulty
         self.slot, real = cfg.base.padded_slots
         self.neighbor = real & (self.slot != np.arange(len(self.slot))[:, None])
+        self.at_slot = self.times[:, :, self.slot]
         self.dist = np.asarray(cfg.base.distance_table, dtype=float)
 
 
@@ -98,11 +99,10 @@ def local_skew(view: TraceView) -> SkewSummary:
     # correct neighbors on the same layer, and to its correct successors one
     # layer up and one pulse earlier
     pairs = view.neighbor & correct[..., None] & correct[:, slot]
-    same = np.where(pairs[:, None], np.abs(t[..., None] - t[:, :, slot]), np.nan)
+    same = np.where(pairs[:, None], np.abs(t[..., None] - view.at_slot), np.nan)
     per_layer_by_pulse = _nanmax(same, axis=(2, 3))
     feeds = correct[:-1, :, None] & correct[1:, slot]
-    across = np.where(feeds[:, None], np.abs(t[:-1, 1:, :, None] - t[1:, :-1][:, :, slot]),
-                      np.nan)
+    across = np.where(feeds[:, None], np.abs(t[:-1, 1:, :, None] - view.at_slot[1:, :-1]), np.nan)
     per_layer = _floats(_nanmax(per_layer_by_pulse, axis=1))
     per_pair = _floats(_nanmax(across, axis=(1, 2, 3)))
 
@@ -189,7 +189,6 @@ def psi_bound_violations(table: PotentialTable, kappa: float) -> list:
         (l1, min(l1 + g, L - 1))
         for g in (1, 2, 5, 10, L - 1)
         for l1 in range(0, L, max(1, L // 6))
-        if g >= 1
     })
     out = []
     for s in range(1, s_count):
@@ -204,26 +203,15 @@ def psi_bound_violations(table: PotentialTable, kappa: float) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    vertex: int
-    layer: int
-    pulse: int
-    condition: str  # 'SC(s)', 'FC(s)', 'JC'
-    passed: bool
-    disjunct: str | None
-    slack: float
-
-
 def _neighbor_extrema(view: TraceView) -> tuple[np.ndarray, np.ndarray]:
     """Min and max of each vertex's neighbors' pulse times, per [layer, pulse,
     vertex]; NaN where no neighbor pulsed."""
-    t = np.where(view.neighbor, view.times[:, :, view.slot], np.nan)
+    t = np.where(view.neighbor, view.at_slot, np.nan)
     return np.fmin.reduce(t, axis=-1), np.fmax.reduce(t, axis=-1)
 
 
 def check_conditions(result: RunResult, view: TraceView, s_max: int,
-                     failures_only: bool = True) -> list[ConditionVerdict]:
+                     failures_only: bool = True) -> list:
     """Evaluate the slow/fast/jump conditions at every applicable node/pulse.
 
     Uses true pulse times and the recorded correction. The slow condition is
@@ -272,8 +260,8 @@ def check_conditions(result: RunResult, view: TraceView, s_max: int,
     # sort by layer puts them in (layer, condition, pulse, vertex) order
     order = np.argsort(layer, kind="stable")
     return [
-        ConditionVerdict(vertex=v, layer=layer + 1, pulse=k + 1, condition=names[cond],
-                         passed=passed, disjunct=None, slack=slack)
+        {"vertex": v, "layer": layer + 1, "pulse": k + 1, "condition": names[cond],
+         "passed": passed, "disjunct": None, "slack": slack}
         for layer, cond, k, v, passed, slack
         in zip(*(x[order].tolist() for x in (layer, cond, k, v, passed, slack)))
     ]
@@ -293,7 +281,7 @@ def check_fault_envelope(result: RunResult, view: TraceView) -> list:
     # [layer - 1, pulse, vertex, slot]: each node's correct predecessors one
     # layer down (the padding repeats a slot, so it moves no extreme)
     pred = view.correct[:-1, None, view.slot]
-    t_in = view.times[:-1][:, :, view.slot]
+    t_in = view.at_slot[:-1]
     lo = np.where(pred, t_in, np.inf).min(axis=-1) + params.lam - 2 * params.kappa
     hi = np.where(pred, t_in, -np.inf).max(axis=-1) + params.lam + 2 * params.kappa
     t = view.times[1:]
@@ -371,10 +359,10 @@ def check_estimates(result: RunResult, view: TraceView) -> list:
 
 def period_consistency(result: RunResult, view: TraceView) -> list:
     """In a static run every correct node repeats with exactly the period."""
-    lam = result.config.params.lam
-    dev = np.abs(view.times[:, 1:] - view.times[:, :-1] - lam)
+    params = result.config.params
+    dev = np.abs(view.times[:, 1:] - view.times[:, :-1] - params.lam)
     with np.errstate(invalid="ignore"):
-        bad = view.correct[:, None, :] & (dev > 1e-9 * lam)
+        bad = view.correct[:, None, :] & (dev > _guard(params))
     return [
         {"vertex": v, "layer": layer, "pulse": k + 1, "deviation": float(dev[layer, k, v])}
         for layer, v, k in _layer_vertex_pulse(bad)
@@ -397,7 +385,7 @@ def stabilization_pulse(result: RunResult, reference: RunResult) -> float:
     # |IEEE remainder| of the offset by lam: fmod is exact, and so is
     # lam - r for r >= lam/2 (Sterbenz)
     r = np.abs(np.fmod(result.times - anchor, lam))
-    aligned = np.minimum(r, lam - r) <= 1e-9 * lam
+    aligned = np.minimum(r, lam - r) <= _guard(result.config.params)
     k = np.arange(result.times.shape[1])[None, :, None]
     emitted = k < counts[:, None, :]
     last_aligned = np.take_along_axis(aligned, np.maximum(counts - 1, 0)[:, None, :], axis=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -116,10 +117,9 @@ def cmd_verify(args) -> int:
 
 
 def _axis_points(axes: dict) -> list[dict]:
-    points: list[dict] = [{}]
-    for key in sorted(axes):
-        points = [dict(p, **{key: v}) for p in points for v in axes[key]]
-    return points
+    """Every combination of axis values; the last sorted key varies fastest."""
+    keys = sorted(axes)
+    return [dict(zip(keys, values)) for values in itertools.product(*(axes[k] for k in keys))]
 
 
 def _sweep_trial(payload) -> dict:
@@ -196,8 +196,8 @@ def _write_rows(rows: list[dict], out: Path, stem: str,
                 k: (format(v, ".17g") if isinstance(v, float) else v)
                 for k, v in row.items()
             })
-    payload = {"rows": rows, "aggregates": aggregates or []}
-    (out / f"{stem}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    report_mod.write_report_json({"rows": rows, "aggregates": aggregates or []},
+                                 out / f"{stem}.json")
 
 
 def cmd_sweep(args) -> int:

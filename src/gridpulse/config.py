@@ -19,7 +19,7 @@ import yaml
 from .engine import CorruptionSpec, PerturbationSpec, RunConfig
 from .errors import ConfigurationError
 from .faults import FaultBehavior, FaultPlacement, sample_placement
-from .protocol import SOURCE_KINDS, SourceMode
+from .protocol import SourceMode
 from .timing import Params
 from .topology import BaseGraph, build_layered, build_line_with_replicated_ends, from_edges
 
@@ -150,13 +150,6 @@ def _boolean(x) -> bool:
     if not isinstance(x, bool):
         raise TypeError(f"must be true or false, got {x!r}")
     return x
-
-
-def _choice(section: dict, path: str, choices: tuple, default: str) -> str:
-    value = section.get(path.rsplit(".", 1)[-1], default)
-    if value not in choices:
-        raise ConfigurationError(f"{path}: {value!r} not one of {choices}")
-    return value
 
 
 def _built(path: str, make, **kwargs):
@@ -304,7 +297,7 @@ def build_run_config(doc: dict) -> RunConfig:
         params=_params(doc),
         source=_built(
             "source", SourceMode,
-            kind=_choice(source, "source.kind", SOURCE_KINDS, "ideal"),
+            kind=source.get("kind", "ideal"),
             jitter=_value(source, "source.jitter", _real, 0.0),
             seed=_value(source, "source.seed", _integer, 0),
         ),

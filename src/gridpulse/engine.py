@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 MACHINES = ("full", "simplified")
+SOURCE_KINDS = ("ideal", "chain")
 
 _KIND_MESSAGE = 0
 _KIND_TIMER = 1
@@ -138,7 +139,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         """Check each choice, then each rule that joins fields or needs the
         graph; a message starts with its key path in the config document."""
-        for path, value, choices in (("machine", self.machine, MACHINES),
+        for path, value, choices in (("source.kind", self.source.kind, SOURCE_KINDS),
+                                     ("machine", self.machine, MACHINES),
                                      ("delays.strategy", self.delay_strategy, DELAY_STRATEGIES),
                                      ("clocks.strategy", self.clock_strategy, CLOCK_STRATEGIES)):
             if value not in choices:

@@ -21,21 +21,14 @@ advances ``iteration``; the engine emits pulse ``iteration - 1``. Only the
 owning engine may touch a state concurrently.
 
 The event engine (``engine.run_events``) drives these machines and is the
-reference semantics. Clean static ideal-source runs (no faults, corruption
-or perturbation) are computed in closed form instead, one layer step at a
-time: ``engine.run`` replays each wave's listening phase over sorted arrays
-with the whole-array twins of the threshold and the correction
-(``inner_loop_threshold_array``, ``compute_correction_array``, bit-identical
-to the scalar forms). Each step marks, per node-pulse, a wave it cannot
-reproduce: one outside a listening phase of lam/10, an arrival at or before
-the node's previous pulse, and on the full machine a tie between arrivals, a
-threshold timer due exactly at a checked arrival, a commit at an arrival
-while a timer is armed, a timeout or an arrival at or after the pulse. A
-marked node hands the run back to the event engine. The paper's simplified
-node, which waits for every input and then applies the same correction, is
-the other branch of that closed form (``machine: simplified``); it exists
-only for such runs, and a marked node or any other combination is a
-configuration error.
+reference semantics. ``engine.run`` computes clean static ideal-source runs
+in closed form instead (``engine``'s docstring lists the node-pulses it hands
+back), replaying each wave's listening phase with the whole-array twins of
+the threshold and the correction (``inner_loop_threshold_array``,
+``compute_correction_array``, bit-identical to the scalar forms). The
+paper's simplified node, which waits for every input and then applies the
+same correction, is the other branch of that closed form (``machine:
+simplified``) and exists only for such runs.
 """
 
 from __future__ import annotations
@@ -95,9 +88,6 @@ class IterationSnapshot(NamedTuple):
     exit_local: float
 
 
-SOURCE_KINDS = ("ideal", "chain")
-
-
 @dataclass(frozen=True)
 class SourceMode:
     """Layer-0 drive: 'ideal' well-synchronized emitters or the 'chain' forwarder."""
@@ -107,8 +97,6 @@ class SourceMode:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SOURCE_KINDS:
-            raise ConfigurationError(f"unknown source kind {self.kind!r}")
         if self.jitter < 0.0:
             raise ConfigurationError("jitter bound must be >= 0")
 

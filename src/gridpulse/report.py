@@ -1,9 +1,9 @@
 """Report assembly and bit-stable file output.
 
 Trace/snapshot CSVs print times with 17 significant digits so they
-round-trip exactly; report JSON is schema-versioned with sorted keys.
-Nothing here depends on wall-clock time, so identical runs produce
-byte-identical files.
+round-trip exactly; ``write_report_json`` writes every JSON file (reports,
+run.json, batch files) with sorted keys. Nothing here depends on wall-clock
+time, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def build_report(result: RunResult, checks: tuple[str, ...] = ALL_CHECKS) -> dic
         failures = analysis.check_conditions(result, view, s_max=s_max)
         report["checks"]["conditions"] = {
             "passed": not failures,
-            "failures": [asdict(f) for f in failures[:50]],
+            "failures": failures[:50],
             "failure_count": len(failures),
             "s_max": s_max,
         }
@@ -186,7 +186,7 @@ def write_outputs(result: RunResult, report: dict, out_dir: Path) -> None:
         "incomplete_nodes": [list(n) for n in result.incomplete_nodes],
         "diagnostics": asdict(result.diagnostics),
     }
-    (out_dir / "run.json").write_text(json.dumps(run, sort_keys=True, indent=2) + "\n")
+    write_report_json(run, out_dir / "run.json")
     write_report_json(report, out_dir / "report.json")
     (out_dir / "report.txt").write_text(render_text(report))
 

@@ -172,24 +172,24 @@ class TestConditions:
         # jump condition through its in-range disjunct; the slow condition
         # rightly complains (a positive correction with symmetric inputs)
         fails = self.failures(self.make_result({v: KAPPA for v in range(8)}))
-        assert not [f for f in fails if f.condition.startswith("FC")]
-        assert not [f for f in fails if f.condition == "JC"]
+        assert not [f for f in fails if f["condition"].startswith("FC")]
+        assert not [f for f in fails if f["condition"] == "JC"]
 
     def test_in_range_correction_passes_jump(self):
         fails = self.failures(self.make_result({v: PARAMS.theta * KAPPA for v in range(8)}))
-        assert not [f for f in fails if f.condition == "JC"]
+        assert not [f for f in fails if f["condition"] == "JC"]
 
     def test_forged_large_correction_fails(self):
         # a huge positive correction with symmetric inputs violates the
         # slow condition for every s and the jump condition
         fails = self.failures(self.make_result({4: 50 * KAPPA}), s_max=2)
-        conds = {f.condition for f in fails if f.vertex == 4}
+        conds = {f["condition"] for f in fails if f["vertex"] == 4}
         assert "SC(0)" in conds
         assert "JC" in conds
 
     def test_forged_negative_correction_fails_fast(self):
         fails = self.failures(self.make_result({4: -50 * KAPPA}), s_max=2)
-        conds = {f.condition for f in fails if f.vertex == 4}
+        conds = {f["condition"] for f in fails if f["vertex"] == 4}
         assert any(c.startswith("FC") for c in conds)
         assert "JC" in conds
 
@@ -197,7 +197,7 @@ class TestConditions:
         res = self.make_result({})
         view = analysis.TraceView(res)
         verdicts = analysis.check_conditions(res, view, s_max=1, failures_only=False)
-        assert verdicts and all(v.passed for v in verdicts)
+        assert verdicts and all(v["passed"] for v in verdicts)
 
 
 class TestEnvelopeArithmetic:
@@ -499,9 +499,9 @@ def conditions_by_loop(res, view, s_max, failures_only):
                     verdicts.append(("JC", jc, 0.0))
                 for name, passed, slack in verdicts:
                     if not (failures_only and passed):
-                        found[name].append(analysis.ConditionVerdict(
-                            vertex=v, layer=layer, pulse=k + 1, condition=name,
-                            passed=passed, disjunct=None, slack=slack))
+                        found[name].append({
+                            "vertex": v, "layer": layer, "pulse": k + 1, "condition": name,
+                            "passed": passed, "disjunct": None, "slack": slack})
         for name in names:
             out += found[name]
     return out

@@ -405,8 +405,13 @@ class TestIdealSource:
         assert (times.max(axis=1) - times.min(axis=1) <= jitter).all()
 
     def test_source_mode_validation(self):
-        with pytest.raises(ConfigurationError):
-            SourceMode(kind="nonsense")
+        from gridpulse.engine import RunConfig
+        from gridpulse.topology import build_line_with_replicated_ends
+
+        with pytest.raises(ConfigurationError, match=r"^source.kind: 'nonsense' not one of"):
+            RunConfig(base=build_line_with_replicated_ends(3), layers=2,
+                      params=Params(d=1.0, u=0.002, theta=1.0002, lam=2.0),
+                      source=SourceMode(kind="nonsense"), pulses=2)
 
     @pytest.mark.parametrize("jitter,pulses,message", [
         (-0.001, 2, "jitter bound must be >= 0"),
