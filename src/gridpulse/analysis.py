@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,37 +43,6 @@ def _guard(params: Params) -> float:
 UNSTABILIZED = math.inf
 
 
-class TraceView:
-    """The configured pulses of a run: times[layer, pulse, vertex] with NaN
-    gaps, and the mask of correct nodes, correct[layer, vertex].
-
-    The neighbor layout is the base graph's padded slot table: slot[v, j]
-    is v or one of its neighbors, ``neighbor[v, j]`` marks the real slots
-    that hold a neighbor, and dist[v, w] is the hop distance.
-    at_slot[layer, pulse, v, j] is the time of slot[v, j] on the same layer.
-    """
-
-    def __init__(self, result: RunResult):
-        cfg = result.config
-        self.base = cfg.base
-        self.times = result.times[:, : cfg.pulses]
-        self.correct = ~cfg.faulty
-        self.slot, real = cfg.base.padded_slots
-        self.neighbor = real & (self.slot != np.arange(len(self.slot))[:, None])
-        self.at_slot = self.times[:, :, self.slot]
-        self.dist = np.asarray(cfg.base.distance_table, dtype=float)
-
-
-def _nanmax(x: np.ndarray, axis) -> np.ndarray:
-    """Max over ``axis`` ignoring NaN; NaN where every entry is NaN or there
-    is none."""
-    return np.fmax.reduce(x, axis=axis, initial=np.nan)
-
-
-def _floats(x: np.ndarray) -> list:
-    return [None if math.isnan(v) else v for v in x.tolist()]
-
-
 @dataclass
 class SkewSummary:
     """Adjacent-node offsets per layer and across consecutive layers."""
@@ -87,33 +57,79 @@ class SkewSummary:
         return max(vals) if vals else None
 
 
-def local_skew(view: TraceView) -> SkewSummary:
-    """Intra-layer and consecutive-layer skews over correct adjacent pairs.
+class TraceView:
+    """The configured pulses of a run: times[layer, pulse, vertex] with NaN
+    gaps and the snapshots the checkers read (h_own, h_min, h_max,
+    correction), cut to the same pulses; the mask of correct nodes,
+    correct[layer, vertex], and of wholly correct layers, layer_correct[layer].
 
-    The cross-layer term matches pulse k+1 on the lower layer against pulse
-    k on the upper layer, the pairing under which an ideally timed cascade
-    has zero offset. Self-copy edges are included in the cross-layer max.
+    The neighbor layout is the base graph's padded slot table: slot[v, j]
+    is v or one of its neighbors, ``neighbor[v, j]`` marks the real slots
+    that hold a neighbor, and dist[v, w] is the hop distance.
+    at_slot[layer, pulse, v, j] is the time of slot[v, j] on the same layer.
+    The skew summary and the neighbor extrema, which several checkers share,
+    are derived on first use and kept.
     """
-    t, slot, correct = view.times, view.slot, view.correct
-    # [layer, pulse, vertex, slot]: the offset of each correct node to its
-    # correct neighbors on the same layer, and to its correct successors one
-    # layer up and one pulse earlier
-    pairs = view.neighbor & correct[..., None] & correct[:, slot]
-    same = np.where(pairs[:, None], np.abs(t[..., None] - view.at_slot), np.nan)
-    per_layer_by_pulse = _nanmax(same, axis=(2, 3))
-    feeds = correct[:-1, :, None] & correct[1:, slot]
-    across = np.where(feeds[:, None], np.abs(t[:-1, 1:, :, None] - view.at_slot[1:, :-1]), np.nan)
-    per_layer = _floats(_nanmax(per_layer_by_pulse, axis=1))
-    per_pair = _floats(_nanmax(across, axis=(1, 2, 3)))
 
-    candidates = [x for x in per_layer + per_pair if x is not None]
-    overall = max(candidates) if candidates else None
-    return SkewSummary(
-        per_layer=per_layer,
-        per_layer_pair=per_pair,
-        per_layer_by_pulse=per_layer_by_pulse,
-        overall=overall,
-    )
+    def __init__(self, result: RunResult):
+        cfg = result.config
+        self.base = cfg.base
+        self.times, self.h_own, self.h_min, self.h_max, self.correction = (
+            x[:, : cfg.pulses]
+            for x in (result.times, result.h_own, result.h_min, result.h_max, result.correction))
+        self.correct = ~cfg.faulty
+        self.layer_correct = self.correct.all(axis=1)
+        self.slot, real = cfg.base.padded_slots
+        self.neighbor = real & (self.slot != np.arange(len(self.slot))[:, None])
+        self.at_slot = self.times[:, :, self.slot]
+        self.dist = np.asarray(cfg.base.distance_table, dtype=float)
+
+    @cached_property
+    def skew(self) -> SkewSummary:
+        """Intra-layer and consecutive-layer skews over correct adjacent pairs.
+
+        The cross-layer term matches pulse k+1 on the lower layer against pulse k
+        on the upper layer, the pairing under which an ideally timed cascade has
+        zero offset. Self-copy edges are included in the cross-layer max.
+        """
+        t, slot, correct = self.times, self.slot, self.correct
+        # [layer, pulse, vertex, slot]: the offset of each correct node to its
+        # correct neighbors on the same layer, and to its correct successors
+        # one layer up and one pulse earlier
+        pairs = self.neighbor & correct[..., None] & correct[:, slot]
+        same = np.where(pairs[:, None], np.abs(t[..., None] - self.at_slot), np.nan)
+        per_layer_by_pulse = _nanmax(same, axis=(2, 3))
+        feeds = correct[:-1, :, None] & correct[1:, slot]
+        across = np.where(feeds[:, None], np.abs(t[:-1, 1:, :, None] - self.at_slot[1:, :-1]),
+                          np.nan)
+        per_layer = _floats(_nanmax(per_layer_by_pulse, axis=1))
+        per_pair = _floats(_nanmax(across, axis=(1, 2, 3)))
+        candidates = [x for x in per_layer + per_pair if x is not None]
+        return SkewSummary(per_layer=per_layer, per_layer_pair=per_pair,
+                           per_layer_by_pulse=per_layer_by_pulse,
+                           overall=max(candidates) if candidates else None)
+
+    @cached_property
+    def extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max of each vertex's neighbors' pulse times, per [layer,
+        pulse, vertex]; NaN where no neighbor pulsed."""
+        t = np.where(self.neighbor, self.at_slot, np.nan)
+        return np.fmin.reduce(t, axis=-1), np.fmax.reduce(t, axis=-1)
+
+
+def _nanmax(x: np.ndarray, axis) -> np.ndarray:
+    """Max over ``axis`` ignoring NaN; NaN where every entry is NaN or there
+    is none."""
+    return np.fmax.reduce(x, axis=axis, initial=np.nan)
+
+
+def _floats(x: np.ndarray) -> list:
+    return [None if math.isnan(v) else v for v in x.tolist()]
+
+
+def local_skew(view: TraceView) -> SkewSummary:
+    """The view's skew summary, ``TraceView.skew``: computed on the first call."""
+    return view.skew
 
 
 @dataclass
@@ -163,51 +179,37 @@ def potentials(view: TraceView, kappa: float, s_max: int) -> PotentialTable:
 
 def skew_vs_potential_violations(view: TraceView, table: PotentialTable,
                                  kappa: float) -> list:
-    """Pointwise check of L_layer <= Psi^s(layer) + 4*s*kappa for every s."""
-    skews = local_skew(view).per_layer_by_pulse
-    out = []
-    for s in table.s_values:
-        bound = table.psi[s] + 4.0 * s * kappa
-        with np.errstate(invalid="ignore"):
-            bad = skews > bound
-        for layer, k in zip(*np.nonzero(bad)):
-            out.append({
-                "s": int(s), "layer": int(layer), "pulse": int(k + 1),
-                "skew": float(skews[layer, k]), "bound": float(bound[layer, k]),
-            })
-    return out
+    """Pointwise check of L_layer <= Psi^s(layer) + 4*s*kappa for every s.
+
+    Witnesses are ordered by s, then layer, then pulse."""
+    skews = view.skew.per_layer_by_pulse
+    bound = table.psi + 4.0 * np.array(table.s_values)[:, None, None] * kappa  # [s, layer, pulse]
+    with np.errstate(invalid="ignore"):
+        bad = skews > bound
+    s, layer, k = np.nonzero(bad)
+    return [{"s": s, "layer": layer, "pulse": k + 1, "skew": skew, "bound": b}
+            for s, layer, k, skew, b in zip(s.tolist(), layer.tolist(), k.tolist(),
+                                            skews[layer, k].tolist(), bound[bad].tolist())]
 
 
 def psi_bound_violations(table: PotentialTable, kappa: float) -> list:
     """Layer-window recursion: Psi^s(top) bounded via Xi^s(bottom).
 
     Checks Psi^s(l2) <= max(0, Xi^s(l1) - (l2-l1+1)*kappa) + (l2-l1)*kappa/2
-    for sampled layer pairs l1 <= l2, per pulse, for s >= 1.
+    for sampled layer pairs l1 <= l2, per pulse, for s >= 1. Witnesses are
+    ordered by s, then layer pair, then pulse.
     """
-    s_count, L, K = table.psi.shape
-    layer_pairs = sorted({
-        (l1, min(l1 + g, L - 1))
-        for g in (1, 2, 5, 10, L - 1)
-        for l1 in range(0, L, max(1, L // 6))
-    })
-    out = []
-    for s in range(1, s_count):
-        for l1, l2 in layer_pairs:
-            psi = table.psi[s, l2]
-            bound = (np.maximum(0.0, table.xi[s, l1] - (l2 - l1 + 1) * kappa)
-                     + (l2 - l1) * kappa / 2.0)
-            bad = psi > bound  # False where either is NaN
-            out += [{"s": s, "bottom": l1, "top": l2, "pulse": k + 1, "psi": p, "bound": b}
-                    for k, p, b in zip(np.flatnonzero(bad).tolist(), psi[bad].tolist(),
-                                       bound[bad].tolist())]
-    return out
-
-
-def _neighbor_extrema(view: TraceView) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max of each vertex's neighbors' pulse times, per [layer, pulse,
-    vertex]; NaN where no neighbor pulsed."""
-    t = np.where(view.neighbor, view.at_slot, np.nan)
-    return np.fmin.reduce(t, axis=-1), np.fmax.reduce(t, axis=-1)
+    L = table.psi.shape[1]
+    l1, l2 = np.array(sorted({(l1, min(l1 + g, L - 1)) for g in (1, 2, 5, 10, L - 1)
+                              for l1 in range(0, L, max(1, L // 6))})).T
+    psi = table.psi[1:, l2]  # [s - 1, layer pair, pulse]
+    bound = (np.maximum(0.0, table.xi[1:, l1] - ((l2 - l1 + 1) * kappa)[:, None])
+             + ((l2 - l1) * kappa / 2.0)[:, None])
+    bad = psi > bound  # False where either is NaN
+    s, pair, k = np.nonzero(bad)
+    return [{"s": s + 1, "bottom": bottom, "top": top, "pulse": k + 1, "psi": p, "bound": b}
+            for s, bottom, top, k, p, b in zip(s.tolist(), l1[pair].tolist(), l2[pair].tolist(),
+                                               k.tolist(), psi[bad].tolist(), bound[bad].tolist())]
 
 
 def check_conditions(result: RunResult, view: TraceView, s_max: int,
@@ -221,14 +223,14 @@ def check_conditions(result: RunResult, view: TraceView, s_max: int,
     """
     params = result.config.params
     kappa, theta = params.kappa, params.theta
-    L, K, _ = view.times.shape
+    L = len(view.times)
     # [layer - 1, pulse, vertex]: the input layer's times against the
     # correction of the receiver on the layer above
-    nmin, nmax = (x[:-1] for x in _neighbor_extrema(view))
+    nmin, nmax = (x[:-1] for x in view.extrema)
     ts = view.times[:-1]
-    c = result.correction[1:, :K]
+    c = view.correction[1:]
     c_rel = c / theta
-    valid = (view.correct[:-1].all(axis=1)[:, None, None] & view.correct[1:, None, :]
+    valid = (view.layer_correct[:-1, None, None] & view.correct[1:, None, :]
              & ~np.isnan(c) & ~np.isnan(ts) & ~np.isnan(nmin) & ~np.isnan(nmax))
     above_one = valid & (np.arange(1, L) >= 2)[:, None, None]  # where FC and JC apply
     names: list = []
@@ -313,8 +315,7 @@ def check_drift(result: RunResult, view: TraceView) -> list:
     """Per-pulse drift window between a node and its self-copy predecessor."""
     params = result.config.params
     eps = _guard(params)
-    K = view.times.shape[1]
-    c = result.correction[1:, :K]
+    c = view.correction[1:]
     gap = view.times[1:] - view.times[:-1]
     lo = params.d - params.u + (params.lam - params.d - c) / params.theta
     hi = params.lam - c
@@ -337,18 +338,16 @@ def check_estimates(result: RunResult, view: TraceView) -> list:
     params = result.config.params
     kappa = params.kappa
     eps = _guard(params)
-    K = view.times.shape[1]
-    nmin, nmax = _neighbor_extrema(view)
+    nmin, nmax = view.extrema
     # [layer - 1, pulse, vertex, extreme]: the last-neighbor ('max') pair
     # first, as reported
-    measured = result.h_own[1:, :K, :, None] - np.stack(
-        (result.h_max[1:, :K], result.h_min[1:, :K]), axis=-1)
+    measured = view.h_own[1:, ..., None] - np.stack((view.h_max[1:], view.h_min[1:]), axis=-1)
     centered = measured - kappa / 2
     true = view.times[:-1, ..., None] - np.stack((nmax[:-1], nmin[:-1]), axis=-1)
     with np.errstate(invalid="ignore"):
         bad = ~((true - kappa - eps <= centered) & (centered <= true + eps))
     bad &= (~np.isnan(centered) & ~np.isnan(true) & view.correct[1:, None, :, None]
-            & view.correct[:-1].all(axis=1)[:, None, None, None])
+            & view.layer_correct[:-1, None, None, None])
     return [
         {"vertex": v, "layer": layer + 1, "pulse": k + 1, "extreme": ("max", "min")[e],
          "measured_minus_half": c, "true": t}

@@ -23,7 +23,7 @@ from . import analysis, report as report_mod
 from .config import MC_BEHAVIORS, build_run_config, load_config, load_experiment
 from .engine import RunConfig, run
 from .errors import AlignmentError, ConfigurationError
-from .faults import FaultBehavior, FaultPlacement, validate_placement
+from .faults import FaultBehavior, validate_placement
 from .report import ALL_CHECKS, build_report, render_text, write_outputs
 from .timing import validate_params
 from .topology import build_layered
@@ -280,7 +280,7 @@ def _mc_trial(payload) -> dict:
         else:
             # past the cap a per_pulse_offset draw falls back to silent
             behaviors[node] = MC_BEHAVIORS.get(name, MC_BEHAVIORS["silent"])(cfg.params.lam)
-    cfg = dataclasses.replace(cfg, placement=FaultPlacement(behaviors=behaviors, strict=True))
+    cfg = dataclasses.replace(cfg, placement=dataclasses.replace(cfg.placement, behaviors=behaviors))
     rep = build_report(run(cfg), checks=("skew", "envelope", "period"))
     max_layer = rep["checks"]["skew"]["max_layer_skew"]
     envelope = rep["checks"].get("envelope")  # absent when no fault was drawn

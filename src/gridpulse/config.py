@@ -116,7 +116,7 @@ def _entries(node, path: str, kind) -> tuple:
     for i, x in enumerate(_list(node, path)):
         try:
             out.append(kind(x))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{path}[{i}]: {exc}") from exc
     return tuple(out)
 
@@ -130,7 +130,7 @@ def _value(section: dict, path: str, kind, default=_REQUIRED):
         return default
     try:
         return kind(section[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -204,8 +204,8 @@ def _delay_map(rows) -> dict | None:
         key = tuple(row[:-1])
         if key in delays:
             raise ConfigurationError(f"delays.map[{i}]: a second row for edge {key}")
-        delays[key] = float(row[-1])
-    return delays
+        delays[key] = row[-1]
+    return dict(zip(delays, _entries(list(delays.values()), "delays.map", _real)))
 
 
 def _behavior(node, path: str) -> FaultBehavior:
@@ -390,7 +390,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", _integer, 1)))
     else:
         seeds = _entries(seeds_spec, "seeds", _integer)
-    axes = doc.get("sweep") or {}
+    axes = {} if doc.get("sweep") is None else doc["sweep"]
     if not isinstance(axes, dict):
         raise ConfigurationError(f"sweep: must map axis names to value lists, got {axes!r}")
     return ExperimentSpec(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,12 +12,14 @@ import numpy as np
 import pytest
 
 from gridpulse import analysis
+from gridpulse.config import build_run_config
 from gridpulse.engine import (
     CorruptionSpec, PerturbationSpec, RunConfig, RunResult, empty_arrays, run,
 )
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement
 from gridpulse.protocol import SourceMode
+from gridpulse.report import build_report
 from gridpulse.timing import Params, local_skew_budget
 from gridpulse.topology import build_line_with_replicated_ends
 
@@ -527,6 +531,21 @@ def psi_bound_by_loop(table, kappa):
     return out
 
 
+def skew_vs_potential_by_loop(view, table, kappa):
+    skews = local_skew_by_loop(view)[2]
+    L, K = skews.shape
+    out = []
+    for s in table.s_values:
+        for layer in range(L):
+            for k in range(K):
+                skew = float(skews[layer, k])
+                bound = float(table.psi[s, layer, k]) + 4.0 * s * kappa
+                if skew > bound:  # False where either is NaN
+                    out.append({"s": s, "layer": layer, "pulse": k + 1,
+                                "skew": skew, "bound": bound})
+    return out
+
+
 def envelope_by_loop(res, view):
     cfg = res.config
     params = cfg.params
@@ -675,6 +694,14 @@ class TestArrayCheckersMatchLoops:
             for kappa in (KAPPA, 10 * KAPPA):
                 assert (analysis.psi_bound_violations(table, kappa)
                         == psi_bound_by_loop(table, kappa))
+            # forged low enough that every level reports violations; the NaN
+            # holes stay
+            forged = dataclasses.replace(table, psi=table.psi * 0.0 - 4.0 * (s_max + 1) * KAPPA)
+            for t in (table, forged):
+                assert (analysis.skew_vs_potential_violations(view, t, KAPPA)
+                        == skew_vs_potential_by_loop(view, t, KAPPA))
+            got = analysis.skew_vs_potential_violations(view, forged, KAPPA)
+            assert {w["s"] for w in got} == set(table.s_values)
         view = analysis.TraceView(chain)
         assert len(analysis.check_conditions(chain, view, s_max)) > 50
         assert analysis.local_skew(view).max_layer_skew() > local_skew_budget(
@@ -715,3 +742,42 @@ class TestArrayCheckersMatchLoops:
                 assert table.psi.tobytes() == psi.tobytes()
                 assert table.xi.tobytes() == xi.tobytes()
         assert np.isnan(analysis.potentials(analysis.TraceView(jittered), KAPPA, 2).psi).any()
+
+
+class TestViewSharesItsArrays:
+    """A TraceView derives the skew summary and the neighbor extrema once, on
+    first use, and every checker reads the same ones."""
+
+    # the CI console.yaml run
+    CONSOLE = {
+        "schema": 1,
+        "topology": {"kind": "line_replicated", "m": 8},
+        "layers": 6,
+        "pulses": 4,
+        "params": {"d": 1.0, "u": 0.002, "theta": 1.0002, "Lambda": 2.0},
+        "source": {"kind": "ideal", "jitter": 0.001, "seed": 3},
+        "delays": {"strategy": "uniform-random", "seed": 1},
+        "clocks": {"strategy": "uniform", "seed": 2},
+    }
+
+    def test_local_skew_is_the_views_summary(self):
+        view = analysis.TraceView(run(build_run_config(self.CONSOLE)))
+        assert analysis.local_skew(view) is analysis.local_skew(view)
+
+    def test_report_derives_each_shared_array_once(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("skew", "extrema"):
+            derive = vars(analysis.TraceView)[name].func
+
+            def counted(view, derive=derive, name=name):
+                calls[name] += 1
+                return derive(view)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(analysis.TraceView, name)
+            monkeypatch.setattr(analysis.TraceView, name, prop)
+        report = build_report(run(build_run_config(self.CONSOLE)))
+        # the skew is read by the skew and potentials checks, the extrema by
+        # the conditions and estimates checks
+        assert {"skew", "potentials", "conditions", "estimates"} <= set(report["checks"])
+        assert calls == {"skew": 1, "extrema": 1}

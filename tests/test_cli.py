@@ -399,6 +399,10 @@ class TestConfigErrors:
         ("faults-mc", {"fault_probability": 1.5}, "fault_probability"),
         ("faults-mc", {"behavior_mix": []}, "behavior_mix"),
         ("sweep", {"sweep": {"topology.m": []}}, "sweep.topology.m"),
+        # only an absent or null sweep, or {}, means no axes
+        ("sweep", {"sweep": []}, "sweep"),
+        ("sweep", {"sweep": 0}, "sweep"),
+        ("sweep", {"sweep": False}, "sweep"),
     ])
     def test_malformed_batch_value_exit_two(self, tmp_path, capsys, command, edit, path):
         """Batch values are read as strictly as run values, and a malformed

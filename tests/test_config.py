@@ -321,6 +321,14 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, -2], [0, -2]]}}, "topology.edges"),
     ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [2, 0], [1, 0]]}},
      "topology.edges"),
+    # an integer beyond a double's range is a malformed number, wherever a real is read
+    ({"params": dict(DOC["params"], d=10 ** 400)}, "params.d"),
+    ({"source": dict(DOC["source"], jitter=10 ** 400)}, "source.jitter"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "per_pulse_offset", "offsets": [10 ** 400]}}]}},
+     r"faults.placement\[0\].behavior.offsets\[0\]"),
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 10 ** 400]]}},
+     r"delays.map\[0\]"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
