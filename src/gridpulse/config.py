@@ -62,6 +62,12 @@ BEHAVIOR_KEYS = tuple(f.name for f in fields(FaultBehavior))
 EXPERIMENT_KEYS = ("run", "seeds", "sweep", "trials", "fault_probability", "behavior_mix",
                    "behavior_changes_per_pulse", "corruption")
 
+# The most (layer, pulse, vertex) cells that layers x pulses x vertices may give:
+# a run holds about 0.35 KiB a cell (m = 256 at 256 layers and 12 pulses, 0.8
+# million cells, peaks near 290 MiB), so this is some 30 GiB. A larger grid is
+# refused before anything is allocated.
+MAX_GRID_CELLS = 10 ** 8
+
 _REQUIRED = object()
 
 
@@ -152,6 +158,13 @@ def _boolean(x) -> bool:
     return x
 
 
+def _cells(path: str, count: int) -> None:
+    """Refuse a grid of ``count`` cells above MAX_GRID_CELLS, naming ``path``."""
+    if count > MAX_GRID_CELLS:
+        raise ConfigurationError(f"{path}: the grid of layers x pulses x vertices would exceed "
+                                 f"{MAX_GRID_CELLS:,} cells")
+
+
 def _built(path: str, make, **kwargs):
     """``make(**kwargs)``, with any ConfigurationError it raises prefixed by ``path``."""
     try:
@@ -167,8 +180,9 @@ def _base_graph(doc: dict) -> BaseGraph:
         raise ConfigurationError(f"topology.kind: unknown kind {kind!r}")
     _mapping(section, "topology", TOPOLOGY_KEYS[kind])
     if kind == "line_replicated":
-        return _built("topology.m", build_line_with_replicated_ends,
-                      m=_value(section, "topology.m", _integer))
+        m = _value(section, "topology.m", _integer)
+        _cells("topology.m", m + 4)
+        return _built("topology.m", build_line_with_replicated_ends, m=m)
     edges = _list(section.get("edges"), "topology.edges")
     for i, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2
@@ -264,6 +278,9 @@ def build_run_config(doc: dict) -> RunConfig:
         raise ConfigurationError(f"schema: unsupported version {schema!r}")
     base = _base_graph(doc)
     layers = _value(doc, "layers", _integer)
+    _cells("layers", base.num_vertices * layers)
+    pulses = _value(doc, "pulses", _integer)
+    _cells("pulses", base.num_vertices * max(layers, 1) * pulses)
     source = _mapping(doc.get("source"), "source", SECTION_KEYS["source"])
     delays = _mapping(doc.get("delays"), "delays", SECTION_KEYS["delays"])
     clocks = _mapping(doc.get("clocks"), "clocks", SECTION_KEYS["clocks"])
@@ -301,7 +318,7 @@ def build_run_config(doc: dict) -> RunConfig:
             jitter=_value(source, "source.jitter", _real, 0.0),
             seed=_value(source, "source.seed", _integer, 0),
         ),
-        pulses=_value(doc, "pulses", _integer),
+        pulses=pulses,
         delay_strategy=delays.get("strategy", "uniform-random"),
         delay_seed=_value(delays, "delays.seed", _integer, 0),
         custom_delays=_delay_map(delays.get("map")),

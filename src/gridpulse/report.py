@@ -4,10 +4,16 @@ Trace/snapshot CSVs print times with 17 significant digits so they
 round-trip exactly; ``write_report_json`` writes every JSON file (reports,
 run.json, batch files) with sorted keys. Nothing here depends on wall-clock
 time, so identical runs produce byte-identical files.
+
+The CSV files are written 4,096 rows at a time and read back 64 KiB of text
+at a time: the writer formats a block with one ``%``, and the reader parses a
+block with numpy's C reader, or with ``int``/``float``/``str`` where the two
+could differ. Neither holds more than one block's fields as Python objects.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict
@@ -39,20 +45,32 @@ TRACE_COLUMNS = ["layer", "vertex", "pulse", "time_real", "time_local"]
 SNAPSHOT_COLUMNS = ["layer", "vertex", "pulse", "H_own", "H_min", "H_max", "correction",
                     "threshold_arm"]
 _SNAPSHOT_ARRAYS = ("h_own", "h_min", "h_max", "correction", "arm")  # behind its value columns
+_WRITE_ROWS = 4096  # rows the CSV writer formats at a time
+_READ_CHARS = 1 << 16  # characters the CSV reader parses at a time, up to a line's end
 
 
 def _write_columns(path: Path, header: list, present: np.ndarray, arrays: list) -> None:
     """One line per True entry of present[layer, pulse, vertex], in (layer,
     vertex, pulse) order: the indices, then each array's value there, floats
-    with 17 significant digits and NaN as an empty field."""
+    with 17 significant digits and NaN as an empty field.
+
+    Rows go out ``_WRITE_ROWS`` at a time, formatted by one ``%`` over the
+    block's fields, so that beyond the index arrays the writer holds one
+    block's fields as Python objects and its text."""
     layer, v, k = np.nonzero(present.transpose(0, 2, 1))
-    at = (layer, k, v)
-    columns = [map(str, index.tolist()) for index in (layer, v, k + 1)]
-    columns += [a[at].tolist() if a.dtype == object else
-                ("" if math.isnan(x) else "%.17g" % x for x in a[at].tolist()) for a in arrays]
-    with path.open("w") as fh:  # line by line: the text is never held whole
+    width = 3 + len(arrays)
+    row = ",".join(["%d"] * 3 + ["%s" if a.dtype == object else "%.17g" for a in arrays]) + "\n"
+    with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map("%s\n".__mod__, map(",".join, zip(*columns))))
+        for start in range(0, layer.size, _WRITE_ROWS):
+            at = (layer[start:start + _WRITE_ROWS], k[start:start + _WRITE_ROWS],
+                  v[start:start + _WRITE_ROWS])
+            fields = [None] * (at[0].size * width)
+            for j, column in enumerate([at[0], at[2], at[1] + 1, *(a[at] for a in arrays)]):
+                fields[j::width] = column.tolist()
+            # every NaN prints as "nan" right after a comma (the indices come first, and
+            # the only text column is last and never starts with "nan"): empty it
+            fh.write((row * at[0].size % tuple(fields)).replace(",nan", ","))
 
 
 def _listed(violations: list) -> dict:
@@ -209,26 +227,58 @@ def _parse(path: Path, column: list, dtype, first: int) -> np.ndarray:
         raise
 
 
+def _parse_lines(path: Path, lines: list, dtypes: tuple, first: int) -> list:
+    """The columns of ``lines``, starting on line ``first``, each field parsed
+    by ``_parse``; a line with a field count other than len(dtypes) is reported."""
+    width = len(dtypes)
+    for line, text in enumerate(lines, start=first):
+        if text.count(",") != width - 1:
+            raise ConfigurationError(f"{path}:{line}: expected {width} fields")
+    fields = ",".join(lines).split(",")
+    return [_parse(path, fields[j::width], dtype, first) for j, dtype in enumerate(dtypes)]
+
+
+def _loaded(text: str, table: np.dtype) -> list | None:
+    """The columns of the lines of ``text`` by numpy's C reader, one field of
+    ``table`` each, or None where its result could differ from
+    ``_parse_lines``': a blank line (which it skips), a character outside
+    printable ASCII other than the line feed (a NUL, a line break that
+    str.splitlines knows, whitespace that int() keeps, a digit outside ASCII),
+    or a field it does not parse (such as ``1_000``, which int() and float()
+    read)."""
+    plain = bytes(range(32, 127)) + b"\n"
+    if text.startswith("\n") or "\n\n" in text or text.encode().translate(None, plain):
+        return None
+    try:  # an empty value field is NaN
+        rows = np.loadtxt(io.StringIO(text.replace(",,", ",nan,").replace(",,", ",nan,")),
+                          dtype=table, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return [rows[name] for name in table.names]
+
+
 def _read_columns(path: Path, header: list, dtypes: tuple, layers: int, vertices: int) -> list:
     """The columns of a CSV file that ``_write_columns`` wrote with ``header``:
     (layer, vertex, pulse) as int64 arrays, then the value columns as ``dtypes``.
     A wrong header, field count or field, a row off the grid, or rows not
     strictly increasing in (layer, vertex, pulse) are reported with the line.
-    Lines are split and parsed a block at a time, so that only one block's
-    fields are held as strings."""
-    width, first, dtypes = len(header), 2, (np.int64,) * 3 + dtypes
+
+    Each field reads as int(), float() or str() reads it. The text is parsed
+    ``_READ_CHARS`` characters at a time, extended to the end of a line (the
+    blocks of ``readlines(_READ_CHARS)``): by numpy's C reader, or by
+    ``_parse_lines`` where ``_loaded`` gives a block back, which reports the
+    line of a bad field. So the reader holds the columns as arrays and the text
+    of one block, and one block's fields as Python objects where it falls back."""
+    first, dtypes = 2, (np.int64,) * 3 + dtypes
+    table = np.dtype([(f"f{j}", dtype) for j, dtype in enumerate(dtypes)])
     blocks = [[np.array([], dtype=dtype) for dtype in dtypes]]
     with path.open() as fh:
         if fh.readline().rstrip("\n") != ",".join(header):
             raise ConfigurationError(f"{path}:1: expected the header {','.join(header)}")
-        while lines := "".join(fh.readlines(1 << 16)).splitlines():
-            for line, text in enumerate(lines, start=first):
-                if text.count(",") != width - 1:
-                    raise ConfigurationError(f"{path}:{line}: expected {width} fields")
-            fields = ",".join(lines).split(",")
-            blocks.append([_parse(path, fields[j::width], dtype, first)
-                           for j, dtype in enumerate(dtypes)])
-            first += len(lines)
+        while text := fh.read(_READ_CHARS) + fh.readline():
+            block = _loaded(text, table) or _parse_lines(path, text.splitlines(), dtypes, first)
+            blocks.append(block)
+            first += len(block[0])
     columns = [np.concatenate(column) for column in zip(*blocks)]
     layer, v, pulse = columns[:3]
     _reject(path, (layer < 0) | (layer >= layers) | (v < 0) | (v >= vertices) | (pulse < 1),

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridpulse.config import build_run_config, run_document
+from gridpulse.config import MAX_GRID_CELLS, build_run_config, run_document
 from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig, run
 from gridpulse.errors import ConfigurationError
 from gridpulse.faults import FaultBehavior, FaultPlacement, perturbation_caps, validate_placement
@@ -329,10 +329,26 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"faults.placement\[0\].behavior.offsets\[0\]"),
     ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 10 ** 400]]}},
      r"delays.map\[0\]"),
+    # a grid of more than MAX_GRID_CELLS layers x pulses x vertices is refused before
+    # anything is allocated, naming the key that takes it past the limit
+    ({"pulses": 10 ** 51}, "pulses"),
+    ({"pulses": 10 ** 400}, "pulses"),
+    ({"layers": 10 ** 51}, "layers"),
+    ({"layers": 10 ** 400}, "layers"),
+    ({"topology": {"kind": "line_replicated", "m": 10 ** 51}}, "topology.m"),
+    ({"topology": {"kind": "line_replicated", "m": 10 ** 400}}, "topology.m"),
+    ({"layers": 10 ** 4, "pulses": 1429}, "pulses"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
         build_run_config(dict(DOC, **edit))
+
+
+def test_grid_limit_admits_its_last_cell():
+    """7 vertices x 10**4 layers x 1428 pulses is within MAX_GRID_CELLS; one
+    pulse more is not (the row above). Building the config allocates no grid."""
+    assert 7 * 10 ** 4 * 1428 <= MAX_GRID_CELLS < 7 * 10 ** 4 * 1429
+    assert build_run_config(dict(DOC, layers=10 ** 4, pulses=1428)).pulses == 1428
 
 
 def test_integer_reals_echo_as_floats():
