@@ -65,7 +65,9 @@ EXPERIMENT_KEYS = ("run", "seeds", "sweep", "trials", "fault_probability", "beha
 # The most (layer, pulse, vertex) cells that layers x pulses x vertices may give:
 # a run holds about 0.35 KiB a cell (m = 256 at 256 layers and 12 pulses, 0.8
 # million cells, peaks near 290 MiB), so this is some 30 GiB. A larger grid is
-# refused before anything is allocated.
+# refused before anything is allocated. It is also the most that any other count
+# which sizes a loop or a list may be: a vertex id of an edge list (plus one), a
+# burst's count, corruption.max_spurious_messages, seeds.count and trials.
 MAX_GRID_CELLS = 10 ** 8
 
 _REQUIRED = object()
@@ -146,6 +148,13 @@ def _integer(x) -> int:
     return x
 
 
+def _count(x) -> int:
+    """An integer that sizes a loop or a list, at most MAX_GRID_CELLS."""
+    if _integer(x) > MAX_GRID_CELLS:
+        raise ValueError(f"must be at most {MAX_GRID_CELLS:,}")
+    return x
+
+
 def _real(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"must be a number, got {x!r}")
@@ -189,6 +198,7 @@ def _base_graph(doc: dict) -> BaseGraph:
                 and all(isinstance(v, int) for v in edge)):
             raise ConfigurationError(f"topology.edges[{i}]: expected [u, v] with integer "
                                      f"vertices, got {edge!r}")
+        _cells(f"topology.edges[{i}]", max(edge) + 1)
     return _built("topology.edges", from_edges, edges=[tuple(edge) for edge in edges])
 
 
@@ -232,7 +242,7 @@ def _behavior(node, path: str) -> FaultBehavior:
         offset=_value(spec, f"{path}.offset", _real, 0.0),
         times=_entries(spec.get("times", []), f"{path}.times", _real),
         offsets=_entries(spec.get("offsets", []), f"{path}.offsets", _real),
-        count=_value(spec, f"{path}.count", _integer, 0),
+        count=_value(spec, f"{path}.count", _count, 0),
         spacing=_value(spec, f"{path}.spacing", _real, 0.0),
         recipients=recipients,
     )
@@ -290,7 +300,7 @@ def build_run_config(doc: dict) -> RunConfig:
     corruption = _built(
         "corruption", CorruptionSpec,
         node_fraction=_value(corr, "corruption.node_fraction", _real, 0.0),
-        max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _integer, 0),
+        max_spurious_messages=_value(corr, "corruption.max_spurious_messages", _count, 0),
     )
     if not (corr and _value(corr, "corruption.enabled", _boolean, True)):
         corruption = None
@@ -404,7 +414,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if isinstance(seeds_spec, dict):
         seeds_spec = _mapping(seeds_spec, "seeds", ("start", "count"))
         start = _value(seeds_spec, "seeds.start", _integer, 0)
-        seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", _integer, 1)))
+        seeds = tuple(range(start, start + _value(seeds_spec, "seeds.count", _count, 1)))
     else:
         seeds = _entries(seeds_spec, "seeds", _integer)
     axes = {} if doc.get("sweep") is None else doc["sweep"]
@@ -414,7 +424,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         run=doc["run"],
         seeds=seeds,
         axes={str(k): _list(v, f"sweep.{k}") for k, v in axes.items()},
-        trials=_value(doc, "trials", _integer, 0),
+        trials=_value(doc, "trials", _count, 0),
         fault_probability=_value(doc, "fault_probability", _real, 0.0),
         behavior_mix=_entries(doc.get("behavior_mix", ["silent"]), "behavior_mix", _mc_behavior),
         behavior_changes_per_pulse=_value(doc, "behavior_changes_per_pulse", _integer, 1),

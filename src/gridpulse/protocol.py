@@ -34,7 +34,6 @@ simplified``) and exists only for such runs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .timing import Params
+from .timing import Params, _draws, _uniform
 from .topology import BaseGraph
 
 __all__ = [
@@ -97,7 +96,7 @@ class SourceMode:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:  # NaN included
             raise ConfigurationError("jitter bound must be >= 0")
 
 
@@ -369,14 +368,13 @@ def ideal_source_times(
     """Well-synchronized layer-0 pulse times (k-1)*lam + j_v, j_v in [0, jitter],
     as a [pulse, vertex] array.
 
-    The per-vertex offsets are fixed for the whole run and reproducible from
-    the seed. The jitter-vs-kappa admissibility check lives with the run
-    configuration, where kappa is known.
+    The per-vertex offsets are fixed for the whole run, drawn in vertex order
+    as ``Random(seed).uniform(0, jitter)`` would. The jitter-vs-kappa check
+    lives with the run configuration, where kappa is known.
     """
-    if jitter < 0:
+    if not jitter >= 0:  # NaN included
         raise ConfigurationError("jitter bound must be >= 0")
     if pulses < 1:
         raise ConfigurationError("need at least one pulse")
-    rng = random.Random(seed)
-    offsets = [rng.uniform(0.0, jitter) if jitter > 0 else 0.0 for _ in base.vertices]
-    return np.arange(pulses)[:, None] * lam + np.array(offsets)
+    offsets = _uniform(0.0, jitter, _draws(seed, base.num_vertices))
+    return np.arange(pulses)[:, None] * lam + offsets

@@ -7,8 +7,9 @@ time, so identical runs produce byte-identical files.
 
 The CSV files are written 4,096 rows at a time and read back 64 KiB of text
 at a time: the writer formats a block with one ``%``, and the reader parses a
-block with numpy's C reader, or with ``int``/``float``/``str`` where the two
-could differ. Neither holds more than one block's fields as Python objects.
+block with numpy's C reader or, where the two could differ, parses each field
+once with ``int``/``float``/``str``. Neither holds more than one block's fields
+as Python objects.
 """
 
 from __future__ import annotations
@@ -209,33 +210,26 @@ def write_outputs(result: RunResult, report: dict, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text(render_text(report))
 
 
-def _parse(path: Path, column: list, dtype, first: int) -> np.ndarray:
-    """A column of fields as an array of ``dtype``: np.int64, float (an empty
-    field is NaN) or object (the text). A field that does not parse is
-    reported with its line; the column starts on line ``first``."""
-    parse = {np.int64: int, float: float, object: str}[dtype]
-    if dtype is float:
-        column = [x or "nan" for x in column]
-    try:
-        return np.array(list(map(parse, column)), dtype=dtype)
-    except (ValueError, OverflowError):
-        for line, text in enumerate(column, start=first):
-            try:
-                np.array(parse(text), dtype=dtype)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigurationError(f"{path}:{line}: {exc}") from None
-        raise
-
-
 def _parse_lines(path: Path, lines: list, dtypes: tuple, first: int) -> list:
-    """The columns of ``lines``, starting on line ``first``, each field parsed
-    by ``_parse``; a line with a field count other than len(dtypes) is reported."""
+    """The columns of ``lines``, starting on line ``first``, one of each of
+    ``dtypes``: np.int64, float (an empty field is NaN) or object (the text).
+    Each field is parsed once, by int(), float() or str(), into its column. A
+    line with a field count other than len(dtypes) is reported, and then the
+    first field of the first column that does not parse, each with its line."""
     width = len(dtypes)
     for line, text in enumerate(lines, start=first):
         if text.count(",") != width - 1:
             raise ConfigurationError(f"{path}:{line}: expected {width} fields")
     fields = ",".join(lines).split(",")
-    return [_parse(path, fields[j::width], dtype, first) for j, dtype in enumerate(dtypes)]
+    columns = [np.empty(len(lines), dtype=dtype) for dtype in dtypes]
+    for j, column in enumerate(columns):
+        parse = {np.int64: int, float: lambda x: float(x or "nan"), object: str}[dtypes[j]]
+        for i, text in enumerate(fields[j::width]):
+            try:
+                column[i] = parse(text)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"{path}:{first + i}: {exc}") from None
+    return columns
 
 
 def _loaded(text: str, table: np.dtype) -> list | None:
@@ -266,9 +260,10 @@ def _read_columns(path: Path, header: list, dtypes: tuple, layers: int, vertices
     Each field reads as int(), float() or str() reads it. The text is parsed
     ``_READ_CHARS`` characters at a time, extended to the end of a line (the
     blocks of ``readlines(_READ_CHARS)``): by numpy's C reader, or by
-    ``_parse_lines`` where ``_loaded`` gives a block back, which reports the
-    line of a bad field. So the reader holds the columns as arrays and the text
-    of one block, and one block's fields as Python objects where it falls back."""
+    ``_parse_lines`` where ``_loaded`` gives a block back, which parses each
+    field once and reports the line of a bad field. So the reader holds the
+    columns as arrays and the text of one block, and one block's fields as
+    Python strings where it falls back."""
     first, dtypes = 2, (np.int64,) * 3 + dtypes
     table = np.dtype([(f"f{j}", dtype) for j, dtype in enumerate(dtypes)])
     blocks = [[np.array([], dtype=dtype) for dtype in dtypes]]

@@ -1,13 +1,14 @@
-"""Brute-force references that the library's closed forms and its block CSV
-writer are checked against."""
+"""Brute-force references that the library's closed forms, its samplers, its
+block CSV writer and its CSV reader's fallback parser are checked against."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from gridpulse.errors import ProtocolError
+from gridpulse.errors import ConfigurationError, ProtocolError
 
 
 def correction_scan_oracle(h_own, h_min, h_max, kappa, theta, extra: int = 2):
@@ -29,6 +30,15 @@ def correction_scan_oracle(h_own, h_min, h_max, kappa, theta, extra: int = 2):
     return delta
 
 
+def ideal_source_times_by_loop(base, lam, jitter, seed, pulses):
+    """``protocol.ideal_source_times`` with one ``Random(seed).uniform(0,
+    jitter)`` per vertex, drawn in a loop, and no draw at all when ``jitter``
+    is 0."""
+    rng = random.Random(seed)
+    offsets = [rng.uniform(0.0, jitter) if jitter > 0 else 0.0 for _ in base.vertices]
+    return np.arange(pulses)[:, None] * lam + np.array(offsets)
+
+
 def csv_rows_by_field(present, arrays) -> str:
     """The lines below the header that ``report._write_columns`` writes, each
     field formatted on its own: the indices by str(), floats with 17
@@ -39,3 +49,35 @@ def csv_rows_by_field(present, arrays) -> str:
     columns += [a[at].tolist() if a.dtype == object else
                 ("" if math.isnan(x) else "%.17g" % x for x in a[at].tolist()) for a in arrays]
     return "".join(map("%s\n".__mod__, map(",".join, zip(*columns))))
+
+
+def parse_column(path, column: list, dtype, first: int) -> np.ndarray:
+    """A column of fields as an array of ``dtype``: np.int64, float (an empty
+    field is NaN) or object (the text), converted as a whole list and, when
+    that fails, field by field to find the bad field's line; the column starts
+    on line ``first``. The reader's fallback before it parsed each field once."""
+    parse = {np.int64: int, float: float, object: str}[dtype]
+    if dtype is float:
+        column = [x or "nan" for x in column]
+    try:
+        return np.array(list(map(parse, column)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for line, text in enumerate(column, start=first):
+            try:
+                np.array(parse(text), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"{path}:{line}: {exc}") from None
+        raise
+
+
+def parse_lines_by_column(path, lines: list, dtypes: tuple, first: int) -> list:
+    """``report._parse_lines`` by ``parse_column``: the columns of ``lines``,
+    starting on line ``first``; a line with a field count other than
+    len(dtypes) is reported."""
+    width = len(dtypes)
+    for line, text in enumerate(lines, start=first):
+        if text.count(",") != width - 1:
+            raise ConfigurationError(f"{path}:{line}: expected {width} fields")
+    fields = ",".join(lines).split(",")
+    return [parse_column(path, fields[j::width], dtype, first)
+            for j, dtype in enumerate(dtypes)]

@@ -17,7 +17,7 @@ import yaml
 import gridpulse
 
 from gridpulse.cli import main
-from gridpulse.config import load_config, run_document
+from gridpulse.config import MAX_GRID_CELLS, load_config, run_document
 from gridpulse.report import ALL_CHECKS
 from gridpulse.timing import delay_keys, sample_delays
 from gridpulse.topology import build_layered
@@ -403,6 +403,14 @@ class TestConfigErrors:
         ("sweep", {"sweep": []}, "sweep"),
         ("sweep", {"sweep": 0}, "sweep"),
         ("sweep", {"sweep": False}, "sweep"),
+        # a count that sizes a loop or a list is at most MAX_GRID_CELLS, checked before
+        # the seed or trial list is built
+        ("sweep", {"seeds": {"start": 1, "count": 10 ** 51}}, "seeds.count"),
+        ("sweep", {"seeds": {"start": 1, "count": MAX_GRID_CELLS + 1}}, "seeds.count"),
+        ("faults-mc", {"trials": 10 ** 51}, "trials"),
+        ("faults-mc", {"trials": MAX_GRID_CELLS + 1}, "trials"),
+        ("stabilize", {"corruption": {"node_fraction": 1.0, "max_spurious_messages": 10 ** 51}},
+         "corruption.max_spurious_messages"),
     ])
     def test_malformed_batch_value_exit_two(self, tmp_path, capsys, command, edit, path):
         """Batch values are read as strictly as run values, and a malformed

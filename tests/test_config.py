@@ -338,6 +338,24 @@ def test_unknown_key_rejected_with_its_path(edit, path):
     ({"topology": {"kind": "line_replicated", "m": 10 ** 51}}, "topology.m"),
     ({"topology": {"kind": "line_replicated", "m": 10 ** 400}}, "topology.m"),
     ({"layers": 10 ** 4, "pulses": 1429}, "pulses"),
+    # so is a vertex id of an edge list, before the graph's adjacency lists are built
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 10 ** 51]]}},
+     r"topology.edges\[1\]"),
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, MAX_GRID_CELLS]]}},
+     r"topology.edges\[1\]"),
+    # a count that sizes a loop or a list is at most MAX_GRID_CELLS, checked before any draw
+    ({"corruption": {"node_fraction": 1.0, "max_spurious_messages": 10 ** 51}},
+     "corruption.max_spurious_messages"),
+    ({"corruption": {"enabled": False, "max_spurious_messages": MAX_GRID_CELLS + 1}},
+     "corruption.max_spurious_messages"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "burst", "count": 10 ** 51, "spacing": 0.01}}]}},
+     r"faults.placement\[0\].behavior.count"),
+    ({"faults": {"placement": [{"vertex": 2, "layer": 1, "behavior": {
+        "kind": "burst", "count": MAX_GRID_CELLS + 1, "spacing": 0.01}}]}},
+     r"faults.placement\[0\].behavior.count"),
+    # a NaN jitter bound is not >= 0
+    ({"source": dict(DOC["source"], jitter=float("nan"))}, "source"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
@@ -349,6 +367,17 @@ def test_grid_limit_admits_its_last_cell():
     pulse more is not (the row above). Building the config allocates no grid."""
     assert 7 * 10 ** 4 * 1428 <= MAX_GRID_CELLS < 7 * 10 ** 4 * 1429
     assert build_run_config(dict(DOC, layers=10 ** 4, pulses=1428)).pulses == 1428
+
+
+def test_count_limit_admits_its_last_value():
+    """A spurious-message bound and a burst count of MAX_GRID_CELLS are read;
+    one more is not (the rows above). Building the config draws nothing."""
+    cfg = build_run_config(dict(
+        DOC, corruption={"node_fraction": 1.0, "max_spurious_messages": MAX_GRID_CELLS},
+        faults={"placement": [{"vertex": 2, "layer": 1, "behavior": {
+            "kind": "burst", "count": MAX_GRID_CELLS, "spacing": 0.01}}]}))
+    assert cfg.corruption.max_spurious_messages == MAX_GRID_CELLS
+    assert cfg.placement.behaviors[2, 1].count == MAX_GRID_CELLS
 
 
 def test_integer_reals_echo_as_floats():

@@ -24,7 +24,7 @@ from gridpulse.protocol import (
     layer0_step,
 )
 from gridpulse.timing import Params
-from oracles import correction_scan_oracle
+from oracles import correction_scan_oracle, ideal_source_times_by_loop
 
 PARAMS_TOY = Params.derive(d=1.0, u=0.5, theta=1.2, lam=3.5)
 
@@ -423,3 +423,31 @@ class TestIdealSource:
         base = build_line_with_replicated_ends(3)
         with pytest.raises(ConfigurationError, match=message):
             ideal_source_times(base, 2.0, jitter, seed=5, pulses=pulses)
+
+
+class TestIdealSourceDraws:
+    """``ideal_source_times`` draws its offsets as the other samplers do, and
+    they are the loop's bit for bit."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-9, 0.0011, 0.75])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2 ** 40 + 3])
+    def test_equals_the_uniform_loop(self, jitter, seed):
+        from gridpulse.topology import build_line_with_replicated_ends, from_edges
+
+        bases = [build_line_with_replicated_ends(m) for m in range(2, 9)]
+        bases.append(from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+        for base in bases:
+            times = ideal_source_times(base, 2.0, jitter, seed, pulses=3)
+            expected = ideal_source_times_by_loop(base, 2.0, jitter, seed, pulses=3)
+            assert times.dtype == expected.dtype and times.shape == expected.shape
+            assert times.tobytes() == expected.tobytes()
+
+    def test_nan_jitter_is_refused(self):
+        """A NaN bound is not >= 0: the loop gave zero offsets, and the draws NaN."""
+        from gridpulse.topology import build_line_with_replicated_ends
+
+        with pytest.raises(ConfigurationError, match="jitter bound must be >= 0"):
+            ideal_source_times(build_line_with_replicated_ends(3), 2.0, math.nan, seed=5,
+                               pulses=2)
+        with pytest.raises(ConfigurationError, match="jitter bound must be >= 0"):
+            SourceMode(kind="ideal", jitter=math.nan)

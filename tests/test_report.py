@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import csv_rows_by_field
+from oracles import csv_rows_by_field, parse_lines_by_column
 
 from gridpulse import report
 from gridpulse.engine import CorruptionSpec, PerturbationSpec, RunConfig, run
@@ -225,3 +225,44 @@ def test_reader_agrees_with_the_python_parser(name, data):
     with tempfile.TemporaryDirectory() as tmp:
         fast, _, slow = read_both_ways(Path(tmp), name, text)
     assert_same_reading(fast, slow)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["trace.csv", "snapshots.csv"]), data=st.data())
+def test_fallback_parses_as_the_batch_reference(name, data):
+    """Eight rows of a stored run with some fields replaced or wrapped and some
+    text edited, from the alphabet above plus an index past int64, a 400-digit
+    value and a NUL: ``_parse_lines``, one field at a time, gives the columns
+    of the reference that converts each column as a whole list first (values,
+    dtypes and value types), or the same message, which names the first bad
+    field of the first bad column."""
+    dtypes = (np.int64,) * 3 + {"trace.csv": (float, float),
+                                "snapshots.csv": (float,) * 4 + (object,)}[name]
+    rows = stored_run()[1][name].splitlines()[1:]
+    first = data.draw(st.integers(0, len(rows) - 8))
+    lines = [row.split(",") for row in rows[first:first + 8]]
+    extra = st.sampled_from(["12345678901234567890", "9" * 400, "\x00"])
+    # a field edit keeps the rows and the field counts; a text edit need not
+    within = st.lists(TOKENS.filter(lambda x: x not in (",", "\n", "\n\n")) | extra,
+                      max_size=3).map("".join)
+    fields = st.tuples(st.integers(0, 7), st.integers(0, len(dtypes) - 1), within, within,
+                       st.booleans())
+    for i, j, before, after, keep in data.draw(st.lists(fields, min_size=1, max_size=4)):
+        lines[i][j] = before + (lines[i][j] if keep else "") + after
+    text = "\n".join(map(",".join, lines))
+    anything = st.lists(TOKENS | extra, max_size=3).map("".join)
+    for start, cut, insert in data.draw(st.lists(
+            st.tuples(st.integers(0, len(text)), st.integers(0, 6), anything), max_size=1)):
+        text = text[:start] + insert + text[start + cut:]
+
+    def parse(parse_lines, part, line):
+        try:
+            return parse_lines(Path(name), part, dtypes, line)
+        except ConfigurationError as exc:
+            return str(exc)
+
+    lines = text.splitlines()
+    # the eight rows as one block, then each row as a block of its own
+    for start, part in [(0, lines), *((k, [line]) for k, line in enumerate(lines))]:
+        assert_same_reading(parse(report._parse_lines, part, first + 2 + start),
+                            parse(parse_lines_by_column, part, first + 2 + start))
