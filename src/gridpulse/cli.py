@@ -52,7 +52,9 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     node = doc
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:  # a null section reads as absent, as run reads it
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise ConfigurationError(f"{dotted}: {part!r} is not a mapping in the run config")
     node[parts[-1]] = value

@@ -155,6 +155,12 @@ def _count(x) -> int:
     return x
 
 
+def _edge(x) -> tuple[int, int]:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise TypeError(f"expected [u, v] with integer vertices, got {x!r}")
+    return _integer(x[0]), _integer(x[1])
+
+
 def _real(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"must be a number, got {x!r}")
@@ -192,14 +198,10 @@ def _base_graph(doc: dict) -> BaseGraph:
         m = _value(section, "topology.m", _integer)
         _cells("topology.m", m + 4)
         return _built("topology.m", build_line_with_replicated_ends, m=m)
-    edges = _list(section.get("edges"), "topology.edges")
+    edges = _entries(section.get("edges"), "topology.edges", _edge)
     for i, edge in enumerate(edges):
-        if not (isinstance(edge, list) and len(edge) == 2
-                and all(isinstance(v, int) for v in edge)):
-            raise ConfigurationError(f"topology.edges[{i}]: expected [u, v] with integer "
-                                     f"vertices, got {edge!r}")
         _cells(f"topology.edges[{i}]", max(edge) + 1)
-    return _built("topology.edges", from_edges, edges=[tuple(edge) for edge in edges])
+    return _built("topology.edges", from_edges, edges=list(edges))
 
 
 def _params(doc: dict) -> Params:
@@ -214,22 +216,23 @@ def _params(doc: dict) -> Params:
     )
 
 
+def _map_row(x) -> tuple[tuple, float]:
+    """A row [dag, v, layer, w, delay] or [chain, hop, w, delay] as (edge key, delay)."""
+    if not (isinstance(x, list) and len(x) in (4, 5) and x[0] in ("dag", "chain")):
+        raise TypeError(f"expected [dag, v, layer, w, delay] or [chain, hop, w, delay], got {x!r}")
+    return (x[0], *map(_integer, x[1:-1])), _real(x[-1])
+
+
 def _delay_map(rows) -> dict | None:
     """``delays.map`` rows [*edge key, delay], at most one per edge, as a dict in row order."""
     if rows is None:
         return None
     delays = {}
-    for i, row in enumerate(_list(rows, "delays.map")):
-        if not (isinstance(row, list) and len(row) in (4, 5) and row[0] in ("dag", "chain")
-                and all(isinstance(x, int) for x in row[1:-1])
-                and isinstance(row[-1], (int, float))):
-            raise ConfigurationError(f"delays.map[{i}]: expected [dag, v, layer, w, delay] or "
-                                     f"[chain, hop, w, delay], got {row!r}")
-        key = tuple(row[:-1])
+    for i, (key, delay) in enumerate(_entries(rows, "delays.map", _map_row)):
         if key in delays:
             raise ConfigurationError(f"delays.map[{i}]: a second row for edge {key}")
-        delays[key] = row[-1]
-    return dict(zip(delays, _entries(list(delays.values()), "delays.map", _real)))
+        delays[key] = delay
+    return delays
 
 
 def _behavior(node, path: str) -> FaultBehavior:

@@ -9,7 +9,7 @@ vertex keeps degree >= 2.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,21 +111,6 @@ def _bfs_distances(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[
     return dist
 
 
-def _finalize(n: int, edges: set[tuple[int, int]], line_info: LineInfo | None) -> BaseGraph:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for v, nbrs in enumerate(adjacency):
-        nbrs.sort()
-        if len(nbrs) < 2:
-            raise ConfigurationError(f"vertex {v} has degree {len(nbrs)} < 2")
-    graph = BaseGraph(adjacency=tuple(map(tuple, adjacency)), line_info=line_info)
-    if min(map(min, graph.distance_table)) < 0:
-        raise ConfigurationError("base graph is not connected")
-    return graph
-
-
 def build_line_with_replicated_ends(m: int) -> BaseGraph:
     """Line of m vertices with each endpoint replicated into a triangle.
 
@@ -139,26 +124,15 @@ def build_line_with_replicated_ends(m: int) -> BaseGraph:
     line = tuple(range(2, m + 2))
     start = (0, 1)
     end = (m + 2, m + 3)
-    edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        edges.add((min(a, b), max(a, b)))
-
-    add(*start)
-    add(start[0], line[0])
-    add(start[1], line[0])
-    for a, b in zip(line, line[1:]):
-        add(a, b)
-    add(*end)
-    add(end[0], line[-1])
-    add(end[1], line[-1])
-
+    edges = [start, (start[0], line[0]), (start[1], line[0]), *zip(line, line[1:]),
+             end, (end[0], line[-1]), (end[1], line[-1])]
     info = LineInfo(line=line, start_replicas=start, end_replicas=end)
-    return _finalize(m + 4, edges, info)
+    return from_edges(edges, line_info=info)
 
 
-def from_edges(edges: list[tuple[int, int]]) -> BaseGraph:
-    """Build a validated BaseGraph from an explicit undirected edge list."""
+def from_edges(edges: list[tuple[int, int]], line_info: LineInfo | None = None) -> BaseGraph:
+    """Build a validated BaseGraph from an explicit undirected edge list. The
+    degree rule is checked on the edges, before any per-vertex list exists."""
     if not edges:
         raise ConfigurationError("edge list is empty")
     seen: set[tuple[int, int]] = set()
@@ -171,8 +145,19 @@ def from_edges(edges: list[tuple[int, int]]) -> BaseGraph:
         if key in seen:
             raise ConfigurationError(f"duplicate edge {key}")
         seen.add(key)
-    n = max(max(a, b) for a, b in seen) + 1
-    return _finalize(n, seen, None)
+    degree = Counter(v for key in seen for v in key)
+    for v in range(len(degree)):  # k distinct ids are 0 .. k-1, or one of those has no edge
+        if degree[v] < 2:
+            raise ConfigurationError(f"vertex {v} has degree {degree[v]} < 2")
+    adjacency: list[list[int]] = [[] for _ in degree]
+    for a, b in seen:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    graph = BaseGraph(adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
+                      line_info=line_info)
+    if min(map(min, graph.distance_table)) < 0:
+        raise ConfigurationError("base graph is not connected")
+    return graph
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Brute-force references that the library's closed forms, its samplers, its
-block CSV writer and its CSV reader's fallback parser are checked against."""
+block CSV writer, its CSV reader's fallback parser and its base-graph builder
+are checked against."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 import numpy as np
 
 from gridpulse.errors import ConfigurationError, ProtocolError
+from gridpulse.topology import BaseGraph, LineInfo
 
 
 def correction_scan_oracle(h_own, h_min, h_max, kappa, theta, extra: int = 2):
@@ -81,3 +83,66 @@ def parse_lines_by_column(path, lines: list, dtypes: tuple, first: int) -> list:
     fields = ",".join(lines).split(",")
     return [parse_column(path, fields[j::width], dtype, first)
             for j, dtype in enumerate(dtypes)]
+
+
+def graph_by_vertex_lists(n: int, edges: set, line_info) -> BaseGraph:
+    """A BaseGraph from one adjacency list per vertex id 0 .. n-1, built before
+    the degree and connectivity checks. The builder's second stage before the
+    degree rule moved onto the edge set."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    for v, nbrs in enumerate(adjacency):
+        nbrs.sort()
+        if len(nbrs) < 2:
+            raise ConfigurationError(f"vertex {v} has degree {len(nbrs)} < 2")
+    graph = BaseGraph(adjacency=tuple(map(tuple, adjacency)), line_info=line_info)
+    if min(map(min, graph.distance_table)) < 0:
+        raise ConfigurationError("base graph is not connected")
+    return graph
+
+
+def from_edges_by_vertex_lists(edges: list) -> BaseGraph:
+    """``topology.from_edges`` as two stages: the edge checks, then
+    ``graph_by_vertex_lists`` over ids up to the largest."""
+    if not edges:
+        raise ConfigurationError("edge list is empty")
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if a == b:
+            raise ConfigurationError(f"self-loop on vertex {a}")
+        if a < 0 or b < 0:
+            raise ConfigurationError("vertex ids must be non-negative integers")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ConfigurationError(f"duplicate edge {key}")
+        seen.add(key)
+    n = max(max(a, b) for a, b in seen) + 1
+    return graph_by_vertex_lists(n, seen, None)
+
+
+def line_by_vertex_lists(m: int) -> BaseGraph:
+    """``topology.build_line_with_replicated_ends`` with its edges collected in
+    a set and handed to ``graph_by_vertex_lists``."""
+    if m < 2:
+        raise ConfigurationError(f"line length m must be >= 2, got {m}")
+    line = tuple(range(2, m + 2))
+    start = (0, 1)
+    end = (m + 2, m + 3)
+    edges: set[tuple[int, int]] = set()
+
+    def add(a: int, b: int) -> None:
+        edges.add((min(a, b), max(a, b)))
+
+    add(*start)
+    add(start[0], line[0])
+    add(start[1], line[0])
+    for a, b in zip(line, line[1:]):
+        add(a, b)
+    add(*end)
+    add(end[0], line[-1])
+    add(end[1], line[-1])
+
+    info = LineInfo(line=line, start_replicas=start, end_replicas=end)
+    return graph_by_vertex_lists(m + 4, edges, info)

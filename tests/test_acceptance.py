@@ -25,8 +25,9 @@ from gridpulse.engine import (SNAPSHOT_FIELDS, CorruptionSpec, RunConfig, _layer
                               run_events)
 from gridpulse.faults import FaultBehavior, FaultPlacement, validate_placement
 from gridpulse.protocol import SourceMode, compute_correction
+from gridpulse.report import build_report
 from gridpulse.timing import Params, local_skew_budget, validate_params
-from gridpulse.topology import build_layered, build_line_with_replicated_ends
+from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
 from oracles import correction_scan_oracle
 
 PARAMS = Params.derive(d=1.0, u=0.002, theta=1.0002, lam=2.0)
@@ -165,6 +166,40 @@ class TestA3MachineEquivalence:
             f"without fallback in {used}/{runs}, == engine in every array and counter "
             f"in {full}/{runs}",
         )
+
+
+class TestCycleBaseGraphs:
+    """A cycle, the case where every node has in-degree 3 (the self-copy and
+    two neighbors), fault-free: each run stays on the layer kernel and passes
+    every check of build_report, within A1's budget; on m = 8 the kernel
+    equals the event engine bit for bit."""
+
+    CYCLE_SEEDS = (1, 2, 3)
+
+    def test_cycles(self):
+        bad, equal, worst = [], 0, 0.0
+        for m in SIZES:
+            base = from_edges([(v, (v + 1) % m) for v in range(m)])
+            assert base.padded_slots[1].sum(axis=1).tolist() == [3] * m
+            assert validate_params(PARAMS, base.diameter) == []
+            budget = local_skew_budget(PARAMS, base.diameter)
+            for seed in self.CYCLE_SEEDS:
+                cfg = dataclasses.replace(a1_config(m, seed), base=base, layers=m, pulses=12)
+                kernel = _layer_kernel(cfg, _sample_inputs(cfg))
+                if kernel is None:
+                    bad.append((m, seed, "kernel fell back"))
+                    continue
+                report = build_report(kernel)
+                max_layer = report["checks"]["skew"]["max_layer_skew"]
+                worst = max(worst, max_layer / budget)
+                if not (report["passed"] and max_layer <= budget):
+                    bad.append((m, seed, report["checks"]))
+                if m == 8:
+                    equal += same_run(kernel, run_events(cfg))
+        verdict("cycle base graphs", not bad and equal == len(self.CYCLE_SEEDS),
+                f"{len(SIZES) * len(self.CYCLE_SEEDS)} runs (m in {SIZES}, in-degree 3 "
+                f"everywhere), max skew/bound ratio {worst:.3f}, failing {bad}; "
+                f"kernel == engine in {equal}/{len(self.CYCLE_SEEDS)} runs at m = 8")
 
 
 class TestA4ChainedLayerZero:

@@ -673,6 +673,22 @@ def test_batch_outputs_pinned(tmp_path, name):
     assert digests == BATCH_DIGESTS[name]
 
 
+@pytest.mark.parametrize("section", ["delays", "clocks", "source"])
+@pytest.mark.parametrize("name", ["sweep", "stabilize", "faults-mc"])
+def test_batch_null_section_reads_as_absent(tmp_path, name, section):
+    """A null section of the run config is read as if it were left out, as
+    ``run`` reads it: the batch command writes the same files."""
+    run = {key: value for key, value in BATCH_RUNS[name]["run"].items() if key != section}
+    outputs = []
+    for i, doc in enumerate([run, dict(run, **{section: None})]):
+        out = tmp_path / f"out{i}"
+        assert main([name, "--config", str(write_config(tmp_path, dict(BATCH_RUNS[name], run=doc),
+                                                        f"batch{i}.yaml")),
+                     "--out", str(out)]) == 0
+        outputs.append(read_all(out))
+    assert outputs[0] == outputs[1]
+
+
 # Runs whose report lists witnesses: out of the regime (forced), it lists
 # condition failures and drift, estimate and period violations; faulty and
 # perturbed (the CI console-fault.yaml), it runs the envelope check.

@@ -356,10 +356,28 @@ def test_unknown_key_rejected_with_its_path(edit, path):
      r"faults.placement\[0\].behavior.count"),
     # a NaN jitter bound is not >= 0
     ({"source": dict(DOC["source"], jitter=float("nan"))}, "source"),
+    # a boolean is no vertex id or map index
+    ({"topology": {"kind": "edge_list", "edges": [[0, True], [1, 2], [2, 0]]}},
+     r"topology.edges\[0\]"),
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, True, 0.999]]}},
+     r"delays.map\[0\]"),
 ])
 def test_malformed_entry_rejected_with_its_path(edit, path):
     with pytest.raises(ConfigurationError, match=rf"^{path}: "):
         build_run_config(dict(DOC, **edit))
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [True, 0]]}},
+     "topology.edges[2]: must be an integer, got True"),
+    ({"delays": {"strategy": "custom-map", "map": [["dag", 0, 0, 0, 0.999],
+                                                    ["chain", 1, False, 0.999]]}},
+     "delays.map[1]: must be an integer, got False"),
+])
+def test_boolean_id_or_index_message(edit, message):
+    with pytest.raises(ConfigurationError) as exc:
+        build_run_config(dict(DOC, **edit))
+    assert str(exc.value) == message
 
 
 def test_grid_limit_admits_its_last_cell():

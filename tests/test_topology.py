@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -11,6 +12,7 @@ from gridpulse.config import build_run_config
 from gridpulse.errors import ConfigurationError
 from gridpulse.timing import delay_keys
 from gridpulse.topology import build_layered, build_line_with_replicated_ends, from_edges
+from oracles import from_edges_by_vertex_lists, line_by_vertex_lists
 
 
 def bfs_oracle(adjacency, source):
@@ -158,3 +160,55 @@ class TestEdgeList:
                "params": {"d": 1.0, "u": 0.002, "theta": 1.0002, "Lambda": 2.0}}
         with pytest.raises(ConfigurationError, match=r"topology\.edges\[2\]"):
             build_run_config(doc)
+
+
+def built(build, *args):
+    """What ``build(*args)`` gives: a BaseGraph or its ConfigurationError's message."""
+    try:
+        return build(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """Up to three cycles, each over a run of consecutive ids from 0 .. 9 in any
+    order and each starting at its own id, so parts may share ids, miss ids or
+    be apart; then up to four edges of ids -1 .. 9 (self-loops, repeats,
+    pendant and isolated ids), all shuffled."""
+    ids = st.integers(min_value=-1, max_value=9)
+    cycle = st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=3, max_value=6))
+    rings = [draw(st.permutations(range(start, min(start + k, 10))))
+             for start, k in draw(st.lists(cycle, max_size=3, unique_by=lambda c: c[0]))]
+    edges = [edge for ring in rings for edge in zip(ring, [*ring[1:], ring[0]])]
+    return draw(st.permutations(edges + draw(st.lists(st.tuples(ids, ids), max_size=4))))
+
+
+class TestOneBuilder:
+    """``from_edges`` checks the degree rule on the edge set before it builds any
+    per-vertex list, and gives what the two-stage builder gave."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists())
+    def test_same_graph_or_message_as_the_two_stage_builder(self, edges):
+        assert built(from_edges, edges) == built(from_edges_by_vertex_lists, edges)
+
+    def test_line_as_the_two_stage_builder(self):
+        for m in range(0, 65):
+            assert built(build_line_with_replicated_ends, m) == built(line_by_vertex_lists, m)
+
+    def test_far_vertex_id_allocates_nothing(self):
+        """One edge to vertex 10**6 is refused for vertex 3, the smallest id
+        without an edge, before one list per id is built (64 MB at 10**6)."""
+        doc = {"topology": {"kind": "edge_list", "edges": [[0, 1], [1, 2], [2, 0], [1, 10 ** 6]]},
+               "layers": 2, "pulses": 1,
+               "params": {"d": 1.0, "u": 0.002, "theta": 1.0002, "Lambda": 2.0}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"^topology\.edges: vertex 3 has degree 0 < 2$"):
+                build_run_config(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
